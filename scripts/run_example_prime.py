@@ -3,16 +3,14 @@
 
 Builds the trace table, checks the exact moment identities, evaluates all
 four discrepancy statistics on a uniform grid, and writes the reports plus a
-histogram SVG next to each other. The default prime is the 93283 showcase;
-expect the table build to dominate the runtime (quadratic in p).
+histogram SVG next to each other. The default prime is the 93283 showcase.
 
 Usage:
     python scripts/run_example_prime.py [--p 93283] [--grid 60] [--bins 61]
-                                        [--threads N] [--out-dir out]
+                                        [--out-dir out]
 """
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -36,7 +34,6 @@ def main() -> int:
     parser.add_argument("--grid", type=int, default=60)
     parser.add_argument("--bins", type=int, default=61)
     parser.add_argument("--nmax", type=int, default=3)
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     parser.add_argument("--out-dir", default="out")
     args = parser.parse_args()
 
@@ -45,9 +42,9 @@ def main() -> int:
 
     t0 = time.time()
     ctx = make_context(args.p)
-    table = build_trace_table(ctx, workers=args.threads)
+    table = build_trace_table(ctx)
     print(f"trace table for p={args.p}: {len(table)} entries "
-          f"in {time.time() - t0:.1f} s on {args.threads} workers")
+          f"in {time.time() - t0:.1f} s")
 
     t0 = time.time()
     htable = build_hurwitz_table(4 * args.p)

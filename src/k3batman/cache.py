@@ -8,6 +8,7 @@ u32) over everything before it.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -57,8 +58,22 @@ def _unpack(raw: bytes, kind: int, record_count) -> tuple[int, np.ndarray]:
     return parameter, payload.astype(np.int64)
 
 
+def _write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temp file beside ``path``, then rename it over
+    ``path``, so an interrupted write never leaves a truncated cache file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_trace_table(path, table: TraceTable) -> None:
-    Path(path).write_bytes(_pack(KIND_TRACE, table.p, table.traces))
+    _write_atomic(path, _pack(KIND_TRACE, table.p, table.traces))
 
 
 def load_trace_table(path) -> TraceTable:
@@ -72,7 +87,7 @@ def load_trace_table(path) -> TraceTable:
 
 
 def save_hurwitz_table(path, table: HurwitzTable) -> None:
-    Path(path).write_bytes(_pack(KIND_HURWITZ, table.d_max, table.twelve_h))
+    _write_atomic(path, _pack(KIND_HURWITZ, table.d_max, table.twelve_h))
 
 
 def load_hurwitz_table(path) -> HurwitzTable:

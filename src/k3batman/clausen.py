@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
+from numpy.fft import irfft, rfft
 
 from .brackets import chebyshev_coeffs
-from .field import FieldContext, make_context
+from .field import FieldContext
 
 
 @dataclass(frozen=True)
@@ -34,78 +34,80 @@ class TraceTable:
             yield i + 1, int(self.traces[i]), int(self.signs[i])
 
 
-def _curve_arrays(p: int) -> tuple[np.ndarray, np.ndarray]:
-    x = np.arange(p, dtype=np.int64)
-    return (x - 1) % p, (x * x) % p
-
-
-def _trace_range(p: int, chi: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Traces for lambda in [lo, hi) via one character sum per curve."""
-    u, v = _curve_arrays(p)
-    out = np.empty(hi - lo, dtype=np.int64)
-    w = np.empty(p, dtype=np.int64)
-    for i, lam in enumerate(range(lo, hi)):
-        # (x-1)(x^2+lam) stays below 2p^2 < 2^63, so a single final reduction
-        # is enough; chi of the product is taken so that a vanishing factor
-        # correctly yields chi(0) = 0.
-        np.add(v, lam, out=w)
-        np.multiply(w, u, out=w)
-        np.remainder(w, p, out=w)
-        out[i] = -int(chi[w].sum())
-    return out
-
-
-_WORKER_P: int | None = None
-_WORKER_CHI: np.ndarray | None = None
-
-
-def _worker_init(p: int) -> None:
-    global _WORKER_P, _WORKER_CHI
-    _WORKER_P = p
-    _WORKER_CHI = make_context(p).chi_table
-
-
-def _worker_span(span: tuple[int, int]) -> np.ndarray:
-    assert _WORKER_P is not None and _WORKER_CHI is not None
-    return _trace_range(_WORKER_P, _WORKER_CHI, span[0], span[1])
-
-
 def clausen_trace(ctx: FieldContext, lam: int) -> int:
-    """Trace p+1-#E for the curve with parameter lambda (not 0 or -1)."""
+    """Trace p+1-#E for the curve with parameter lambda (not 0 or -1).
+
+    One direct character sum over x; this is the single-lambda path and the
+    reference that the table kernel is tested against.
+    """
     p = ctx.p
     if lam % p in (0, p - 1):
         raise ValueError(f"lambda={lam} is a singular member (0 or -1 mod p)")
-    lam %= p
-    return int(_trace_range(p, ctx.chi_table, lam, lam + 1)[0])
+    x = np.arange(p, dtype=np.int64)
+    # (x-1)(x^2+lam) stays below 2p^2 < 2^63, so a single final reduction is
+    # enough; chi of the product is taken so that a vanishing factor correctly
+    # yields chi(0) = 0.
+    values = (x - 1) % p * (x * x % p + lam % p) % p
+    return -int(ctx.chi_table[values].sum())
 
 
-def build_trace_table(ctx: FieldContext, workers: int = 1) -> TraceTable:
-    """All p-2 traces in ascending lambda order.
+# Every correlation value is an integer; a float result further than this
+# from the nearest integer means the transform lost too much precision.
+RESIDUAL_LIMIT = 0.25
 
-    With ``workers`` > 1 the lambda range is partitioned across processes;
-    results are merged in range order, so the output does not depend on the
-    worker count.
+
+def _fft_length(m: int) -> int:
+    """Smallest 5-smooth integer >= m.
+
+    Such lengths factor into small radices; a prime length would go through
+    Bluestein's algorithm, several times slower.
+    """
+    best = 1 << (m - 1).bit_length()
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            best = min(best, f35 * (1 << (-(-m // f35) - 1).bit_length()))
+            f35 *= 3
+        f5 *= 5
+    return best
+
+
+def build_trace_table(ctx: FieldContext) -> TraceTable:
+    """All p-2 traces in ascending lambda order, by one FFT correlation.
+
+    Since chi is multiplicative,
+
+        a_lambda = -sum_x chi(x - 1) chi(x^2 + lambda) = -sum_u w(u) chi(u + lambda)
+
+    with w(u) = sum_{x^2 = u} chi(x - 1), so all traces are one cyclic
+    correlation of w with chi. It is computed as a linear correlation against
+    chi doubled, zero-padded to a smooth length >= 2p so that no index wraps.
+
+    Raises ArithmeticError when the float result strays RESIDUAL_LIMIT or
+    more from the nearest integer, or when a trace breaks the Hasse bound.
     """
     p = ctx.p
-    if workers <= 1 or p < 4096:
-        traces = _trace_range(p, ctx.chi_table, 1, p - 1)
-    else:
-        spans = []
-        chunk = max(1, (p - 2) // (4 * workers))
-        lo = 1
-        while lo < p - 1:
-            hi = min(lo + chunk, p - 1)
-            spans.append((lo, hi))
-            lo = hi
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init, initargs=(p,)
-        ) as pool:
-            parts = list(pool.map(_worker_span, spans))
-        traces = np.concatenate(parts)
+    chi = ctx.chi_table.astype(np.float64)
+    x = np.arange(p, dtype=np.int64)
+    w = np.bincount(x * x % p, weights=chi[(x - 1) % p], minlength=p)
+    n = _fft_length(2 * p)
+    spectrum = rfft(np.concatenate((chi, chi)), n)
+    w_spectrum = rfft(w, n)
+    np.conjugate(w_spectrum, out=w_spectrum)
+    spectrum *= w_spectrum
+    del w_spectrum
+    corr = irfft(spectrum, n)[1 : p - 1]  # lambda = 1..p-2
+    rounded = np.rint(corr)
+    residual = float(np.abs(corr - rounded).max())
+    if not residual < RESIDUAL_LIMIT:
+        raise ArithmeticError(
+            f"FFT rounding residual {residual:.3g} >= {RESIDUAL_LIMIT} at p={p}"
+        )
+    traces = -rounded.astype(np.int64)
+    if int(np.abs(traces).max()) > math.isqrt(4 * p):
+        raise ArithmeticError(f"Hasse bound violated at p={p}; trace computation is broken")
     signs = ctx.chi_table[2:p][::-1].copy()  # signs[i] = chi(p - (i+1))
-    hasse = math.isqrt(4 * p)
-    if int(np.abs(traces).max()) > hasse:
-        raise ArithmeticError("Hasse bound violated; trace computation is broken")
     table = TraceTable(p, traces, signs)
     table.traces.setflags(write=False)
     table.signs.setflags(write=False)

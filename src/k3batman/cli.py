@@ -23,13 +23,13 @@ def _write_text(out: str | None, text: str) -> None:
         Path(out).write_text(text)
 
 
-def _get_trace_table(p: int, cache_dir: str | None, threads: int) -> TraceTable:
+def _get_trace_table(p: int, cache_dir: str | None) -> TraceTable:
     path = Path(cache_dir) / f"trace_p{p}.bin" if cache_dir else None
     if path is not None and path.exists():
         table = cache.load_trace_table(path)
         if table.p == p:
             return table
-    table = build_trace_table(make_context(p), workers=threads)
+    table = build_trace_table(make_context(p))
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
         cache.save_trace_table(path, table)
@@ -68,14 +68,14 @@ def _csv_cell(v) -> str:
 
 
 def cmd_traces(args) -> int:
-    table = _get_trace_table(args.p, args.cache_dir, args.threads)
+    table = _get_trace_table(args.p, args.cache_dir)
     rows = [[lam, a, sign] for lam, a, sign in table.entries()]
     _emit_rows(args.out, args.format, "lambda,a,phi", rows)
     return 0
 
 
 def cmd_avalues(args) -> int:
-    table = _get_trace_table(args.p, args.cache_dir, args.threads)
+    table = _get_trace_table(args.p, args.cache_dir)
     p = table.p
     rows = []
     for mu in range(1, p - 1):
@@ -88,14 +88,14 @@ def cmd_avalues(args) -> int:
 
 
 def cmd_hist(args) -> int:
-    table = _get_trace_table(args.p, args.cache_dir, args.threads)
+    table = _get_trace_table(args.p, args.cache_dir)
     spec = svg.HistogramSpec(args.p, args.bins, overlay=args.overlay)
     _write_text(args.out, svg.render_histogram(table, spec))
     return 0
 
 
 def cmd_verify_moments(args) -> int:
-    table = _get_trace_table(args.p, args.cache_dir, args.threads)
+    table = _get_trace_table(args.p, args.cache_dir)
     htable = _get_hurwitz_table(4 * args.p, args.cache_dir)
     ok = True
     print(f"moment identities at p={args.p}, n <= {args.nmax}")
@@ -161,7 +161,7 @@ def _grids_for(which: str, k: int, seed: int | None):
 
 
 def cmd_verify_distribution(args) -> int:
-    table = _get_trace_table(args.p, args.cache_dir, args.threads)
+    table = _get_trace_table(args.p, args.cache_dir)
     ok = True
     for which in stats.STATISTICS:
         grid = _grids_for(which, args.grid, args.seed)
@@ -212,16 +212,13 @@ def cmd_ears(args) -> int:
     return 0
 
 
-def _add_common(parser, *, threads=True, cache=True, out=True, fmt=True):
+def _add_common(parser, *, cache=True, out=True, fmt=True):
     if out:
         parser.add_argument("--out", help="output path (stdout when omitted)")
     if fmt:
         parser.add_argument("--format", choices=("csv", "json"), default="csv")
     if cache:
         parser.add_argument("--cache-dir", help="directory for binary table caches")
-    if threads:
-        parser.add_argument("--threads", type=int, default=1,
-                            help="worker processes for table builds")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     v_b = v_sub.add_parser("brackets", help="coefficient identities and bounds")
     v_b.add_argument("--p", type=int, required=True)
     v_b.add_argument("--mmax", type=int, default=4)
-    _add_common(v_b, out=False, fmt=False, threads=False)
+    _add_common(v_b, out=False, fmt=False)
     v_b.set_defaults(func=cmd_verify_brackets)
 
     v_d = v_sub.add_parser("distribution", help="discrepancy bounds on a grid")
@@ -273,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_audit = sub.add_parser("audit-constants", help="explicit constant chains")
     p_audit.add_argument("--p", type=int, required=True)
-    _add_common(p_audit, out=False, fmt=False, threads=False, cache=False)
+    _add_common(p_audit, out=False, fmt=False, cache=False)
     p_audit.set_defaults(func=cmd_audit_constants)
 
     p_ears = sub.add_parser("ears", help="window width and prime threshold near t=+-1")

@@ -1,5 +1,3 @@
-import os
-
 import pytest
 
 from k3batman import build_hurwitz_table, build_trace_table, make_context
@@ -33,5 +31,4 @@ def table_10007():
 
 @pytest.fixture(scope="session")
 def table_93283():
-    workers = min(8, os.cpu_count() or 1)
-    return build_trace_table(make_context(93283), workers=workers)
+    return build_trace_table(make_context(93283))

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,9 @@ from k3batman import (
     clausen_trace,
     make_context,
     moment,
+    two_squares,
 )
+from k3batman import clausen
 from util import curve_point_count, primes_up_to
 
 
@@ -64,12 +67,49 @@ def test_table_entry_count_and_hasse(p):
     assert set(np.unique(table.signs)) <= {-1, 1}
 
 
-def test_parallel_build_matches_serial():
-    ctx = make_context(4099)
-    serial = build_trace_table(ctx, workers=1)
-    parallel = build_trace_table(ctx, workers=2)
-    assert np.array_equal(serial.traces, parallel.traces)
-    assert np.array_equal(serial.signs, parallel.signs)
+def test_table_matches_direct_oracle():
+    for p in [p for p in primes_up_to(300) if p >= 5] + [4099]:
+        ctx = make_context(p)
+        table = build_trace_table(ctx)
+        direct = [clausen_trace(ctx, lam) for lam in range(1, p - 1)]
+        assert table.traces.tolist() == direct, f"p={p}"
+
+
+def test_table_guards_raise(monkeypatch):
+    ctx = make_context(101)
+    irfft = clausen.irfft
+    monkeypatch.setattr(clausen, "irfft", lambda *args: irfft(*args) + 0.4)
+    with pytest.raises(ArithmeticError, match=r"rounding residual 0\.4"):
+        build_trace_table(ctx)
+    # integral but far off: only the Hasse check can catch it
+    monkeypatch.setattr(clausen, "irfft", lambda *args: irfft(*args) + 100)
+    with pytest.raises(ArithmeticError, match="Hasse"):
+        build_trace_table(ctx)
+
+
+def test_trace_multiplicities_match_class_numbers(trace_tables_1000, hurwitz_4000):
+    """#{lambda : |a_lambda| = s}, plain and phi-signed, for every s > 0 against
+    the class-number weights of the moment identities: the identity for all
+    moments at once, and a global check on every entry of the table."""
+    for p, table in trace_tables_1000.items():
+        squares = two_squares(p)
+        ta, tb = (2 * squares[0], 2 * squares[1]) if squares else (0, 0)
+        counts, signed = Counter(), Counter()
+        for a, sign in zip(table.traces.tolist(), table.signs.tolist()):
+            counts[abs(a)] += 1
+            signed[abs(a)] += sign
+        for s in range(1, math.isqrt(4 * p) + 1):
+            if s % 2:
+                expected = (0, 0)
+            else:
+                small = hurwitz_4000.star(p - (s // 2) ** 2)  # (4p - s^2)/4
+                big = hurwitz_4000.star(4 * p - s * s)
+                hit_a, hit_b = int(s == ta), int(s == tb)
+                expected = (
+                    2 * small + big - Fraction(hit_a + hit_b, 2),
+                    4 * small - big - Fraction(hit_a - hit_b, 2),
+                )
+            assert (counts[s], signed[s]) == expected, f"first mismatch at p={p}, s={s}"
 
 
 def test_table_arrays_read_only(table5):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from k3batman import build_hurwitz_table, build_trace_table, make_context
+from k3batman import build_hurwitz_table, build_trace_table, clausen_trace, make_context
 from k3batman import cache
 from k3batman.cli import dispatch
 
@@ -117,11 +117,13 @@ def test_hist_deterministic_svg(tmp_path):
     assert b"polyline" in data  # overlay curve present
 
 
-def test_threads_do_not_change_output(tmp_path):
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert dispatch(["traces", "--p", "4099", "--out", str(out1), "--threads", "1"]) == 0
-    assert dispatch(["traces", "--p", "4099", "--out", str(out2), "--threads", "2"]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+def test_traces_output_matches_oracle(tmp_path):
+    p = 4099
+    ctx = make_context(p)
+    out = tmp_path / "t.csv"
+    assert dispatch(["traces", "--p", str(p), "--out", str(out)]) == 0
+    rows = [f"{lam},{clausen_trace(ctx, lam)},{ctx.chi(p - lam)}" for lam in range(1, p - 1)]
+    assert out.read_text() == "lambda,a,phi\n" + "\n".join(rows) + "\n"
 
 
 def test_cache_round_trip_via_cli(tmp_path):
@@ -194,6 +196,47 @@ def test_cache_truncation_error(tmp_path):
     path.write_bytes(raw[:-9])
     with pytest.raises(cache.CacheFormatError, match="length"):
         cache.load_trace_table(path)
+
+
+class _FailingWriter:
+    """Stands in for ``open`` in the cache module: writes half of what it is
+    given, then raises, like a run killed or out of disk mid-write."""
+
+    def __init__(self, path, mode):
+        self.fh = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+
+@pytest.mark.parametrize(
+    "save, build",
+    [
+        (cache.save_trace_table, lambda: build_trace_table(make_context(101))),
+        (cache.save_hurwitz_table, lambda: build_hurwitz_table(404)),
+    ],
+    ids=["trace", "hurwitz"],
+)
+def test_interrupted_cache_write_leaves_no_file(tmp_path, monkeypatch, save, build):
+    table = build()
+    kept = tmp_path / "kept.bin"
+    save(kept, table)
+    good = kept.read_bytes()
+    monkeypatch.setattr(cache, "open", _FailingWriter, raising=False)
+    for path in (tmp_path / "fresh.bin", kept):
+        with pytest.raises(OSError, match="disk full"):
+            save(path, table)
+    monkeypatch.undo()
+    # no truncated target, no stray temp file, and the earlier file is intact
+    assert list(tmp_path.iterdir()) == [kept]
+    assert kept.read_bytes() == good
 
 
 def test_cache_checksum_error(tmp_path):
