@@ -16,9 +16,9 @@ import time
 from pathlib import Path
 
 from k3batman import (
-    build_hurwitz_table,
     build_trace_table,
     discrepancy_report,
+    identity_table,
     make_context,
     moment,
     moment_rhs,
@@ -47,7 +47,7 @@ def main() -> int:
           f"in {time.time() - t0:.1f} s")
 
     t0 = time.time()
-    htable = build_hurwitz_table(4 * args.p)
+    htable = identity_table(args.p)
     ok = True
     for n in range(1, args.nmax + 1):
         for twisted in (False, True):

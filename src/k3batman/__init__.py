@@ -6,12 +6,23 @@ from .brackets import (
     chebyshev_coeffs,
     chebyshev_eval,
     deligne_audit,
+    even_chebyshev,
     mertens_coeff,
     pihol_coeff,
 )
 from .clausen import AValue, TraceTable, a_value, build_trace_table, chebyshev_sum, clausen_trace, moment
 from .field import FieldContext, is_prime, make_context, two_squares
-from .hurwitz import HurwitzTable, build_hurwitz_table, c_pm, class_number, hurwitz_star, moment_rhs
+from .hurwitz import (
+    HurwitzTable,
+    SparseHurwitzTable,
+    build_hurwitz_table,
+    c_pm,
+    class_number,
+    hurwitz_star,
+    identity_table,
+    moment_rhs,
+    twelve_h_at,
+)
 from .measures import EarParameters, density_f, ear_parameters, mu_bat, mu_st, optimal_delta
 from .selberg import TrigPolynomial, eval_trig, proof_bound_audit, selberg_pair
 from .stats import (
@@ -33,6 +44,7 @@ __all__ = [
     "FieldContext",
     "HurwitzTable",
     "IntervalCounts",
+    "SparseHurwitzTable",
     "TraceTable",
     "TrigPolynomial",
     "a_value",
@@ -50,9 +62,11 @@ __all__ = [
     "density_f",
     "discrepancy_report",
     "ear_parameters",
+    "even_chebyshev",
     "empirical_A_count",
     "eval_trig",
     "hurwitz_star",
+    "identity_table",
     "interval_counts",
     "interval_counts_squared",
     "is_prime",
@@ -66,6 +80,7 @@ __all__ = [
     "pihol_coeff",
     "proof_bound_audit",
     "selberg_pair",
+    "twelve_h_at",
     "two_squares",
     "uniform_grid",
 ]

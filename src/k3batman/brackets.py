@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, isqrt
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
     from .hurwitz import HurwitzTable
@@ -59,6 +59,24 @@ def chebyshev_eval(m: int, x: float) -> float:
     return prev1
 
 
+def even_chebyshev(m: int, x: int, n: int) -> int:
+    """sum_l U_{2m}[2l] x^l n^(m-l) over l = 0..m, exactly in integers.
+
+    U_{2m} has only even powers, so this is n^m U_{2m}(y) for any y with
+    y^2 = x/n: the Chebyshev value with its denominator n^m cleared.
+    """
+    coeffs = chebyshev_coeffs(2 * m)
+    total = 0
+    for l in range(m, -1, -1):  # Horner in x
+        total = total * x + coeffs[2 * l] * n ** (m - l)
+    return total
+
+
+def _twelve(h: Fraction) -> int:
+    """12 h as an integer; every H* value has a denominator dividing 12."""
+    return h.numerator * (12 // h.denominator)
+
+
 def bracket_coeff(m: int, t: int, n: int, table: "HurwitzTable") -> Fraction:
     """Coefficient of q^n in the m-th bracket of the class-number series with
     the theta series in t*tau.
@@ -72,21 +90,11 @@ def bracket_coeff(m: int, t: int, n: int, table: "HurwitzTable") -> Fraction:
         raise ValueError("n must be >= 1")
     if table.d_max < n:
         raise ValueError(f"table covers D <= {table.d_max}, need {n}")
-    coeffs = chebyshev_coeffs(2 * m)
-    total = Fraction(0)
-    smax = isqrt(n // t)
-    for s in range(-smax, smax + 1):
-        h = table.star(n - t * s * s)
-        if h == 0:
-            continue
-        ratio = Fraction(t * s * s, n)
-        inner = Fraction(0)
-        power = Fraction(1)
-        for l in range(m + 1):
-            inner += coeffs[2 * l] * power
-            power *= ratio
-        total += h * inner
-    return Fraction(comb(2 * m, m), 4**m) * n**m * total
+    total = 0
+    for s in range(isqrt(n // t) + 1):  # s and -s give the same term
+        term = _twelve(table.star(n - t * s * s)) * even_chebyshev(m, t * s * s, n)
+        total += term if s == 0 else 2 * term
+    return Fraction(comb(2 * m, m) * total, 12 * 4**m)
 
 
 def _divisor_pairs(n: int) -> list[tuple[int, int]]:
@@ -143,16 +151,26 @@ class DeligneAudit:
     passed: bool
 
 
-def deligne_audit(m: int, p: int, table: "HurwitzTable") -> DeligneAudit:
+def deligne_audit(
+    m: int,
+    p: int,
+    table: "HurwitzTable",
+    a: Fraction | None = None,
+    b: Fraction | None = None,
+) -> DeligneAudit:
     """Check the explicit newform-coefficient bounds at a prime index.
 
-    Values are exact rationals; each bound is evaluated in floating point and
-    nudged up one ulp so rounding alone can never produce a spurious failure.
+    ``a`` and ``b`` are pihol_coeff(m, 1, p) and pihol_coeff(m, 4, 4p); either
+    is computed from ``table`` when not given. Values are exact rationals;
+    each bound is evaluated in floating point and nudged up one ulp so
+    rounding alone can never produce a spurious failure.
     """
     if m < 1 or p < 5:
         raise ValueError("need m >= 1 and p >= 5")
-    a = pihol_coeff(m, 1, p, table)
-    b = pihol_coeff(m, 4, 4 * p, table)
+    if a is None:
+        a = pihol_coeff(m, 1, p, table)
+    if b is None:
+        b = pihol_coeff(m, 4, 4 * p, table)
     scale = (m - 1) * p ** (m + 0.5)
     a_bound = math.nextafter(2.0 / 3.0 * comb(2 * m, m) / 4**m * scale, math.inf)
     b_bound = math.nextafter(4.0 / 3.0 * comb(2 * m, m) * scale, math.inf)
@@ -160,55 +178,44 @@ def deligne_audit(m: int, p: int, table: "HurwitzTable") -> DeligneAudit:
     return DeligneAudit(m, p, a, a_bound, b, b_bound, passed)
 
 
+def _class_sum(m: int, p: int, star_at: Callable[[int], Fraction]) -> Fraction:
+    """sum of star_at(s) U_{2m}(s / 2 sqrt(p)) over even 0 < s < 2 sqrt(p)."""
+    q = 4 * p
+    total = 0
+    for s in range(2, isqrt(q - 1) + 1, 2):
+        total += _twelve(star_at(s)) * even_chebyshev(m, s * s, q)
+    return Fraction(total, 12 * q**m)
+
+
 def class_sum_a(m: int, p: int, table: "HurwitzTable") -> Fraction:
     """Chebyshev-weighted sum over 2 H*((4p-s^2)/4), even 0 < s < 2 sqrt(p)."""
-    coeffs = chebyshev_coeffs(2 * m)
-    q = 4 * p
-    total = Fraction(0)
-    for s in range(2, isqrt(4 * p - 1) + 1, 2):
-        h = 2 * table.star(p - (s // 2) ** 2)
-        if h == 0:
-            continue
-        ratio = Fraction(s * s, q)
-        inner, power = Fraction(0), Fraction(1)
-        for l in range(m + 1):
-            inner += coeffs[2 * l] * power
-            power *= ratio
-        total += h * inner
-    return total
+    return _class_sum(m, p, lambda s: 2 * table.star(p - (s // 2) ** 2))
 
 
 def class_sum_b(m: int, p: int, table: "HurwitzTable") -> Fraction:
     """Chebyshev-weighted sum over H*(4p-s^2), even 0 < s < 2 sqrt(p)."""
-    coeffs = chebyshev_coeffs(2 * m)
-    q = 4 * p
-    total = Fraction(0)
-    for s in range(2, isqrt(4 * p - 1) + 1, 2):
-        h = table.star(4 * p - s * s)
-        if h == 0:
-            continue
-        ratio = Fraction(s * s, q)
-        inner, power = Fraction(0), Fraction(1)
-        for l in range(m + 1):
-            inner += coeffs[2 * l] * power
-            power *= ratio
-        total += h * inner
-    return total
+    return _class_sum(m, p, lambda s: table.star(4 * p - s * s))
 
 
-def coeff_side_a(m: int, p: int, table: "HurwitzTable") -> Fraction:
+def coeff_side_a(m: int, p: int, table: "HurwitzTable", a: Fraction | None = None) -> Fraction:
     """Projected-coefficient side matching :func:`class_sum_a`.
 
+    ``a`` is pihol_coeff(m, 1, p), computed from ``table`` when not given.
     The (-1)^m H*(p) term is required for exact equality; it vanishes
     exactly when p = 1 (mod 4).
     """
-    a = pihol_coeff(m, 1, p, table)
+    if a is None:
+        a = pihol_coeff(m, 1, p, table)
     lead = Fraction(4**m, comb(2 * m, m)) * a / p**m
     return lead - Fraction(1, p**m) - (-1) ** m * table.star(p)
 
 
-def coeff_side_b(m: int, p: int, table: "HurwitzTable") -> Fraction:
-    """Projected-coefficient side matching :func:`class_sum_b`."""
-    b = pihol_coeff(m, 4, 4 * p, table)
+def coeff_side_b(m: int, p: int, table: "HurwitzTable", b: Fraction | None = None) -> Fraction:
+    """Projected-coefficient side matching :func:`class_sum_b`.
+
+    ``b`` is pihol_coeff(m, 4, 4p), computed from ``table`` when not given.
+    """
+    if b is None:
+        b = pihol_coeff(m, 4, 4 * p, table)
     lead = b / (comb(2 * m, m) * 2 * Fraction(p**m))
     return lead - Fraction(1, p**m) - Fraction((-1) ** m, 2) * table.star(4 * p)

@@ -10,7 +10,7 @@ from typing import Iterator
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .brackets import chebyshev_coeffs
+from .brackets import even_chebyshev
 from .field import FieldContext
 
 
@@ -161,17 +161,8 @@ def chebyshev_sum(table: TraceTable, m: int, twisted: bool = False) -> Fraction:
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    p = table.p
-    coeffs = chebyshev_coeffs(2 * m)
-    q = 4 * p
-    scale = [coeffs[2 * l] * q ** (m - l) for l in range(m + 1)]
-    total = 0
-    signs = table.signs.tolist() if twisted else None
-    for i, a in enumerate(table.traces.tolist()):
-        a2 = a * a
-        acc, power = 0, 1
-        for l in range(m + 1):
-            acc += scale[l] * power
-            power *= a2
-        total += signs[i] * acc if twisted else acc
+    q = 4 * table.p
+    # About 2 sqrt(p) distinct |a| occur: sum the (signed) count of each first.
+    counts = np.bincount(np.abs(table.traces), weights=table.signs if twisted else None)
+    total = sum(int(c) * even_chebyshev(m, a * a, q) for a, c in enumerate(counts.tolist()) if c)
     return Fraction(total, q**m)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from . import brackets, cache, hurwitz, measures, selberg, stats, svg
 from .clausen import TraceTable, build_trace_table, moment
-from .field import make_context
+from .field import make_context, require_prime
 
 _REPORT_HEADER = "lo,hi,empirical,target,gap,bound,pass"
 
@@ -33,19 +33,6 @@ def _get_trace_table(p: int, cache_dir: str | None) -> TraceTable:
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
         cache.save_trace_table(path, table)
-    return table
-
-
-def _get_hurwitz_table(d_max: int, cache_dir: str | None) -> hurwitz.HurwitzTable:
-    path = Path(cache_dir) / f"hurwitz_d{d_max}.bin" if cache_dir else None
-    if path is not None and path.exists():
-        table = cache.load_hurwitz_table(path)
-        if table.d_max == d_max:
-            return table
-    table = hurwitz.build_hurwitz_table(d_max)
-    if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        cache.save_hurwitz_table(path, table)
     return table
 
 
@@ -96,7 +83,7 @@ def cmd_hist(args) -> int:
 
 def cmd_verify_moments(args) -> int:
     table = _get_trace_table(args.p, args.cache_dir)
-    htable = _get_hurwitz_table(4 * args.p, args.cache_dir)
+    htable = hurwitz.identity_table(args.p)
     ok = True
     print(f"moment identities at p={args.p}, n <= {args.nmax}")
     for n in range(1, args.nmax + 1):
@@ -113,24 +100,26 @@ def cmd_verify_moments(args) -> int:
 
 def cmd_verify_brackets(args) -> int:
     p = args.p
-    htable = _get_hurwitz_table(4 * p, args.cache_dir)
-    ok = True
-    a1 = brackets.pihol_coeff(1, 1, p, htable)
-    b1 = brackets.pihol_coeff(1, 4, 4 * p, htable)
-    good = a1 == 0 and b1 == 0
-    ok &= good
+    htable = hurwitz.identity_table(p)
+    # a_m(p) and b_m(4p), each computed once and shared by the checks below
+    coeffs = {
+        m: (brackets.pihol_coeff(m, 1, p, htable), brackets.pihol_coeff(m, 4, 4 * p, htable))
+        for m in range(1, args.mmax + 1)
+    }
+    a1, b1 = coeffs[1]
+    ok = good = a1 == 0 and b1 == 0
     print(f"m=1 vanishing at p={p}: a_1({p})={a1}, b_1({4 * p})={b1} "
           f"{'ok' if good else 'FAIL'}")
-    for m in range(1, args.mmax + 1):
+    for m, (a, b) in coeffs.items():
         lhs_a = brackets.class_sum_a(m, p, htable)
-        rhs_a = brackets.coeff_side_a(m, p, htable)
+        rhs_a = brackets.coeff_side_a(m, p, htable, a)
         lhs_b = brackets.class_sum_b(m, p, htable)
-        rhs_b = brackets.coeff_side_b(m, p, htable)
+        rhs_b = brackets.coeff_side_b(m, p, htable, b)
         good = lhs_a == rhs_a and lhs_b == rhs_b
         ok &= good
         print(f"  coefficient identity m={m}: a-side {lhs_a} = {rhs_a}, "
               f"b-side {lhs_b} = {rhs_b} {'ok' if good else 'FAIL'}")
-        audit = brackets.deligne_audit(m, p, htable)
+        audit = brackets.deligne_audit(m, p, htable, a, b)
         ok &= audit.passed
         print(f"  coefficient bound m={m}: |a|={abs(float(audit.a_value)):.6g} "
               f"<= {audit.a_bound:.6g}, |b|={abs(float(audit.b_value)):.6g} "
@@ -182,6 +171,7 @@ def cmd_verify_distribution(args) -> int:
 
 def cmd_audit_constants(args) -> int:
     p = args.p
+    require_prime(p)
     ok = True
     for twisted in (False, True):
         audit = selberg.proof_bound_audit(p, twisted)
@@ -212,19 +202,28 @@ def cmd_ears(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(parser, *, cache=True, out=True, fmt=True):
     if out:
         parser.add_argument("--out", help="output path (stdout when omitted)")
     if fmt:
         parser.add_argument("--format", choices=("csv", "json"), default="csv")
     if cache:
-        parser.add_argument("--cache-dir", help="directory for binary table caches")
+        parser.add_argument("--cache-dir", help="directory for the binary trace-table cache")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="k3batman",
         description="Frobenius-trace statistics for a K3 family via Clausen curves",
+        epilog="exit codes: 0 all checks pass, 1 a verification failed, "
+        "2 usage error, 3 internal check failed",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -251,13 +250,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     v_m = v_sub.add_parser("moments", help="trace moments vs class-number sums")
     v_m.add_argument("--p", type=int, required=True)
-    v_m.add_argument("--nmax", type=int, default=3)
+    v_m.add_argument("--nmax", type=_positive_int, default=3)
     _add_common(v_m, out=False, fmt=False)
     v_m.set_defaults(func=cmd_verify_moments)
 
     v_b = v_sub.add_parser("brackets", help="coefficient identities and bounds")
     v_b.add_argument("--p", type=int, required=True)
-    v_b.add_argument("--mmax", type=int, default=4)
+    v_b.add_argument("--mmax", type=_positive_int, default=4)
     _add_common(v_b, out=False, fmt=False)
     v_b.set_defaults(func=cmd_verify_brackets)
 
@@ -289,6 +288,9 @@ def dispatch(argv: list[str]) -> int:
     except (ValueError, cache.CacheFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:  # a run-time guard on a computed table tripped
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -59,6 +59,16 @@ class FieldContext:
         return int(self.chi_table[x])
 
 
+def require_prime(p: int) -> None:
+    """Raise ValueError unless p is a prime >= 5, naming a Miller-Rabin
+    witness when p is composite."""
+    witness = miller_rabin_witness(p) if p >= 2 else None
+    if witness is not None:
+        raise ValueError(f"p={p} is composite (Miller-Rabin witness {witness})")
+    if p < 5:
+        raise ValueError(f"p must be a prime >= 5, got {p}")
+
+
 def make_context(p: int) -> FieldContext:
     """Build the quadratic-character context for a prime p >= 5.
 
@@ -66,11 +76,7 @@ def make_context(p: int) -> FieldContext:
     x = 1..(p-1)/2, which costs O(p) total instead of an Euler-criterion
     power per query.
     """
-    witness = miller_rabin_witness(p) if p >= 2 else None
-    if witness is not None:
-        raise ValueError(f"p={p} is composite (Miller-Rabin witness {witness})")
-    if p < 5:
-        raise ValueError(f"p must be a prime >= 5, got {p}")
+    require_prime(p)
     chi = np.full(p, -1, dtype=np.int8)
     chi[0] = 0
     x = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)

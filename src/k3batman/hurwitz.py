@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import two_squares
+from .field import require_prime, two_squares
 
 
 @dataclass(frozen=True)
@@ -94,6 +94,135 @@ def build_hurwitz_table(d_max: int) -> HurwitzTable:
     table = HurwitzTable(d_max, twelve)
     table.twelve_h.setflags(write=False)
     return table
+
+
+# Leading coefficients a handled per vectorised pass over the window pairs of
+# twelve_h_at; bounds the memory of that pass to O(_A_BLOCK * len(D)).
+_A_BLOCK = 64
+
+
+def _count_reduced_forms(d: np.ndarray) -> np.ndarray:
+    """12 H*(D) for sorted, distinct D > 0 with D = 0, 3 (mod 4); see twelve_h_at."""
+    n = len(d)
+    twelve = np.zeros(n, dtype=np.int64)
+    a_top = math.isqrt(int(d[-1]) // 3)
+    b = np.arange(a_top + 1, dtype=np.int64)
+    neg_sq = -b * b
+    for a0 in range(1, a_top + 1, _A_BLOCK):
+        a = np.arange(a0, min(a0 + _A_BLOCK, a_top + 1), dtype=np.int64)
+        first = np.searchsorted(d, 3 * a * a)  # window 3a^2 <= D <= 4a^2 ...
+        bulk = np.searchsorted(d, 4 * a * a, side="right")  # ... bulk D > 4a^2
+        # window pairs (D, a) of this block, grouped by a
+        size = bulk - first
+        stop = np.cumsum(size)
+        pair_a = np.repeat(a, size)
+        pair_d = np.arange(int(stop[-1])) - np.repeat(stop - size - first, size)
+        residue = d[pair_d] % (4 * pair_a)
+        group_size = np.empty_like(residue)
+        # (residue, b) sort keys of every a in the block, offset to be disjoint
+        span = 4 * a * (a + 1)
+        key_base = np.cumsum(span) - span
+        keys = []
+        for ai, lo, hi, tail, base in zip(
+            a.tolist(), (stop - size).tolist(), stop.tolist(), bulk.tolist(), key_base.tolist()
+        ):
+            res = neg_sq[: ai + 1] % (4 * ai)  # -b^2 mod 4a for b = 0..a
+            counts = np.bincount(res, minlength=4 * ai)
+            if tail < n:
+                # c > a for every b: 24 for the pair +-b, 12 for b = 0 and b = a
+                weight = 24 * counts
+                weight[0] -= 12
+                weight[res[ai]] -= 12
+                twelve[tail:] += weight[d[tail:] % (4 * ai)]
+            if lo < hi:
+                group_size[lo:hi] = counts[residue[lo:hi]]
+                keys.append(np.sort(res * (ai + 1) + b[: ai + 1]) + base)
+        # Only window pairs with some b of the right residue have forms.
+        hit = group_size > 0
+        if not hit.any():
+            continue
+        pair_a, pair_d, residue, group_size = pair_a[hit], pair_d[hit], residue[hit], group_size[hit]
+        keys = np.concatenate(keys)
+        gap = 4 * pair_a * pair_a - d[pair_d]  # 0 <= gap <= a^2
+        t = np.sqrt(gap).astype(np.int64)  # exact on squares; undo a round-up
+        t -= t * t > gap
+        group = key_base[pair_a - a0] + residue * (pair_a + 1)
+        # c > a needs b > t; those are the group's b above its first t + 1 keys
+        above = group_size - (np.searchsorted(keys, group + t + 1) - np.searchsorted(keys, group))
+        top_in = (residue == (-pair_a * pair_a) % (4 * pair_a)) & (t < pair_a)
+        weight = 24 * above - 12 * top_in
+        # c = a: the form (a, t, a) when gap = t^2, weighted as in the dense sweep
+        square = t * t == gap
+        weight += np.where(square, np.where(t == pair_a, 4, np.where(t == 0, 6, 12)), 0)
+        twelve += np.bincount(pair_d, weights=weight, minlength=n).astype(np.int64)
+    return twelve
+
+
+def twelve_h_at(discriminants) -> np.ndarray:
+    """12 H*(D) at each D of ``discriminants`` (a 1-d integer array, D >= 0).
+
+    Makes the reduced-form count of :func:`build_hurwitz_table` for these D
+    alone, by a loop over a <= sqrt(max D / 3). A reduced form (a, b, c) with
+    0 <= b <= a needs 4ac = D + b^2, so -b^2 = D (mod 4a):
+
+    - bulk, D > 4a^2: every such b has c > a, so the count is one lookup
+      D mod 4a in the histogram of -b^2 mod 4a, weighted 24 for the pair +-b
+      with 0 < b < a and 12 for b = 0 and b = a;
+    - window, 3a^2 <= D <= 4a^2: c > a needs b^2 > 4a^2 - D. The b are
+      sorted by the key residue*(a+1) + b, and two binary searches count the
+      ones of D's residue at or below t = isqrt(4a^2 - D). When 4a^2 - D = t^2
+      the form (a, t, a) adds 4, 6 or 12 as in the dense sweep.
+
+    The cost is O(sqrt(max D) * len(D)) with no table of size max D.
+    """
+    d = np.asarray(discriminants, dtype=np.int64)
+    if d.ndim != 1:
+        raise ValueError("discriminants must be a 1-d array")
+    if d.size and int(d.min()) < 0:
+        raise ValueError("discriminants must be >= 0")
+    twelve = np.zeros(len(d), dtype=np.int64)
+    twelve[d == 0] = -1
+    # D = 1, 2 (mod 4) is not a discriminant: H* is 0 there
+    wanted = (d > 0) & (d % 4 != 1) & (d % 4 != 2)
+    if wanted.any():
+        distinct, where = np.unique(d[wanted], return_inverse=True)
+        twelve[wanted] = _count_reduced_forms(distinct)[where]
+    return twelve
+
+
+@dataclass(frozen=True)
+class SparseHurwitzTable:
+    """12 H*(D) at a fixed set of D, read through the HurwitzTable interface.
+
+    ``star`` is 0 for D < 0, like HurwitzTable's, and raises ValueError for any
+    other D it does not hold, so an unheld value is never read as 0.
+    """
+
+    d_max: int
+    twelve_h: dict[int, int]
+
+    def star(self, d: int) -> Fraction:
+        if d < 0:
+            return Fraction(0)
+        try:
+            return Fraction(self.twelve_h[d], 12)
+        except KeyError:
+            raise ValueError(f"D={d} is not held by this table") from None
+
+
+def identity_table(p: int) -> SparseHurwitzTable:
+    """H* at the discriminants the moment and bracket identities read at p.
+
+    Those are (4p - s^2)/4 = p - k^2 and 4p - s^2 = 4(p - k^2) for even
+    s = 2k < 2 sqrt(p), k = 0 included: about 2 sqrt(p) values instead of the
+    4p + 1 of a dense table. ``d_max`` is 4p, as for the dense table the
+    identities check it against.
+    """
+    require_prime(p)
+    k = np.arange(math.isqrt(p) + 1, dtype=np.int64)
+    discriminants = np.concatenate((p - k * k, 4 * (p - k * k)))
+    values = twelve_h_at(discriminants)
+    return SparseHurwitzTable(4 * p, dict(zip(discriminants.tolist(), values.tolist())))
 
 
 def c_pm(p: int, n: int, sign: str) -> int:

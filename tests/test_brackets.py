@@ -11,6 +11,8 @@ from k3batman import (
     chebyshev_coeffs,
     chebyshev_eval,
     deligne_audit,
+    even_chebyshev,
+    identity_table,
     mertens_coeff,
     pihol_coeff,
 )
@@ -137,3 +139,29 @@ def test_deligne_audit_small_grid(table2400):
     for m in range(1, 5):
         for p in [p for p in primes_up_to(100) if p >= 5]:
             assert deligne_audit(m, p, table2400).passed
+
+
+def test_even_chebyshev_matches_rational_sum():
+    for m in range(8):
+        coeffs = chebyshev_coeffs(2 * m)
+        for x, n in [(0, 1), (1, 1), (3, 7), (16, 20), (4 * 97, 4 * 101), (10**6, 3)]:
+            expected = sum(Fraction(coeffs[2 * l]) * Fraction(x, n) ** l for l in range(m + 1))
+            assert Fraction(even_chebyshev(m, x, n), n**m) == expected
+
+
+def test_shared_coefficients_match_recomputed(table2400):
+    for m in range(1, 5):
+        for p in (7, 13, 101):
+            a = pihol_coeff(m, 1, p, table2400)
+            b = pihol_coeff(m, 4, 4 * p, table2400)
+            assert coeff_side_a(m, p, table2400, a) == coeff_side_a(m, p, table2400)
+            assert coeff_side_b(m, p, table2400, b) == coeff_side_b(m, p, table2400)
+            assert deligne_audit(m, p, table2400, a, b) == deligne_audit(m, p, table2400)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_corrected_identities_on_identity_table(m):
+    for p in [p for p in primes_up_to(300) if p >= 5]:
+        table = identity_table(p)
+        assert class_sum_a(m, p, table) == coeff_side_a(m, p, table)
+        assert class_sum_b(m, p, table) == coeff_side_b(m, p, table)

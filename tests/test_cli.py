@@ -94,6 +94,82 @@ def test_ears_output(capsys):
     assert "3.45e14" in output  # the flagged reference mismatch
 
 
+def test_internal_check_failure_exit_code(monkeypatch, capsys):
+    from k3batman import clausen
+
+    irfft = clausen.irfft
+    monkeypatch.setattr(clausen, "irfft", lambda *args: irfft(*args) + 0.4)
+    assert dispatch(["traces", "--p", "101"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: internal check failed: FFT rounding residual")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "brackets", "--p", "100"], ["audit-constants", "--p", "100"]],
+    ids=["verify-brackets", "audit-constants"],
+)
+def test_composite_p_is_usage_error_everywhere(argv, capsys):
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: p=100 is composite (Miller-Rabin witness 2)\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "moments", "--p", "5", "--nmax", "0"],
+     ["verify", "brackets", "--p", "5", "--mmax", "0"],
+     ["verify", "brackets", "--p", "5", "--mmax", "-3"]],
+    ids=["nmax-0", "mmax-0", "mmax-negative"],
+)
+def test_empty_verification_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        dispatch(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be >= 1" in captured.err
+
+
+@pytest.mark.parametrize("command", ["moments", "brackets"])
+@pytest.mark.parametrize("p", [5, 101, 1009, 25013])
+def test_identity_table_output_matches_dense_table(monkeypatch, capsys, command, p):
+    from k3batman import cli
+
+    argv = ["verify", command, "--p", str(p)]
+    assert dispatch(argv) == 0
+    sparse_out = capsys.readouterr().out
+    monkeypatch.setattr(cli.hurwitz, "identity_table", lambda q: build_hurwitz_table(4 * q))
+    assert dispatch(argv) == 0
+    assert capsys.readouterr().out == sparse_out
+
+
+def test_verify_brackets_computes_each_coefficient_once(monkeypatch, capsys):
+    from k3batman import brackets
+
+    calls = []
+    pihol = brackets.pihol_coeff
+
+    def counted(*args):
+        calls.append(args[:3])
+        return pihol(*args)
+
+    monkeypatch.setattr(brackets, "pihol_coeff", counted)
+    assert dispatch(["verify", "brackets", "--p", "101", "--mmax", "4"]) == 0
+    assert sorted(calls) == sorted({(m, t, n) for m in range(1, 5) for t, n in ((1, 101), (4, 404))})
+
+
+def test_cache_dir_holds_only_the_trace_table(tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    for argv in (["verify", "moments", "--p", "101"], ["verify", "brackets", "--p", "101"]):
+        assert dispatch(argv + ["--cache-dir", str(cache_dir)]) == 0
+    assert [f.name for f in cache_dir.iterdir()] == ["trace_p101.bin"]
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         dispatch(["traces", "--p", "5", "--bogus"])

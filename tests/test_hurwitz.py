@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from k3batman import (
     c_pm,
     class_number,
     hurwitz_star,
+    identity_table,
     make_context,
     moment,
     moment_rhs,
+    twelve_h_at,
 )
 from util import hurwitz_star_by_divisors, primes_up_to
 
@@ -97,3 +100,66 @@ def test_moment_identity_small_primes(hurwitz_4000, twisted):
         table = build_trace_table(make_context(p))
         for n in range(1, 6):
             assert moment(table, n, twisted) == moment_rhs(hurwitz_4000, p, n, twisted)
+
+
+def test_sparse_kernel_matches_dense_table():
+    dense = build_hurwitz_table(20000)
+    assert np.array_equal(twelve_h_at(np.arange(20001)), dense.twelve_h)
+
+
+def test_sparse_kernel_any_order_and_repeats(hurwitz_4000):
+    d = np.array([3999, 0, 7, 3999, 4000, 1, 2, 3, 2700, 7])
+    assert twelve_h_at(d).tolist() == hurwitz_4000.twelve_h[d].tolist()
+    assert twelve_h_at(np.array([], dtype=np.int64)).tolist() == []
+
+
+@pytest.mark.parametrize("bad", [[-4], [[3, 4]]])
+def test_sparse_kernel_rejects_bad_input(bad):
+    with pytest.raises(ValueError):
+        twelve_h_at(bad)
+
+
+def _identity_discriminants(p):
+    return {p - k * k for k in range(isqrt(p) + 1)} | {4 * (p - k * k) for k in range(isqrt(p) + 1)}
+
+
+def test_identity_table_matches_dense_small_primes(hurwitz_4000):
+    for p in [p for p in primes_up_to(1000) if p >= 5]:
+        table = identity_table(p)
+        assert table.d_max == 4 * p
+        assert set(table.twelve_h) == _identity_discriminants(p)
+        for d, twelve in table.twelve_h.items():
+            assert twelve == hurwitz_4000.twelve_h[d], (p, d)
+
+
+def test_identity_table_matches_dense_93283():
+    p = 93283
+    dense = build_hurwitz_table(4 * p)
+    table = identity_table(p)
+    assert set(table.twelve_h) == _identity_discriminants(p)
+    for d, twelve in table.twelve_h.items():
+        assert twelve == dense.twelve_h[d], d
+
+
+def test_identity_table_star_outside_its_set():
+    table = identity_table(101)
+    assert table.star(-3) == 0
+    assert table.star(101) == Fraction(int(build_hurwitz_table(101).twelve_h[101]), 12)
+    for d in (0, 99, 4 * 101 - 1, 4 * 101 + 4):
+        with pytest.raises(ValueError, match="not held"):
+            table.star(d)
+
+
+@pytest.mark.parametrize("p", [1, 4, 100, 3])
+def test_identity_table_rejects_non_primes(p):
+    with pytest.raises(ValueError):
+        identity_table(p)
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+def test_moment_identity_on_identity_table(twisted):
+    for p in [p for p in primes_up_to(200) if p >= 5]:
+        table = build_trace_table(make_context(p))
+        sparse = identity_table(p)
+        for n in range(1, 4):
+            assert moment(table, n, twisted) == moment_rhs(sparse, p, n, twisted)
