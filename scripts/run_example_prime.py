@@ -24,6 +24,7 @@ from k3batman import (
     moment_rhs,
     uniform_grid,
 )
+from k3batman.cli import emit_report
 from k3batman.stats import STATISTICS
 from k3batman.svg import HistogramSpec, render_histogram
 
@@ -65,14 +66,7 @@ def main() -> int:
         print(f"{which}: max_gap {report.max_gap:.5f} vs bound "
               f"{report.rows[0].bound:.4f} -> "
               f"{'all pass' if report.all_pass else 'BOUND EXCEEDED'}")
-        csv = out_dir / f"report_{args.p}_{which}.csv"
-        rows = ["lo,hi,empirical,target,gap,bound,pass"]
-        rows += [
-            f"{float(r.lo)!r},{float(r.hi)!r},{float(r.empirical)!r},"
-            f"{r.target!r},{r.gap!r},{r.bound!r},{'true' if r.passed else 'false'}"
-            for r in report.rows
-        ]
-        csv.write_text("\n".join(rows) + "\n")
+        emit_report(out_dir / f"report_{args.p}_{which}.csv", "csv", report)
 
     svg_path = out_dir / f"hist_{args.p}.svg"
     svg_path.write_text(

@@ -21,6 +21,7 @@ from .hurwitz import (
     hurwitz_star,
     identity_table,
     moment_rhs,
+    multiplicity_rhs,
     twelve_h_at,
 )
 from .measures import EarParameters, density_f, ear_parameters, mu_bat, mu_st, optimal_delta
@@ -74,6 +75,7 @@ __all__ = [
     "mertens_coeff",
     "moment",
     "moment_rhs",
+    "multiplicity_rhs",
     "mu_bat",
     "mu_st",
     "optimal_delta",

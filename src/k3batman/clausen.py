@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -32,6 +33,31 @@ class TraceTable:
     def entries(self) -> Iterator[tuple[int, int, int]]:
         for i in range(self.p - 2):
             yield i + 1, int(self.traces[i]), int(self.signs[i])
+
+    @cached_property
+    def multiplicities(self) -> np.ndarray:
+        """Read-only counts ``[s, 0]`` / ``[s, 1]`` of lambda with |a_lambda| = s
+        and phi(-lambda) = +1 / -1, for 0 <= s <= isqrt(4p).
+
+        Every statistic reads a trace only through a^2 and the sign, so these
+        about 2 sqrt(p) pairs stand in for the p-2 entries. Raises
+        ArithmeticError when a trace breaks the Hasse bound.
+        """
+        bound = math.isqrt(4 * self.p)
+        magnitudes = np.abs(self.traces)
+        if magnitudes.size and int(magnitudes.max()) > bound:
+            raise ArithmeticError(
+                f"Hasse bound violated at p={self.p}: |a| = {int(magnitudes.max())} > {bound}"
+            )
+        counts = np.bincount(2 * magnitudes + (self.signs < 0), minlength=2 * bound + 2)
+        counts = counts.reshape(bound + 1, 2)
+        counts.setflags(write=False)
+        return counts
+
+    def weights(self, twisted: bool = False) -> list[int]:
+        """Per |a| = s, the number of lambda, or their phi(-lambda)-signed sum."""
+        plus, minus = self.multiplicities.T
+        return (plus - minus if twisted else plus + minus).tolist()
 
 
 def clausen_trace(ctx: FieldContext, lam: int) -> int:
@@ -141,16 +167,12 @@ def a_value(ctx: FieldContext, mu: int, trace: int | None = None) -> AValue:
 def moment(table: TraceTable, n: int, twisted: bool = False) -> int:
     """Exact 2n-th power moment, optionally twisted by phi(-lambda).
 
-    Arbitrary precision throughout: a^(2n) reaches (4p)^n, which overflows
-    fixed-width words already at modest (p, n).
+    Summed over the distinct |a| in Python integers: a^(2n) reaches (4p)^n,
+    which overflows fixed-width words already at modest (p, n).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    traces = table.traces.tolist()
-    if twisted:
-        signs = table.signs.tolist()
-        return sum(s * (a * a) ** n for a, s in zip(traces, signs))
-    return sum((a * a) ** n for a in traces)
+    return sum(w * s ** (2 * n) for s, w in enumerate(table.weights(twisted)) if w)
 
 
 def chebyshev_sum(table: TraceTable, m: int, twisted: bool = False) -> Fraction:
@@ -162,7 +184,6 @@ def chebyshev_sum(table: TraceTable, m: int, twisted: bool = False) -> Fraction:
     if m < 0:
         raise ValueError("m must be >= 0")
     q = 4 * table.p
-    # About 2 sqrt(p) distinct |a| occur: sum the (signed) count of each first.
-    counts = np.bincount(np.abs(table.traces), weights=table.signs if twisted else None)
-    total = sum(int(c) * even_chebyshev(m, a * a, q) for a, c in enumerate(counts.tolist()) if c)
+    weights = table.weights(twisted)
+    total = sum(w * even_chebyshev(m, s * s, q) for s, w in enumerate(weights) if w)
     return Fraction(total, q**m)

@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from . import brackets, cache, hurwitz, measures, selberg, stats, svg
 from .clausen import TraceTable, build_trace_table, moment
-from .field import make_context, require_prime
+from .field import inverses, make_context, require_prime
 
 _REPORT_HEADER = "lo,hi,empirical,target,gap,bound,pass"
 
@@ -54,23 +57,43 @@ def _csv_cell(v) -> str:
     return repr(v) if isinstance(v, float) else str(v)
 
 
+def _emit_int_table(out, fmt, header: str, first, second, last) -> None:
+    """Three integer columns, written as ``_emit_rows`` writes them; ``last``
+    is a column or one int repeated on every row.
+
+    These tables have p - 2 rows, so CSV is one f-string per row instead of
+    one ``_csv_cell`` call per cell.
+    """
+    if fmt == "json":
+        if isinstance(last, int):
+            last = itertools.repeat(last)
+        _emit_rows(out, fmt, header, [list(row) for row in zip(first, second, last)])
+        return
+    if isinstance(last, int):
+        tail = f",{last}\n"
+        lines = [f"{x},{y}{tail}" for x, y in zip(first, second)]
+    else:
+        lines = [f"{x},{y},{z}\n" for x, y, z in zip(first, second, last)]
+    _write_text(out, header + "\n" + "".join(lines))
+
+
 def cmd_traces(args) -> int:
     table = _get_trace_table(args.p, args.cache_dir)
-    rows = [[lam, a, sign] for lam, a, sign in table.entries()]
-    _emit_rows(args.out, args.format, "lambda,a,phi", rows)
+    _emit_int_table(args.out, args.format, "lambda,a,phi",
+                    range(1, table.p - 1), table.traces.tolist(), table.signs.tolist())
     return 0
 
 
 def cmd_avalues(args) -> int:
-    table = _get_trace_table(args.p, args.cache_dir)
-    p = table.p
-    rows = []
-    for mu in range(1, p - 1):
-        lam = (-pow(mu + 1, p - 2, p)) % p
-        a = int(table.traces[lam - 1])
-        sign = int(table.signs[lam - 1])
-        rows.append([mu, sign * (a * a - p), p])
-    _emit_rows(args.out, args.format, "mu,num,den", rows)
+    p = args.p
+    inv = inverses(p)  # of mu + 1 = 2..p-1, so lambda = -(mu+1)^(-1) = p - inv
+    table = _get_trace_table(p, args.cache_dir)
+    index = p - 1 - inv  # lambda - 1
+    a = table.traces[index]
+    num = table.signs[index] * (a * a - p)  # p * A_mu(p)
+    if int(np.abs(num).max()) > 3 * p:
+        raise ArithmeticError(f"an A-value escapes [-3, 3] at p={p}: Hasse bound violated")
+    _emit_int_table(args.out, args.format, "mu,num,den", range(1, p - 1), num.tolist(), p)
     return 0
 
 
@@ -96,6 +119,22 @@ def cmd_verify_moments(args) -> int:
             print(f"  n={n} {kind}: {lhs} = {rhs} {'ok' if good else 'MISMATCH'}")
     print("all identities hold" if ok else "IDENTITY FAILURE")
     return 0 if ok else 1
+
+
+def cmd_verify_multiplicities(args) -> int:
+    """#{lambda : |a_lambda| = s}, plain and phi-signed, against class numbers
+    at every 0 < s <= isqrt(4p): the moment identities for every n at once."""
+    p = args.p
+    table = _get_trace_table(p, args.cache_dir)
+    expected = hurwitz.multiplicity_rhs(hurwitz.identity_table(p), p)
+    plain, signed = table.weights(), table.weights(twisted=True)
+    for s, (rhs_plain, rhs_signed) in expected.items():
+        if (plain[s], signed[s]) != (rhs_plain, rhs_signed):
+            print(f"multiplicity identity at p={p} FAILS first at s={s}: "
+                  f"counts {plain[s]}, {signed[s]} vs class numbers {rhs_plain}, {rhs_signed}")
+            return 1
+    print(f"multiplicity identities at p={p}: all hold for 0 < s <= {max(expected)}")
+    return 0
 
 
 def cmd_verify_brackets(args) -> int:
@@ -159,14 +198,18 @@ def cmd_verify_distribution(args) -> int:
         print(f"{which}: {len(report.rows)} rows, max gap {report.max_gap:.6f}, "
               f"{'all pass' if report.all_pass else 'BOUND EXCEEDED'}")
         if args.out is not None:
-            rows = [
-                [float(r.lo), float(r.hi), float(r.empirical), r.target, r.gap,
-                 r.bound, r.passed]
-                for r in report.rows
-            ]
             ext = "json" if args.format == "json" else "csv"
-            _emit_rows(f"{args.out}.{which}.{ext}", args.format, _REPORT_HEADER, rows)
+            emit_report(f"{args.out}.{which}.{ext}", args.format, report)
     return 0 if ok else 1
+
+
+def emit_report(out, fmt, report: stats.DiscrepancyReport) -> None:
+    """One discrepancy report in the fixed row schema ``_REPORT_HEADER``."""
+    rows = [
+        [float(r.lo), float(r.hi), float(r.empirical), r.target, r.gap, r.bound, r.passed]
+        for r in report.rows
+    ]
+    _emit_rows(out, fmt, _REPORT_HEADER, rows)
 
 
 def cmd_audit_constants(args) -> int:
@@ -253,6 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
     v_m.add_argument("--nmax", type=_positive_int, default=3)
     _add_common(v_m, out=False, fmt=False)
     v_m.set_defaults(func=cmd_verify_moments)
+
+    v_mult = v_sub.add_parser("multiplicities",
+                              help="counts of each |trace| vs class numbers")
+    v_mult.add_argument("--p", type=int, required=True)
+    _add_common(v_mult, out=False, fmt=False)
+    v_mult.set_defaults(func=cmd_verify_multiplicities)
 
     v_b = v_sub.add_parser("brackets", help="coefficient identities and bounds")
     v_b.add_argument("--p", type=int, required=True)

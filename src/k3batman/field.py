@@ -86,6 +86,44 @@ def make_context(p: int) -> FieldContext:
     return table
 
 
+def power_mod(x: np.ndarray, e: int, p: int) -> np.ndarray:
+    """x^e mod p elementwise, by square-and-multiply in int64.
+
+    Every intermediate product is below p^2, so p^2 < 2^63 is required.
+    """
+    result = np.ones_like(x)
+    base = x % p
+    while e:
+        if e & 1:
+            result *= base
+            result %= p
+        e >>= 1
+        if e:
+            base *= base
+            base %= p
+    return result
+
+
+def inverses(p: int) -> np.ndarray:
+    """Inverses mod p of x = 2..p-1; ``inverses(p)[i]`` belongs to x = i + 2.
+
+    Raises ValueError unless p is a prime >= 5 with p^2 < 2^63, and
+    ArithmeticError unless x * inverse = 1 (mod p) for every x.
+    """
+    require_prime(p)
+    if p * p >= 1 << 63:
+        raise ValueError(f"p={p} is too large: inverses in int64 need p^2 < 2^63")
+    x = np.arange(2, p, dtype=np.int64)
+    inv = power_mod(x, p - 2, p)
+    bad = np.flatnonzero(x * inv % p != 1)
+    if bad.size:
+        i = int(bad[0])
+        raise ArithmeticError(
+            f"modular inverse check failed at p={p}: x={i + 2}, inverse {int(inv[i])}"
+        )
+    return inv
+
+
 def two_squares(p: int) -> tuple[int, int] | None:
     """Write p = a^2 + b^2 with a odd and b > 0; None when p = 3 (mod 4).
 

@@ -240,6 +240,34 @@ def c_pm(p: int, n: int, sign: str) -> int:
     return (ta + tb) // 2 if sign == "+" else (ta - tb) // 2
 
 
+def multiplicity_rhs(table: HurwitzTable, p: int) -> dict[int, tuple[Fraction, Fraction]]:
+    """Class-number side of #{lambda : |a_lambda| = s}, plain and
+    phi(-lambda)-signed, for every 0 < s <= isqrt(4p).
+
+    Zero for odd s. For even s, the weights of ``moment_rhs``,
+    2 H*((4p-s^2)/4) + H*(4p-s^2) and 4 H*((4p-s^2)/4) - H*(4p-s^2), less
+    ([s = 2a] +- [s = 2b]) / 2 for p = a^2 + b^2 with a odd: each moment
+    identity is the sum of these times s^(2n).
+    """
+    if table.d_max < 4 * p:
+        raise ValueError(f"table covers D <= {table.d_max}, need 4p = {4 * p}")
+    squares = two_squares(p)
+    ta, tb = (2 * squares[0], 2 * squares[1]) if squares else (0, 0)
+    rhs = {}
+    for s in range(1, math.isqrt(4 * p) + 1):
+        if s % 2:
+            rhs[s] = (Fraction(0), Fraction(0))
+            continue
+        small = table.star(p - (s // 2) ** 2)  # (4p - s^2)/4
+        big = table.star(4 * p - s * s)
+        hit_a, hit_b = int(s == ta), int(s == tb)
+        rhs[s] = (
+            2 * small + big - Fraction(hit_a + hit_b, 2),
+            4 * small - big - Fraction(hit_a - hit_b, 2),
+        )
+    return rhs
+
+
 def moment_rhs(table: HurwitzTable, p: int, n: int, twisted: bool = False) -> Fraction:
     """Class-number side of the 2n-th (twisted) trace moment, exact.
 

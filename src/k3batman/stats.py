@@ -42,16 +42,20 @@ class IntervalCounts:
     h_minus: int
 
 
+def _squares(table: TraceTable) -> np.ndarray:
+    """s^2 for each row s of ``table.multiplicities``."""
+    s = np.arange(len(table.multiplicities), dtype=np.int64)
+    return s * s
+
+
 def _count_squared(table: TraceTable, lo_sq: Fraction, hi_sq: Fraction) -> IntervalCounts:
     p = table.p
     lo_cut = math.ceil(4 * p * lo_sq)
     hi_cut = math.floor(4 * p * hi_sq)
-    a2 = table.traces * table.traces
+    a2 = _squares(table)
     inside = (a2 >= lo_cut) & (a2 <= hi_cut)
-    n_total = int(inside.sum())
-    h_plus = int((inside & (table.signs > 0)).sum())
-    h_minus = n_total - h_plus
-    return IntervalCounts(n_total, h_plus - h_minus, h_plus, h_minus)
+    h_plus, h_minus = table.multiplicities[inside].sum(axis=0).tolist()
+    return IntervalCounts(h_plus + h_minus, h_plus - h_minus, h_plus, h_minus)
 
 
 def interval_counts_squared(table: TraceTable, lo_sq, hi_sq) -> IntervalCounts:
@@ -88,9 +92,11 @@ def empirical_A_count(table: TraceTable, lo, hi) -> int:
     p = table.p
     lo_cut = math.ceil(p * lo)
     hi_cut = math.floor(p * hi)
-    a2 = table.traces * table.traces
-    values = table.signs.astype(np.int64) * (a2 - p)  # p * A_lambda
-    return int(((values >= lo_cut) & (values <= hi_cut)).sum())
+    plus, minus = table.multiplicities.T
+    values = _squares(table) - p  # p * A_lambda for phi(-lambda) = +1; negated for -1
+    total = plus[(values >= lo_cut) & (values <= hi_cut)].sum()
+    total += minus[(-values >= lo_cut) & (-values <= hi_cut)].sum()
+    return int(total)
 
 
 @dataclass(frozen=True)

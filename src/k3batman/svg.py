@@ -28,21 +28,26 @@ class HistogramSpec:
 
 def histogram_counts(table: TraceTable, bins: int) -> list[int]:
     """Exact bin assignment of the p-2 A-values; the buckets are left-closed
-    with the last one absorbing A = 3."""
+    with the last one absorbing A = 3.
+
+    Each (|a|, sign) pair of ``table.multiplicities`` is one A-value, binned
+    once and counted with its multiplicity.
+    """
     if bins < 1:
         raise ValueError("bins must be >= 1")
     p = table.p
-    a2 = table.traces.astype(object) * table.traces.astype(object)
-    numerators = table.signs.astype(object) * (a2 - p)  # p * A_lambda
     counts = [0] * bins
     six_p = 6 * p
-    for num in numerators.tolist():
-        if abs(num) > 3 * p:
-            raise ArithmeticError(
-                f"A-value {num}/{p} outside [-3, 3]: Hasse bound violated"
-            )
-        idx = (num + 3 * p) * bins // six_p
-        counts[min(idx, bins - 1)] += 1
+    for s, pair in enumerate(table.multiplicities.tolist()):
+        for num, count in zip((s * s - p, p - s * s), pair):  # p * A_lambda
+            if not count:
+                continue
+            if abs(num) > 3 * p:
+                raise ArithmeticError(
+                    f"A-value {num}/{p} outside [-3, 3]: Hasse bound violated"
+                )
+            idx = (num + 3 * p) * bins // six_p
+            counts[min(idx, bins - 1)] += count
     return counts
 
 

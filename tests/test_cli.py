@@ -1,9 +1,19 @@
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from k3batman import build_hurwitz_table, build_trace_table, clausen_trace, make_context
+from k3batman import (
+    TraceTable,
+    a_value,
+    build_hurwitz_table,
+    build_trace_table,
+    clausen_trace,
+    make_context,
+)
 from k3batman import cache
 from k3batman.cli import dispatch
 
@@ -324,3 +334,109 @@ def test_cache_checksum_error(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(cache.CacheFormatError, match="checksum"):
         cache.load_trace_table(path)
+
+
+def _cache_with_trace(tmp_path, p, index, value):
+    """A CRC-valid cache directory whose table has one trace replaced."""
+    table = build_trace_table(make_context(p))
+    traces = table.traces.copy()
+    traces[index] = value
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    cache.save_trace_table(cache_dir / f"trace_p{p}.bin", TraceTable(p, traces, table.signs))
+    return str(cache_dir)
+
+
+@pytest.mark.parametrize("p", [5, 7, 101, 1009, 25013])
+def test_verify_multiplicities(p, capsys):
+    assert dispatch(["verify", "multiplicities", "--p", str(p)]) == 0
+    bound = math.isqrt(4 * p)
+    assert capsys.readouterr().out == (
+        f"multiplicity identities at p={p}: all hold for 0 < s <= {bound}\n"
+    )
+
+
+def test_verify_multiplicities_names_first_mismatch(tmp_path, capsys):
+    p = 101
+    table = build_trace_table(make_context(p))
+    index = int(np.flatnonzero(np.abs(table.traces) == 10)[0])
+    a = int(table.traces[index])
+    cache_dir = _cache_with_trace(tmp_path, p, index, a - 2 if a > 0 else a + 2)  # |a| 10 -> 8
+    argv = ["verify", "multiplicities", "--p", str(p), "--cache-dir", cache_dir]
+    assert dispatch(argv) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(f"multiplicity identity at p={p} FAILS first at s=8: counts ")
+    assert out.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "moments"], ["hist", "--bins", "11"], ["verify", "distribution"],
+     ["verify", "multiplicities"], ["avalues"]],
+    ids=["verify-moments", "hist", "verify-distribution", "verify-multiplicities", "avalues"],
+)
+def test_cached_trace_beyond_hasse_is_internal_error(tmp_path, capsys, argv):
+    cache_dir = _cache_with_trace(tmp_path, 101, 17, 22)  # 2 sqrt(101) < 21
+    assert dispatch(argv + ["--p", "101", "--cache-dir", cache_dir]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: internal check failed: ")
+    assert "Hasse" in lines[0]
+
+
+def test_avalues_wrong_inverse_is_internal_error(monkeypatch, capsys):
+    from k3batman import field
+
+    power_mod = field.power_mod
+
+    def off_by_one(*args):
+        result = power_mod(*args)
+        result[40] += 1
+        return result
+
+    monkeypatch.setattr(field, "power_mod", off_by_one)
+    assert dispatch(["avalues", "--p", "101"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(
+        "error: internal check failed: modular inverse check failed at p=101: x=42"
+    )
+
+
+def test_avalues_refuses_p_beyond_int64_inverses(capsys):
+    # 3037000507 is the least prime with p^2 >= 2^63
+    assert dispatch(["avalues", "--p", "3037000507"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: p=3037000507 is too large: inverses in int64 need p^2 < 2^63\n"
+    )
+
+
+@pytest.mark.parametrize("p", [5, 101, 1009])
+def test_avalues_rows_match_a_value(tmp_path, p):
+    ctx = make_context(p)
+    csv_out, json_out = tmp_path / "a.csv", tmp_path / "a.json"
+    assert dispatch(["avalues", "--p", str(p), "--out", str(csv_out)]) == 0
+    assert dispatch(["avalues", "--p", str(p), "--out", str(json_out), "--format", "json"]) == 0
+    lines = csv_out.read_text().splitlines()
+    assert lines[0] == "mu,num,den"
+    rows = [tuple(int(v) for v in line.split(",")) for line in lines[1:]]
+    assert [mu for mu, _, _ in rows] == list(range(1, p - 1))
+    for mu, num, den in rows:
+        assert den == p
+        assert Fraction(num, den) == a_value(ctx, mu).value
+    assert json.loads(json_out.read_text()) == [
+        {"mu": mu, "num": num, "den": den} for mu, num, den in rows
+    ]
+
+
+def test_traces_json_matches_entries(tmp_path):
+    table = build_trace_table(make_context(101))
+    out = tmp_path / "t.json"
+    assert dispatch(["traces", "--p", "101", "--out", str(out), "--format", "json"]) == 0
+    assert json.loads(out.read_text()) == [
+        {"lambda": lam, "a": a, "phi": sign} for lam, a, sign in table.entries()
+    ]

@@ -1,0 +1,184 @@
+"""The trace-multiplicity summary and the statistics that read it, against
+per-lambda reference loops."""
+
+import math
+from collections import Counter
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from k3batman import (
+    TraceTable,
+    build_trace_table,
+    chebyshev_sum,
+    discrepancy_report,
+    build_hurwitz_table,
+    empirical_A_count,
+    identity_table,
+    interval_counts,
+    interval_counts_squared,
+    make_context,
+    moment,
+    moment_rhs,
+    multiplicity_rhs,
+    uniform_grid,
+)
+from k3batman.svg import histogram_counts
+from util import (
+    a_count_by_loop,
+    a_value_by_loop,
+    histogram_by_loop,
+    interval_counts_by_loop,
+    moment_by_loop,
+    primes_up_to,
+)
+
+SMALL_PRIMES = [p for p in primes_up_to(300) if p >= 5]
+
+
+@pytest.fixture(scope="module")
+def oracle_tables(trace_tables_1000):
+    tables = {p: trace_tables_1000[p] for p in SMALL_PRIMES}
+    tables[4099] = build_trace_table(make_context(4099))
+    return tables
+
+
+def _broken_table():
+    # |a| = 9 > 2 sqrt(5): no curve over F_5 has this trace
+    return TraceTable(5, np.array([9, 0, 2], dtype=np.int64), np.array([1, -1, -1], dtype=np.int8))
+
+
+def _every_other(values, limit):
+    """At most about ``limit`` of ``values``, spread over the whole range."""
+    step = max(1, len(values) // limit)
+    return values[::step] + values[-1:]
+
+
+def test_multiplicities_count_each_magnitude_and_sign(oracle_tables):
+    for p, table in oracle_tables.items():
+        counts = table.multiplicities
+        assert counts.shape == (math.isqrt(4 * p) + 1, 2)
+        expected = Counter((abs(a), int(sign < 0)) for _, a, sign in table.entries())
+        found = {(s, col): int(counts[s, col]) for s in range(len(counts)) for col in (0, 1)}
+        assert {key: c for key, c in found.items() if c} == dict(expected), p
+        assert table.weights() == [int(c) for c in counts.sum(axis=1)]
+        assert table.weights(twisted=True) == [int(c) for c in counts[:, 0] - counts[:, 1]]
+
+
+def test_multiplicities_built_once_and_read_only(table_1009):
+    counts = table_1009.multiplicities
+    assert table_1009.multiplicities is counts
+    with pytest.raises(ValueError):
+        counts[0, 0] = 1
+
+
+def test_moments_match_loop(oracle_tables):
+    for p, table in oracle_tables.items():
+        for n in (1, 2, 3, 5):
+            for twisted in (False, True):
+                assert moment(table, n, twisted) == moment_by_loop(table, n, twisted), (p, n)
+
+
+def test_interval_counts_match_loop_on_attained_endpoints(oracle_tables):
+    """Endpoints with 4p lo^2 = s^2 for attained s pin both closed ends."""
+    for p, table in oracle_tables.items():
+        attained = sorted({abs(a) for _, a, _ in table.entries()})
+        cuts = [Fraction(0)] + [Fraction(s * s, 4 * p) for s in _every_other(attained, 12)]
+        cuts = sorted(set(cuts + [Fraction(1)]))
+        pairs = list(zip(cuts, cuts[1:])) + [(cuts[0], cuts[-1]), (cuts[1], cuts[-2])]
+        for lo_sq, hi_sq in pairs:
+            if lo_sq >= hi_sq:
+                continue
+            got = interval_counts_squared(table, lo_sq, hi_sq)
+            expected = interval_counts_by_loop(table, lo_sq, hi_sq)
+            found = (got.n_total, got.m_signed, got.h_plus, got.h_minus)
+            assert found == expected, (p, lo_sq, hi_sq)
+
+
+def test_interval_counts_match_loop_on_rational_grid(oracle_tables):
+    for p, table in oracle_tables.items():
+        for lo, hi in uniform_grid(0, 1, 7) + [(Fraction(1, 3), Fraction(2, 3))]:
+            got = interval_counts(table, lo, hi)
+            expected = interval_counts_by_loop(table, lo * lo, hi * hi)
+            found = (got.n_total, got.m_signed, got.h_plus, got.h_minus)
+            assert found == expected, (p, lo, hi)
+
+
+def test_a_count_matches_loop_on_attained_endpoints(oracle_tables):
+    """Endpoints with p lo = +-(s^2 - p) for attained (s, sign) pin both closed ends."""
+    for p, table in oracle_tables.items():
+        attained = sorted(set(a_value_by_loop(table)))
+        cuts = sorted(set(_every_other(attained, 12) + [Fraction(-3), Fraction(3)]))
+        pairs = list(zip(cuts, cuts[1:]))
+        pairs += [(cuts[1], cuts[-2]), (cuts[2], cuts[2] + Fraction(1, p))]
+        for lo, hi in pairs:
+            if not -3 <= lo < hi <= 3:
+                continue
+            assert empirical_A_count(table, lo, hi) == a_count_by_loop(table, lo, hi), (p, lo, hi)
+
+
+def test_histogram_matches_loop(oracle_tables):
+    """With 6p bins every A-value lies on a bin boundary."""
+    for p, table in oracle_tables.items():
+        for bins in (1, 7, 61, 6 * p):
+            assert histogram_counts(table, bins) == histogram_by_loop(table, bins), (p, bins)
+
+
+def test_chebyshev_sum_matches_moment_expansion(oracle_tables):
+    """U_2(x) = 4x^2 - 1, so sum U_2(a / 2 sqrt p) = (moment_1 - p sum 1) / p."""
+    for p, table in oracle_tables.items():
+        for twisted in (False, True):
+            zeroth = sum(sign if twisted else 1 for _, _, sign in table.entries())
+            expected = Fraction(moment_by_loop(table, 1, twisted) - p * zeroth, p)
+            assert chebyshev_sum(table, 1, twisted) == expected, p
+
+
+def test_multiplicity_rhs_matches_counts(trace_tables_1000):
+    for p, table in trace_tables_1000.items():
+        rhs = multiplicity_rhs(identity_table(p), p)
+        assert list(rhs) == list(range(1, math.isqrt(4 * p) + 1))
+        plain, signed = Counter(), Counter()
+        for _, a, sign in table.entries():
+            plain[abs(a)] += 1
+            signed[abs(a)] += sign
+        assert all(rhs[s] == (plain[s], signed[s]) for s in rhs), p
+
+
+@pytest.mark.parametrize("p", [5, 13, 101, 1009])
+def test_multiplicity_rhs_sums_to_moment_rhs(p):
+    """Each moment identity is the sum of the multiplicity identities times s^(2n)."""
+    htable = identity_table(p)
+    rhs = multiplicity_rhs(htable, p)
+    for n in (1, 2, 3):
+        for twisted in (False, True):
+            total = sum(pair[twisted] * s ** (2 * n) for s, pair in rhs.items())
+            assert total == moment_rhs(htable, p, n, twisted), (n, twisted)
+
+
+def test_multiplicity_rhs_needs_table_up_to_4p():
+    with pytest.raises(ValueError, match="need 4p"):
+        multiplicity_rhs(build_hurwitz_table(100), 101)
+
+
+@pytest.mark.parametrize(
+    "statistic",
+    [
+        lambda t: t.multiplicities,
+        lambda t: moment(t, 1),
+        lambda t: moment(t, 2, twisted=True),
+        lambda t: interval_counts(t, 0, 1),
+        lambda t: interval_counts_squared(t, 0, Fraction(1, 4)),
+        lambda t: empirical_A_count(t, -3, 3),
+        lambda t: histogram_counts(t, 10),
+        lambda t: chebyshev_sum(t, 2),
+        lambda t: discrepancy_report(t, uniform_grid(0, 1, 3), "clausen_N"),
+        lambda t: discrepancy_report(t, uniform_grid(-3, 3, 3), "batman"),
+    ],
+    ids=["multiplicities", "moment", "twisted-moment", "interval-counts",
+         "interval-counts-squared", "A-count", "histogram", "chebyshev-sum",
+         "report-N", "report-batman"],
+)
+def test_statistics_reject_a_trace_beyond_hasse(statistic):
+    with pytest.raises(ArithmeticError, match="Hasse"):
+        statistic(_broken_table())

@@ -104,3 +104,44 @@ def mertens_by_scan(s: int, m: int, n: int) -> int:
         if base >= 1 and base * base == q:
             total += (root * base) ** k
     return total
+
+
+# Per-lambda reference loops for the statistics that the library computes
+# from the trace-multiplicity summary. Membership is decided on Fractions.
+
+
+def moment_by_loop(table, n: int, twisted: bool = False) -> int:
+    total = 0
+    for _, a, sign in table.entries():
+        total += (sign if twisted else 1) * a ** (2 * n)
+    return total
+
+
+def interval_counts_by_loop(table, lo_sq, hi_sq) -> tuple[int, int, int, int]:
+    """(N, M, H+, H-) over lambda with lo_sq <= (a_lambda / 2 sqrt(p))^2 <= hi_sq."""
+    h_plus = h_minus = 0
+    for _, a, sign in table.entries():
+        if lo_sq <= Fraction(a * a, 4 * table.p) <= hi_sq:
+            if sign > 0:
+                h_plus += 1
+            else:
+                h_minus += 1
+    return h_plus + h_minus, h_plus - h_minus, h_plus, h_minus
+
+
+def a_value_by_loop(table) -> list[Fraction]:
+    """A_lambda(p) = phi(-lambda) (a_lambda^2 - p) / p in lambda order."""
+    return [Fraction(sign * (a * a - table.p), table.p) for _, a, sign in table.entries()]
+
+
+def a_count_by_loop(table, lo, hi) -> int:
+    return sum(1 for value in a_value_by_loop(table) if lo <= value <= hi)
+
+
+def histogram_by_loop(table, bins: int) -> list[int]:
+    """Left-closed bins [6k/bins - 3, 6(k+1)/bins - 3), the last one closed."""
+    counts = [0] * bins
+    for value in a_value_by_loop(table):
+        k = (value + 3) * bins // 6
+        counts[min(k, bins - 1)] += 1
+    return counts
