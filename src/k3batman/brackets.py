@@ -11,10 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, isqrt
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
-if TYPE_CHECKING:
-    from .hurwitz import HurwitzTable
+from .hurwitz import HurwitzTable, twelfths
 
 
 @lru_cache(maxsize=None)
@@ -72,12 +71,7 @@ def even_chebyshev(m: int, x: int, n: int) -> int:
     return total
 
 
-def _twelve(h: Fraction) -> int:
-    """12 h as an integer; every H* value has a denominator dividing 12."""
-    return h.numerator * (12 // h.denominator)
-
-
-def bracket_coeff(m: int, t: int, n: int, table: "HurwitzTable") -> Fraction:
+def bracket_coeff(m: int, t: int, n: int, table: HurwitzTable) -> Fraction:
     """Coefficient of q^n in the m-th bracket of the class-number series with
     the theta series in t*tau.
 
@@ -92,7 +86,7 @@ def bracket_coeff(m: int, t: int, n: int, table: "HurwitzTable") -> Fraction:
         raise ValueError(f"table covers D <= {table.d_max}, need {n}")
     total = 0
     for s in range(isqrt(n // t) + 1):  # s and -s give the same term
-        term = _twelve(table.star(n - t * s * s)) * even_chebyshev(m, t * s * s, n)
+        term = twelfths(table.star(n - t * s * s)) * even_chebyshev(m, t * s * s, n)
         total += term if s == 0 else 2 * term
     return Fraction(comb(2 * m, m) * total, 12 * 4**m)
 
@@ -134,7 +128,7 @@ def mertens_coeff(s: int, m: int, n: int) -> int:
     return total
 
 
-def pihol_coeff(m: int, t: int, n: int, table: "HurwitzTable") -> Fraction:
+def pihol_coeff(m: int, t: int, n: int, table: HurwitzTable) -> Fraction:
     """Coefficient of q^n in the holomorphic projection of the bracket."""
     correction = Fraction(comb(2 * m, m), 2 * 4**m) * mertens_coeff(t, m, n)
     return bracket_coeff(m, t, n, table) + correction
@@ -154,7 +148,7 @@ class DeligneAudit:
 def deligne_audit(
     m: int,
     p: int,
-    table: "HurwitzTable",
+    table: HurwitzTable,
     a: Fraction | None = None,
     b: Fraction | None = None,
 ) -> DeligneAudit:
@@ -183,21 +177,21 @@ def _class_sum(m: int, p: int, star_at: Callable[[int], Fraction]) -> Fraction:
     q = 4 * p
     total = 0
     for s in range(2, isqrt(q - 1) + 1, 2):
-        total += _twelve(star_at(s)) * even_chebyshev(m, s * s, q)
+        total += twelfths(star_at(s)) * even_chebyshev(m, s * s, q)
     return Fraction(total, 12 * q**m)
 
 
-def class_sum_a(m: int, p: int, table: "HurwitzTable") -> Fraction:
+def class_sum_a(m: int, p: int, table: HurwitzTable) -> Fraction:
     """Chebyshev-weighted sum over 2 H*((4p-s^2)/4), even 0 < s < 2 sqrt(p)."""
     return _class_sum(m, p, lambda s: 2 * table.star(p - (s // 2) ** 2))
 
 
-def class_sum_b(m: int, p: int, table: "HurwitzTable") -> Fraction:
+def class_sum_b(m: int, p: int, table: HurwitzTable) -> Fraction:
     """Chebyshev-weighted sum over H*(4p-s^2), even 0 < s < 2 sqrt(p)."""
     return _class_sum(m, p, lambda s: table.star(4 * p - s * s))
 
 
-def coeff_side_a(m: int, p: int, table: "HurwitzTable", a: Fraction | None = None) -> Fraction:
+def coeff_side_a(m: int, p: int, table: HurwitzTable, a: Fraction | None = None) -> Fraction:
     """Projected-coefficient side matching :func:`class_sum_a`.
 
     ``a`` is pihol_coeff(m, 1, p), computed from ``table`` when not given.
@@ -210,7 +204,7 @@ def coeff_side_a(m: int, p: int, table: "HurwitzTable", a: Fraction | None = Non
     return lead - Fraction(1, p**m) - (-1) ** m * table.star(p)
 
 
-def coeff_side_b(m: int, p: int, table: "HurwitzTable", b: Fraction | None = None) -> Fraction:
+def coeff_side_b(m: int, p: int, table: HurwitzTable, b: Fraction | None = None) -> Fraction:
     """Projected-coefficient side matching :func:`class_sum_b`.
 
     ``b`` is pihol_coeff(m, 4, 4p), computed from ``table`` when not given.

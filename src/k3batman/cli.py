@@ -31,6 +31,7 @@ def _get_trace_table(p: int, cache_dir: str | None) -> TraceTable:
     if path is not None and path.exists():
         table = cache.load_trace_table(path)
         if table.p == p:
+            table.multiplicities  # raises ArithmeticError for a trace beyond the Hasse bound
             return table
     table = build_trace_table(make_context(p))
     if path is not None:
@@ -57,30 +58,72 @@ def _csv_cell(v) -> str:
     return repr(v) if isinstance(v, float) else str(v)
 
 
-def _emit_int_table(out, fmt, header: str, first, second, last) -> None:
-    """Three integer columns, written as ``_emit_rows`` writes them; ``last``
-    is a column or one int repeated on every row.
+# Rows formatted and written per step of _emit_int_table: its memory is
+# O(_BLOCK_ROWS), not one Python str per row of a p-row table.
+_BLOCK_ROWS = 1 << 16
 
-    These tables have p - 2 rows, so CSV is one f-string per row instead of
-    one ``_csv_cell`` call per cell.
-    """
+
+def _emit_int_table(out, fmt, header: str, first, second, last) -> None:
+    """Three int64 columns, written as ``_emit_rows`` writes them; ``last``
+    is a column or one int repeated on every row."""
+    constant = isinstance(last, int)
     if fmt == "json":
-        if isinstance(last, int):
-            last = itertools.repeat(last)
-        _emit_rows(out, fmt, header, [list(row) for row in zip(first, second, last)])
+        lasts = itertools.repeat(last) if constant else last.tolist()
+        rows = zip(first.tolist(), second.tolist(), lasts)
+        _emit_rows(out, fmt, header, [list(row) for row in rows])
         return
-    if isinstance(last, int):
-        tail = f",{last}\n"
-        lines = [f"{x},{y}{tail}" for x, y in zip(first, second)]
-    else:
-        lines = [f"{x},{y},{z}\n" for x, y, z in zip(first, second, last)]
-    _write_text(out, header + "\n" + "".join(lines))
+    columns, tail = ((first, second), f",{last}\n") if constant else ((first, second, last), "\n")
+    blocks = (
+        _csv_block([column[i : i + _BLOCK_ROWS] for column in columns], tail)
+        for i in range(0, len(first), _BLOCK_ROWS)
+    )
+    if out is None:
+        sys.stdout.write(header + "\n")
+        for data in blocks:
+            sys.stdout.write(data.decode("ascii"))
+        return
+    with open(out, "wb") as fh:
+        fh.write((header + "\n").encode("ascii"))
+        for data in blocks:
+            fh.write(data)
+
+
+def _csv_block(columns, tail: str) -> bytes:
+    """CSV lines of equal-length int64 columns, each line ending in ``tail``,
+    by numpy digit arithmetic.
+
+    Each column takes a fixed span of character cells: a sign cell, the
+    number right-aligned in the width of the column's widest value, and then
+    ',' (or ``tail`` after the last column). ``cells[c, i]`` is cell c of
+    row i, and a mask keeps each number's own cells, its '-' just before the
+    first digit included; reading the kept cells row by row gives the text.
+    """
+    separators = [","] * (len(columns) - 1) + [tail]
+    spans = [len(str(int(np.abs(values).max()))) + 1 + len(separator)
+             for values, separator in zip(columns, separators)]
+    cells = np.empty((sum(spans), len(columns[0])), dtype=np.uint8)
+    keep = np.ones(cells.shape, dtype=bool)
+    stop = 0
+    for values, span, separator in zip(columns, spans, separators):
+        start, stop = stop, stop + span
+        units = stop - len(separator) - 1
+        cells[units + 1 : stop] = np.frombuffer(separator.encode("ascii"), np.uint8)[:, None]
+        negative = values < 0
+        rest = np.abs(values)
+        higher = rest // 10
+        cells[units] = rest - 10 * higher + ord("0")  # the units digit is always kept
+        for cell in range(units - 1, start - 1, -1):
+            shown = higher > 0  # the number has a digit in this cell
+            keep[cell] = shown | (negative & (rest > 0))
+            rest, higher = higher, higher // 10
+            cells[cell] = np.where(shown, rest - 10 * higher + ord("0"), ord("-"))
+    return cells.T[keep.T].tobytes()
 
 
 def cmd_traces(args) -> int:
     table = _get_trace_table(args.p, args.cache_dir)
     _emit_int_table(args.out, args.format, "lambda,a,phi",
-                    range(1, table.p - 1), table.traces.tolist(), table.signs.tolist())
+                    np.arange(1, table.p - 1), table.traces, table.signs.astype(np.int64))
     return 0
 
 
@@ -93,7 +136,7 @@ def cmd_avalues(args) -> int:
     num = table.signs[index] * (a * a - p)  # p * A_mu(p)
     if int(np.abs(num).max()) > 3 * p:
         raise ArithmeticError(f"an A-value escapes [-3, 3] at p={p}: Hasse bound violated")
-    _emit_int_table(args.out, args.format, "mu,num,den", range(1, p - 1), num.tolist(), p)
+    _emit_int_table(args.out, args.format, "mu,num,den", np.arange(1, p - 1), num, p)
     return 0
 
 
@@ -108,7 +151,9 @@ def cmd_verify_moments(args) -> int:
     table = _get_trace_table(args.p, args.cache_dir)
     htable = hurwitz.identity_table(args.p)
     ok = True
-    print(f"moment identities at p={args.p}, n <= {args.nmax}")
+    # every line is computed before any is printed, so a run stopped by an
+    # internal check leaves nothing on stdout
+    lines = [f"moment identities at p={args.p}, n <= {args.nmax}"]
     for n in range(1, args.nmax + 1):
         for twisted in (False, True):
             lhs = moment(table, n, twisted)
@@ -116,8 +161,9 @@ def cmd_verify_moments(args) -> int:
             good = rhs == lhs
             ok &= good
             kind = "twisted" if twisted else "untwisted"
-            print(f"  n={n} {kind}: {lhs} = {rhs} {'ok' if good else 'MISMATCH'}")
-    print("all identities hold" if ok else "IDENTITY FAILURE")
+            lines.append(f"  n={n} {kind}: {lhs} = {rhs} {'ok' if good else 'MISMATCH'}")
+    lines.append("all identities hold" if ok else "IDENTITY FAILURE")
+    print("\n".join(lines))
     return 0 if ok else 1
 
 

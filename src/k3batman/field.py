@@ -86,35 +86,64 @@ def make_context(p: int) -> FieldContext:
     return table
 
 
-def power_mod(x: np.ndarray, e: int, p: int) -> np.ndarray:
-    """x^e mod p elementwise, by square-and-multiply in int64.
+def primitive_root(p: int) -> int:
+    """The least generator of the multiplicative group mod a prime p >= 5.
 
-    Every intermediate product is below p^2, so p^2 < 2^63 is required.
+    g generates it when g^((p-1)/q) != 1 (mod p) for every prime q | p-1;
+    the q come from trial division of p - 1.
     """
-    result = np.ones_like(x)
-    base = x % p
-    while e:
-        if e & 1:
-            result *= base
-            result %= p
-        e >>= 1
-        if e:
-            base *= base
-            base %= p
-    return result
+    require_prime(p)
+    factors, n, q = [], p - 1, 2
+    while q * q <= n:
+        if n % q == 0:
+            factors.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        factors.append(n)
+    g = 2
+    while any(pow(g, (p - 1) // q, p) == 1 for q in factors):
+        g += 1
+    return g
+
+
+def power_table(g: int, p: int) -> np.ndarray:
+    """g^k mod p for k = 0..p-2, in int64.
+
+    Doubling: with g^0..g^(k-1) known, g^k..g^(2k-1) is that block times g^k,
+    so about log2(p) vectorised steps. Every product is below p^2, so
+    p^2 < 2^63 is required.
+    """
+    powers = np.empty(p - 1, dtype=np.int64)
+    powers[0] = 1
+    k, g_k = 1, g % p
+    while k < p - 1:
+        m = min(k, p - 1 - k)
+        block = powers[k : k + m]
+        np.multiply(powers[:m], g_k, out=block)
+        block %= p
+        k += m
+        g_k = g_k * g_k % p
+    return powers
 
 
 def inverses(p: int) -> np.ndarray:
     """Inverses mod p of x = 2..p-1; ``inverses(p)[i]`` belongs to x = i + 2.
 
-    Raises ValueError unless p is a prime >= 5 with p^2 < 2^63, and
-    ArithmeticError unless x * inverse = 1 (mod p) for every x.
+    With g a primitive root, the inverse of g^k is g^(p-1-k), so one power
+    table gives every inverse. Raises ValueError unless p is a prime >= 5
+    with p^2 < 2^63, and ArithmeticError unless x * inverse = 1 (mod p) for
+    every x.
     """
     require_prime(p)
     if p * p >= 1 << 63:
         raise ValueError(f"p={p} is too large: inverses in int64 need p^2 < 2^63")
+    powers = power_table(primitive_root(p), p)
+    table = np.zeros(p, dtype=np.int64)  # an x no power reaches keeps 0 and fails the check
+    table[powers] = np.roll(powers[::-1], 1)  # g^k -> g^((p-1-k) mod (p-1))
+    inv = table[2:]
     x = np.arange(2, p, dtype=np.int64)
-    inv = power_mod(x, p - 2, p)
     bad = np.flatnonzero(x * inv % p != 1)
     if bad.size:
         i = int(bad[0])

@@ -31,6 +31,11 @@ class HurwitzTable:
         return Fraction(int(self.twelve_h[d]), 12)
 
 
+def twelfths(h: Fraction) -> int:
+    """12 h as an integer; every H* value has a denominator dividing 12."""
+    return h.numerator * (12 // h.denominator)
+
+
 def hurwitz_star(table: HurwitzTable, d: int) -> Fraction:
     return table.star(d)
 
@@ -274,15 +279,16 @@ def moment_rhs(table: HurwitzTable, p: int, n: int, twisted: bool = False) -> Fr
     Runs over even s with 0 < s < 2 sqrt(p); weights are
     2 H*((4p-s^2)/4) + H*(4p-s^2) untwisted and
     4 H*((4p-s^2)/4) - H*(4p-s^2) twisted, minus the two-square correction.
+    The sum is taken in twelfths, in integers, with one Fraction at the end.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if table.d_max < 4 * p:
         raise ValueError(f"table covers D <= {table.d_max}, need 4p = {4 * p}")
-    total = Fraction(0)
+    total = 0
     for s in range(2, math.isqrt(4 * p - 1) + 1, 2):
-        small = table.star(p - (s // 2) ** 2)  # (4p - s^2)/4
-        big = table.star(4 * p - s * s)
+        small = twelfths(table.star(p - (s // 2) ** 2))  # (4p - s^2)/4
+        big = twelfths(table.star(4 * p - s * s))
         weight = 4 * small - big if twisted else 2 * small + big
         total += weight * s ** (2 * n)
-    return total - c_pm(p, n, "-" if twisted else "+")
+    return Fraction(total, 12) - c_pm(p, n, "-" if twisted else "+")

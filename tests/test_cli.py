@@ -13,9 +13,10 @@ from k3batman import (
     build_trace_table,
     clausen_trace,
     make_context,
+    moment,
 )
 from k3batman import cache
-from k3batman.cli import dispatch
+from k3batman.cli import _BLOCK_ROWS, dispatch
 
 P5_TRACES_CSV = "lambda,a,phi\n1,-2,1\n2,0,-1\n3,2,-1\n"
 P5_AVALUES_CSV = "mu,num,den\n1,5,5\n2,1,5\n3,-1,5\n"
@@ -63,6 +64,21 @@ def test_verify_moments_failure_exit(monkeypatch, capsys):
     monkeypatch.setattr(cli.hurwitz, "moment_rhs", lambda *a, **k: -999)
     assert dispatch(["verify", "moments", "--p", "5", "--nmax", "1"]) == 1
     assert "MISMATCH" in capsys.readouterr().out
+
+
+def test_verify_moments_stopped_midway_prints_nothing(monkeypatch, capsys):
+    from k3batman import cli
+
+    def failing_moment(table, n, twisted):
+        if n == 2:
+            raise ArithmeticError("moment guard tripped")
+        return moment(table, n, twisted)
+
+    monkeypatch.setattr(cli, "moment", failing_moment)
+    assert dispatch(["verify", "moments", "--p", "101"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal check failed: moment guard tripped\n"
 
 
 def test_verify_brackets(capsys):
@@ -372,13 +388,16 @@ def test_verify_multiplicities_names_first_mismatch(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [["verify", "moments"], ["hist", "--bins", "11"], ["verify", "distribution"],
-     ["verify", "multiplicities"], ["avalues"]],
-    ids=["verify-moments", "hist", "verify-distribution", "verify-multiplicities", "avalues"],
+     ["verify", "multiplicities"], ["avalues"], ["traces"]],
+    ids=["verify-moments", "hist", "verify-distribution", "verify-multiplicities", "avalues",
+         "traces"],
 )
 def test_cached_trace_beyond_hasse_is_internal_error(tmp_path, capsys, argv):
     cache_dir = _cache_with_trace(tmp_path, 101, 17, 22)  # 2 sqrt(101) < 21
     assert dispatch(argv + ["--p", "101", "--cache-dir", cache_dir]) == 3
-    lines = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: internal check failed: ")
     assert "Hasse" in lines[0]
@@ -387,14 +406,14 @@ def test_cached_trace_beyond_hasse_is_internal_error(tmp_path, capsys, argv):
 def test_avalues_wrong_inverse_is_internal_error(monkeypatch, capsys):
     from k3batman import field
 
-    power_mod = field.power_mod
+    power_table = field.power_table
 
     def off_by_one(*args):
-        result = power_mod(*args)
-        result[40] += 1
+        result = power_table(*args)
+        result[result == 42] += 1  # no power reaches 42 now, so it gets no inverse
         return result
 
-    monkeypatch.setattr(field, "power_mod", off_by_one)
+    monkeypatch.setattr(field, "power_table", off_by_one)
     assert dispatch(["avalues", "--p", "101"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -431,6 +450,35 @@ def test_avalues_rows_match_a_value(tmp_path, p):
     assert json.loads(json_out.read_text()) == [
         {"mu": mu, "num": num, "den": den} for mu, num, den in rows
     ]
+
+
+_EDGE_VALUES = [0, 1, -1, 9, -9, 10, -10, 99, -99, 100, -100, 123456789, -1000003]
+
+
+@pytest.mark.parametrize("constant_last", [False, True], ids=["last-column", "last-int"])
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+@pytest.mark.parametrize("rows", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+def test_int_table_csv_matches_emit_rows(tmp_path, capsys, rows, to_file, constant_last):
+    from k3batman import cli
+
+    mixed = np.resize(np.array(_EDGE_VALUES, dtype=np.int64), rows)
+    non_negative = np.abs(mixed)
+    last = 7 if constant_last else -non_negative - 1  # negative only
+    last_cells = [7] * rows if constant_last else last.tolist()
+    expected = [list(row) for row in zip(mixed.tolist(), non_negative.tolist(), last_cells)]
+    texts = []
+    for emit in (
+        lambda out: cli._emit_rows(out, "csv", "x,y,z", expected),
+        lambda out: cli._emit_int_table(out, "csv", "x,y,z", mixed, non_negative, last),
+    ):
+        if to_file:
+            emit(str(tmp_path / "t.csv"))
+            texts.append((tmp_path / "t.csv").read_bytes())
+        else:
+            emit(None)
+            texts.append(capsys.readouterr().out.encode())
+    assert texts[1] == texts[0]
+    assert texts[1].count(b"\n") == rows + 1
 
 
 def test_traces_json_matches_entries(tmp_path):

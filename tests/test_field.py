@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3batman import is_prime, make_context, two_squares
+from k3batman.field import inverses, primitive_root
 from util import chi_euler, primes_up_to, two_squares_exhaustive
 
 PRIMES_10K = [p for p in primes_up_to(10_000) if p >= 5]
@@ -57,6 +58,26 @@ def test_chi_multiplicative_on_random_pairs():
         x = rng.integers(1, p, size=10_000)
         y = rng.integers(1, p, size=10_000)
         assert np.array_equal(chi[(x * y) % p], chi[x] * chi[y])
+
+
+def _order(g: int, p: int) -> int:
+    k, x = 1, g % p
+    while x != 1:
+        x = x * g % p
+        k += 1
+    return k
+
+
+def test_primitive_root_is_least_generator():
+    for p in PRIMES_10K[:100]:
+        g = primitive_root(p)
+        assert _order(g, p) == p - 1
+        assert all(_order(h, p) < p - 1 for h in range(2, g))
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 1009, 65537])
+def test_inverses_match_pow(p):
+    assert inverses(p).tolist() == [pow(x, -1, p) for x in range(2, p)]
 
 
 def test_two_squares_examples():
