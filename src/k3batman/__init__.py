@@ -18,7 +18,6 @@ from .hurwitz import (
     build_hurwitz_table,
     c_pm,
     class_number,
-    hurwitz_star,
     identity_table,
     moment_rhs,
     multiplicity_rhs,
@@ -66,7 +65,6 @@ __all__ = [
     "even_chebyshev",
     "empirical_A_count",
     "eval_trig",
-    "hurwitz_star",
     "identity_table",
     "interval_counts",
     "interval_counts_squared",

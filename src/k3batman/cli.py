@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import random
 import sys
@@ -65,58 +64,62 @@ _BLOCK_ROWS = 1 << 16
 
 def _emit_int_table(out, fmt, header: str, first, second, last) -> None:
     """Three int64 columns, written as ``_emit_rows`` writes them; ``last``
-    is a column or one int repeated on every row."""
-    constant = isinstance(last, int)
+    is a column or one int repeated on every row. A JSON row opens with the
+    ',' that follows the row before it, so the first row's ',' is dropped."""
     if fmt == "json":
-        lasts = itertools.repeat(last) if constant else last.tolist()
-        rows = zip(first.tolist(), second.tolist(), lasts)
-        _emit_rows(out, fmt, header, [list(row) for row in rows])
-        return
-    columns, tail = ((first, second), f",{last}\n") if constant else ((first, second, last), "\n")
-    blocks = (
-        _csv_block([column[i : i + _BLOCK_ROWS] for column in columns], tail)
-        for i in range(0, len(first), _BLOCK_ROWS)
-    )
+        first_key, *keys = header.split(",")
+        prefixes = [f',\n  {{\n    "{first_key}": '] + [f',\n    "{key}": ' for key in keys]
+        head, tail, end, skip = "[", "\n  }", "\n]\n", 1
+    else:
+        prefixes, head, tail, end, skip = ["", ",", ","], header + "\n", "\n", "", 0
+    columns = [first, second, last]
+    if isinstance(last, int):  # a constant last column is literal text too
+        tail = f"{prefixes.pop()}{columns.pop()}{tail}"
+
+    def chunks():
+        yield head.encode("ascii")
+        for i in range(0, len(first), _BLOCK_ROWS):
+            data = _csv_block([column[i : i + _BLOCK_ROWS] for column in columns], prefixes, tail)
+            yield data[skip:] if i == 0 else data
+        yield end.encode("ascii")
+
     if out is None:
-        sys.stdout.write(header + "\n")
-        for data in blocks:
+        for data in chunks():
             sys.stdout.write(data.decode("ascii"))
         return
     with open(out, "wb") as fh:
-        fh.write((header + "\n").encode("ascii"))
-        for data in blocks:
-            fh.write(data)
+        fh.writelines(chunks())
 
 
-def _csv_block(columns, tail: str) -> bytes:
-    """CSV lines of equal-length int64 columns, each line ending in ``tail``,
-    by numpy digit arithmetic.
+def _csv_block(columns, prefixes, tail: str) -> bytes:
+    """Rows of equal-length int64 columns, by numpy digit arithmetic: each
+    row is ``prefixes[0]``, the first number, ``prefixes[1]``, the second
+    number, and so on, and then ``tail``.
 
-    Each column takes a fixed span of character cells: a sign cell, the
-    number right-aligned in the width of the column's widest value, and then
-    ',' (or ``tail`` after the last column). ``cells[c, i]`` is cell c of
-    row i, and a mask keeps each number's own cells, its '-' just before the
-    first digit included; reading the kept cells row by row gives the text.
+    Each column takes a fixed span of character cells: its prefix, a sign
+    cell, and the number right-aligned in the width of the column's widest
+    value. ``cells[c, i]`` is cell c of row i, and a mask keeps each
+    number's own cells, its '-' just before the first digit included;
+    reading the kept cells row by row gives the text.
     """
-    separators = [","] * (len(columns) - 1) + [tail]
-    spans = [len(str(int(np.abs(values).max()))) + 1 + len(separator)
-             for values, separator in zip(columns, separators)]
-    cells = np.empty((sum(spans), len(columns[0])), dtype=np.uint8)
+    spans = [len(prefix) + len(str(int(np.abs(values).max()))) + 1
+             for values, prefix in zip(columns, prefixes)]
+    cells = np.empty((sum(spans) + len(tail), len(columns[0])), dtype=np.uint8)
     keep = np.ones(cells.shape, dtype=bool)
     stop = 0
-    for values, span, separator in zip(columns, spans, separators):
-        start, stop = stop, stop + span
-        units = stop - len(separator) - 1
-        cells[units + 1 : stop] = np.frombuffer(separator.encode("ascii"), np.uint8)[:, None]
+    for values, span, prefix in zip(columns, spans, prefixes):
+        cells[stop : stop + len(prefix)] = np.frombuffer(prefix.encode("ascii"), np.uint8)[:, None]
+        start, stop = stop + len(prefix), stop + span
         negative = values < 0
         rest = np.abs(values)
         higher = rest // 10
-        cells[units] = rest - 10 * higher + ord("0")  # the units digit is always kept
-        for cell in range(units - 1, start - 1, -1):
+        cells[stop - 1] = rest - 10 * higher + ord("0")  # the units digit is always kept
+        for cell in range(stop - 2, start - 1, -1):
             shown = higher > 0  # the number has a digit in this cell
             keep[cell] = shown | (negative & (rest > 0))
             rest, higher = higher, higher // 10
             cells[cell] = np.where(shown, rest - 10 * higher + ord("0"), ord("-"))
+    cells[stop:] = np.frombuffer(tail.encode("ascii"), np.uint8)[:, None]
     return cells.T[keep.T].tobytes()
 
 
@@ -357,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v_d = v_sub.add_parser("distribution", help="discrepancy bounds on a grid")
     v_d.add_argument("--p", type=int, required=True)
-    v_d.add_argument("--grid", type=int, default=40, help="intervals per statistic")
+    v_d.add_argument("--grid", type=_positive_int, default=40, help="intervals per statistic")
     v_d.add_argument("--seed", type=int, help="use random rational intervals")
     _add_common(v_d)
     v_d.set_defaults(func=cmd_verify_distribution)

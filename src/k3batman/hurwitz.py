@@ -36,10 +36,6 @@ def twelfths(h: Fraction) -> int:
     return h.numerator * (12 // h.denominator)
 
 
-def hurwitz_star(table: HurwitzTable, d: int) -> Fraction:
-    return table.star(d)
-
-
 def class_number(d: int) -> tuple[int, int]:
     """(h, omega) for discriminant -d: h counts reduced primitive forms
     (a, b, c) with b^2 - 4ac = -d, -a < b <= a <= c and b >= 0 when a = c;

@@ -93,6 +93,8 @@ def ear_parameters(T: float, delta: float | None = None) -> EarParameters:
     """
     if not T > SQRT3_OVER_4PI:
         raise ValueError(f"T must exceed sqrt(3)/(4 pi) = {SQRT3_OVER_4PI:.6f}, got {T}")
+    if not (math.isfinite(T) and (delta is None or math.isfinite(delta))):
+        raise ValueError(f"T and delta must be finite, got T={T}, delta={delta}")
     if delta is None:
         delta = optimal_delta(T)
     elif delta <= 0.0:

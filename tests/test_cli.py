@@ -120,6 +120,19 @@ def test_ears_output(capsys):
     assert "3.45e14" in output  # the flagged reference mismatch
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--T", "inf"], ["--T", "10", "--delta", "nan"], ["--T", "10", "--delta", "inf"]],
+    ids=["T-inf", "delta-nan", "delta-inf"],
+)
+def test_ears_non_finite_is_usage_error(argv, capsys):
+    assert dispatch(["ears", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "must be finite" in lines[0]
+
+
 def test_internal_check_failure_exit_code(monkeypatch, capsys):
     from k3batman import clausen
 
@@ -149,8 +162,10 @@ def test_composite_p_is_usage_error_everywhere(argv, capsys):
     "argv",
     [["verify", "moments", "--p", "5", "--nmax", "0"],
      ["verify", "brackets", "--p", "5", "--mmax", "0"],
-     ["verify", "brackets", "--p", "5", "--mmax", "-3"]],
-    ids=["nmax-0", "mmax-0", "mmax-negative"],
+     ["verify", "brackets", "--p", "5", "--mmax", "-3"],
+     ["verify", "distribution", "--p", "101", "--grid", "0", "--seed", "1"],
+     ["verify", "distribution", "--p", "101", "--grid", "-3", "--seed", "1"]],
+    ids=["nmax-0", "mmax-0", "mmax-negative", "grid-0", "grid-negative"],
 )
 def test_empty_verification_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -455,10 +470,7 @@ def test_avalues_rows_match_a_value(tmp_path, p):
 _EDGE_VALUES = [0, 1, -1, 9, -9, 10, -10, 99, -99, 100, -100, 123456789, -1000003]
 
 
-@pytest.mark.parametrize("constant_last", [False, True], ids=["last-column", "last-int"])
-@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
-@pytest.mark.parametrize("rows", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
-def test_int_table_csv_matches_emit_rows(tmp_path, capsys, rows, to_file, constant_last):
+def _assert_int_table_matches_emit_rows(tmp_path, capsys, fmt, rows, to_file, constant_last):
     from k3batman import cli
 
     mixed = np.resize(np.array(_EDGE_VALUES, dtype=np.int64), rows)
@@ -468,17 +480,51 @@ def test_int_table_csv_matches_emit_rows(tmp_path, capsys, rows, to_file, consta
     expected = [list(row) for row in zip(mixed.tolist(), non_negative.tolist(), last_cells)]
     texts = []
     for emit in (
-        lambda out: cli._emit_rows(out, "csv", "x,y,z", expected),
-        lambda out: cli._emit_int_table(out, "csv", "x,y,z", mixed, non_negative, last),
+        lambda out: cli._emit_rows(out, fmt, "x,y,z", expected),
+        lambda out: cli._emit_int_table(out, fmt, "x,y,z", mixed, non_negative, last),
     ):
         if to_file:
-            emit(str(tmp_path / "t.csv"))
-            texts.append((tmp_path / "t.csv").read_bytes())
+            emit(str(tmp_path / "t.out"))
+            texts.append((tmp_path / "t.out").read_bytes())
         else:
             emit(None)
             texts.append(capsys.readouterr().out.encode())
     assert texts[1] == texts[0]
-    assert texts[1].count(b"\n") == rows + 1
+    return texts[1]
+
+
+@pytest.mark.parametrize("constant_last", [False, True], ids=["last-column", "last-int"])
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+@pytest.mark.parametrize("rows", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+def test_int_table_csv_matches_emit_rows(tmp_path, capsys, rows, to_file, constant_last):
+    text = _assert_int_table_matches_emit_rows(tmp_path, capsys, "csv", rows, to_file,
+                                               constant_last)
+    assert text.count(b"\n") == rows + 1
+
+
+# No empty case: the CLI never writes an empty table, since p >= 5 gives p - 2 >= 3 rows.
+@pytest.mark.parametrize("constant_last", [False, True], ids=["last-column", "last-int"])
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+@pytest.mark.parametrize("rows", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+def test_int_table_json_matches_emit_rows(tmp_path, capsys, rows, to_file, constant_last):
+    text = _assert_int_table_matches_emit_rows(tmp_path, capsys, "json", rows, to_file,
+                                               constant_last)
+    assert len(json.loads(text)) == rows
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+@pytest.mark.parametrize("command", ["traces", "avalues"])
+@pytest.mark.parametrize("p", [5, 101, 1009])
+def test_int_table_json_bytes_match_json_dumps(tmp_path, capsys, p, command, to_file):
+    argv = [command, "--p", str(p)]
+    assert dispatch(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    keys = lines[0].split(",")
+    rows = [dict(zip(keys, map(int, line.split(",")))) for line in lines[1:]]
+    out = tmp_path / "t.json"
+    assert dispatch(argv + ["--format", "json"] + (["--out", str(out)] if to_file else [])) == 0
+    text = out.read_text() if to_file else capsys.readouterr().out
+    assert text == json.dumps(rows, indent=2) + "\n"
 
 
 def test_traces_json_matches_entries(tmp_path):

@@ -10,7 +10,6 @@ from k3batman import (
     build_trace_table,
     c_pm,
     class_number,
-    hurwitz_star,
     identity_table,
     make_context,
     moment,
@@ -49,7 +48,7 @@ def test_class_number_rejects_non_discriminants(d):
 
 def test_spot_values(hurwitz_4000):
     for d, expected in SPOT_VALUES.items():
-        assert hurwitz_star(hurwitz_4000, d) == expected
+        assert hurwitz_4000.star(d) == expected
 
 
 def test_star_zero_off_residues_and_negative(hurwitz_4000):
@@ -58,7 +57,7 @@ def test_star_zero_off_residues_and_negative(hurwitz_4000):
     assert not twelve[(d % 4 == 1) | (d % 4 == 2)].any()
     assert (twelve[1:] >= 0).all()
     assert twelve[0] == -1
-    assert hurwitz_star(hurwitz_4000, -8) == 0
+    assert hurwitz_4000.star(-8) == 0
 
 
 def test_star_range_error(hurwitz_4000):

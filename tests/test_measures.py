@@ -112,6 +112,9 @@ def test_ear_parameters_validation():
         ear_parameters(0.1)
     with pytest.raises(ValueError):
         ear_parameters(10.0, delta=-1.0)
+    for T, delta in ((math.inf, None), (10.0, math.nan), (10.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            ear_parameters(T, delta)
 
 
 def test_ear_density_exceeds_target():
