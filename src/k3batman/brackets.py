@@ -11,9 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, isqrt
-from typing import Callable
 
-from .hurwitz import HurwitzTable, twelfths
+from .hurwitz import HurwitzTable
 
 
 @lru_cache(maxsize=None)
@@ -84,11 +83,24 @@ def bracket_coeff(m: int, t: int, n: int, table: HurwitzTable) -> Fraction:
         raise ValueError("n must be >= 1")
     if table.d_max < n:
         raise ValueError(f"table covers D <= {table.d_max}, need {n}")
-    total = 0
-    for s in range(isqrt(n // t) + 1):  # s and -s give the same term
-        term = twelfths(table.star(n - t * s * s)) * even_chebyshev(m, t * s * s, n)
-        total += term if s == 0 else 2 * term
+    # s and -s give the same term: twice the power sums over 0 < t s^2 < n,
+    # plus s = 0 and, when n/t is a square, the pair at t s^2 = n
+    total = 2 * _chebyshev_combination(m, t, n, table.power_sums(t, n, m))
+    total += table.twelve(n) * even_chebyshev(m, 0, n)
+    root = isqrt(n // t)
+    if t * root * root == n:
+        total += 2 * table.twelve(0) * even_chebyshev(m, n, n)
     return Fraction(comb(2 * m, m) * total, 12 * 4**m)
+
+
+def _chebyshev_combination(m: int, t: int, n: int, sums: list[int]) -> int:
+    """sum_l U_{2m}[2l] n^(m-l) t^l sums[l].
+
+    With sums[l] = sum_s w_s s^(2l) this is sum_s w_s even_chebyshev(m, t s^2, n):
+    the s are summed once, in ``sums``, for every m.
+    """
+    coeffs = chebyshev_coeffs(2 * m)
+    return sum(coeffs[2 * l] * n ** (m - l) * t**l * sums[l] for l in range(m + 1))
 
 
 def _divisor_pairs(n: int) -> list[tuple[int, int]]:
@@ -172,23 +184,21 @@ def deligne_audit(
     return DeligneAudit(m, p, a, a_bound, b, b_bound, passed)
 
 
-def _class_sum(m: int, p: int, star_at: Callable[[int], Fraction]) -> Fraction:
-    """sum of star_at(s) U_{2m}(s / 2 sqrt(p)) over even 0 < s < 2 sqrt(p)."""
+def _class_sum(m: int, p: int, sums: list[int]) -> Fraction:
+    """sum_k w_k U_{2m}(2k / 2 sqrt(p)) / 12 over 0 < k < sqrt(p), from the
+    power sums sums[l] = sum_k w_k k^(2l) of the twelfths w_k."""
     q = 4 * p
-    total = 0
-    for s in range(2, isqrt(q - 1) + 1, 2):
-        total += twelfths(star_at(s)) * even_chebyshev(m, s * s, q)
-    return Fraction(total, 12 * q**m)
+    return Fraction(_chebyshev_combination(m, 4, q, sums), 12 * q**m)
 
 
 def class_sum_a(m: int, p: int, table: HurwitzTable) -> Fraction:
     """Chebyshev-weighted sum over 2 H*((4p-s^2)/4), even 0 < s < 2 sqrt(p)."""
-    return _class_sum(m, p, lambda s: 2 * table.star(p - (s // 2) ** 2))
+    return _class_sum(m, p, [2 * x for x in table.power_sums(1, p, m)])
 
 
 def class_sum_b(m: int, p: int, table: HurwitzTable) -> Fraction:
     """Chebyshev-weighted sum over H*(4p-s^2), even 0 < s < 2 sqrt(p)."""
-    return _class_sum(m, p, lambda s: table.star(4 * p - s * s))
+    return _class_sum(m, p, table.power_sums(4, 4 * p, m))
 
 
 def coeff_side_a(m: int, p: int, table: HurwitzTable, a: Fraction | None = None) -> Fraction:

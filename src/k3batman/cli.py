@@ -25,13 +25,49 @@ def _write_text(out: str | None, text: str) -> None:
         Path(out).write_text(text)
 
 
+# Peak bytes per p of make_context plus build_trace_table (88.4 measured at
+# p = 10000019), for refusing a p the machine cannot hold before allocating.
+_TRACE_BYTES_PER_P = 90
+
+
+def _available_memory() -> int | None:
+    """Bytes this process can still allocate: MemAvailable, capped by the
+    cgroup v2 ``memory.max - memory.current`` when those can be read; None
+    when neither can."""
+    found = []
+    try:
+        for line in Path("/proc/meminfo").read_text().splitlines():
+            if line.startswith("MemAvailable:"):
+                found.append(int(line.split()[1]) * 1024)
+    except (OSError, ValueError):
+        pass
+    try:
+        for line in Path("/proc/self/cgroup").read_text().splitlines():
+            if line.startswith("0::"):  # the cgroup v2 entry
+                group = Path("/sys/fs/cgroup") / line[3:].lstrip("/")
+                limit = (group / "memory.max").read_text().strip()
+                if limit != "max":
+                    found.append(int(limit) - int((group / "memory.current").read_text()))
+    except (OSError, ValueError):
+        pass
+    return min(found) if found else None
+
+
 def _get_trace_table(p: int, cache_dir: str | None) -> TraceTable:
     path = Path(cache_dir) / f"trace_p{p}.bin" if cache_dir else None
     if path is not None and path.exists():
-        table = cache.load_trace_table(path)
-        if table.p == p:
-            table.multiplicities  # raises ArithmeticError for a trace beyond the Hasse bound
-            return table
+        try:
+            table = cache.load_trace_table(path)
+        except cache.CacheFormatError as exc:  # a miss: rebuilt and saved over below
+            print(f"warning: rebuilding unreadable cache {path}: {exc}", file=sys.stderr)
+        else:
+            if table.p == p:
+                table.multiplicities  # raises ArithmeticError for a trace beyond the Hasse bound
+                return table
+    need, free = _TRACE_BYTES_PER_P * p, _available_memory()
+    if free is not None and need > free:
+        raise ValueError(f"p={p} needs about {need >> 20} MB to build the trace table, "
+                         f"but only {free >> 20} MB is available")
     table = build_trace_table(make_context(p))
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -196,8 +232,10 @@ def cmd_verify_brackets(args) -> int:
     }
     a1, b1 = coeffs[1]
     ok = good = a1 == 0 and b1 == 0
-    print(f"m=1 vanishing at p={p}: a_1({p})={a1}, b_1({4 * p})={b1} "
-          f"{'ok' if good else 'FAIL'}")
+    # every line is computed before any is printed, so a run stopped by an
+    # internal check leaves nothing on stdout
+    lines = [f"m=1 vanishing at p={p}: a_1({p})={a1}, b_1({4 * p})={b1} "
+             f"{'ok' if good else 'FAIL'}"]
     for m, (a, b) in coeffs.items():
         lhs_a = brackets.class_sum_a(m, p, htable)
         rhs_a = brackets.coeff_side_a(m, p, htable, a)
@@ -205,13 +243,14 @@ def cmd_verify_brackets(args) -> int:
         rhs_b = brackets.coeff_side_b(m, p, htable, b)
         good = lhs_a == rhs_a and lhs_b == rhs_b
         ok &= good
-        print(f"  coefficient identity m={m}: a-side {lhs_a} = {rhs_a}, "
-              f"b-side {lhs_b} = {rhs_b} {'ok' if good else 'FAIL'}")
+        lines.append(f"  coefficient identity m={m}: a-side {lhs_a} = {rhs_a}, "
+                     f"b-side {lhs_b} = {rhs_b} {'ok' if good else 'FAIL'}")
         audit = brackets.deligne_audit(m, p, htable, a, b)
         ok &= audit.passed
-        print(f"  coefficient bound m={m}: |a|={abs(float(audit.a_value)):.6g} "
-              f"<= {audit.a_bound:.6g}, |b|={abs(float(audit.b_value)):.6g} "
-              f"<= {audit.b_bound:.6g} {'ok' if audit.passed else 'FAIL'}")
+        lines.append(f"  coefficient bound m={m}: |a|={abs(float(audit.a_value)):.6g} "
+                     f"<= {audit.a_bound:.6g}, |b|={abs(float(audit.b_value)):.6g} "
+                     f"<= {audit.b_bound:.6g} {'ok' if audit.passed else 'FAIL'}")
+    print("\n".join(lines))
     return 0 if ok else 1
 
 
@@ -265,17 +304,19 @@ def cmd_audit_constants(args) -> int:
     p = args.p
     require_prime(p)
     ok = True
+    lines = []  # printed only once every chain is computed, as in verify brackets
     for twisted in (False, True):
         audit = selberg.proof_bound_audit(p, twisted)
         ok &= audit.passed
         kind = "twisted" if twisted else "untwisted"
-        print(f"{kind} chain at p={p}: {audit.lhs:.4f} <= {audit.rhs:.4f} "
-              f"{'pass' if audit.passed else 'FAIL'}")
+        lines.append(f"{kind} chain at p={p}: {audit.lhs:.4f} <= {audit.rhs:.4f} "
+                     f"{'pass' if audit.passed else 'FAIL'}")
     lhs = selberg.simplified_chain(p)
     rhs = selberg.simplified_chain_bound(p)
     ok &= lhs <= rhs
-    print(f"simplified untwisted chain: {lhs:.4f} <= {rhs:.4f} "
-          f"(ratio {lhs / rhs:.6f}) {'pass' if lhs <= rhs else 'FAIL'}")
+    lines.append(f"simplified untwisted chain: {lhs:.4f} <= {rhs:.4f} "
+                 f"(ratio {lhs / rhs:.6f}) {'pass' if lhs <= rhs else 'FAIL'}")
+    print("\n".join(lines))
     return 0 if ok else 1
 
 

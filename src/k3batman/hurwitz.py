@@ -5,14 +5,49 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
 import numpy as np
 
 from .field import require_prime, two_squares
 
 
+class _ClassNumberReader:
+    """What the identities read from a table of 12 H*(D): single values
+    through ``twelve``, and integer power sums along n - t s^2."""
+
+    def twelve(self, d: int) -> int:
+        raise NotImplementedError
+
+    def star(self, d: int) -> Fraction:
+        """H*(D) = twelve(D) / 12; zero for D < 0 and off the 0,3 (mod 4) residues."""
+        return Fraction(self.twelve(d), 12)
+
+    @cached_property
+    def _along(self) -> dict:
+        return {}
+
+    def power_sums(self, t: int, n: int, lmax: int) -> list[int]:
+        """sum of 12 H*(n - t s^2) s^(2l) over s >= 1 with t s^2 < n, for
+        l = 0..lmax.
+
+        The values along n - t s^2 are read once per table and (t, n); the
+        sums are kept, and extended when a larger ``lmax`` is asked for.
+        """
+        memo = self._along.get((t, n))
+        if memo is None:
+            squares = [s * s for s in range(1, math.isqrt((n - 1) // t) + 1)]
+            memo = self._along[t, n] = ([self.twelve(n - t * x) for x in squares], squares, [])
+        terms, squares, sums = memo  # terms[s - 1] = 12 H*(n - t s^2) s^(2 len(sums))
+        while len(sums) <= lmax:
+            sums.append(sum(terms))
+            terms[:] = map(mul, terms, squares)
+        return sums[: lmax + 1]
+
+
 @dataclass(frozen=True)
-class HurwitzTable:
+class HurwitzTable(_ClassNumberReader):
     """twelve_h[D] = 12 H*(D) for 0 <= D <= d_max.
 
     Storing twelve times the value keeps the table integral: the unit
@@ -22,18 +57,13 @@ class HurwitzTable:
     d_max: int
     twelve_h: np.ndarray  # int64
 
-    def star(self, d: int) -> Fraction:
-        """H*(D); zero for D < 0 and off the 0,3 (mod 4) residues."""
+    def twelve(self, d: int) -> int:
+        """12 H*(D) as an int; zero for D < 0."""
         if d < 0:
-            return Fraction(0)
+            return 0
         if d > self.d_max:
             raise ValueError(f"D={d} exceeds table range d_max={self.d_max}")
-        return Fraction(int(self.twelve_h[d]), 12)
-
-
-def twelfths(h: Fraction) -> int:
-    """12 h as an integer; every H* value has a denominator dividing 12."""
-    return h.numerator * (12 // h.denominator)
+        return int(self.twelve_h[d])
 
 
 def class_number(d: int) -> tuple[int, int]:
@@ -192,37 +222,67 @@ def twelve_h_at(discriminants) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SparseHurwitzTable:
+class SparseHurwitzTable(_ClassNumberReader):
     """12 H*(D) at a fixed set of D, read through the HurwitzTable interface.
 
-    ``star`` is 0 for D < 0, like HurwitzTable's, and raises ValueError for any
-    other D it does not hold, so an unheld value is never read as 0.
+    ``twelve`` and ``star`` are 0 for D < 0, like HurwitzTable's, and raise
+    ValueError for any other D the table does not hold, so an unheld value is
+    never read as 0.
     """
 
     d_max: int
     twelve_h: dict[int, int]
 
-    def star(self, d: int) -> Fraction:
+    def twelve(self, d: int) -> int:
         if d < 0:
-            return Fraction(0)
+            return 0
         try:
-            return Fraction(self.twelve_h[d], 12)
+            return self.twelve_h[d]
         except KeyError:
             raise ValueError(f"D={d} is not held by this table") from None
+
+
+def _twelve_h_four_times(n: np.ndarray, twelve_n: np.ndarray, twelve_quarter: np.ndarray) -> np.ndarray:
+    """12 H*(4N) for N = 0, 3 (mod 4) by the index-4 Hecke relation
+
+        H*(4N) = (3 - (-N/2)) H*(N) - 2 H*(N/4),
+
+    from 12 H*(N) and 12 H*(N/4), where ``twelve_quarter`` is 0 unless 4 | N.
+    The Kronecker symbol (-N/2) is 0 for even N, 1 for N = 7 (mod 8) and -1
+    for N = 3 (mod 8). Off those residues the relation does not hold.
+    """
+    kronecker = np.where(n % 2 == 0, 0, np.where(n % 8 == 7, 1, -1))
+    return (3 - kronecker) * twelve_n - 2 * twelve_quarter
 
 
 def identity_table(p: int) -> SparseHurwitzTable:
     """H* at the discriminants the moment and bracket identities read at p.
 
-    Those are (4p - s^2)/4 = p - k^2 and 4p - s^2 = 4(p - k^2) for even
+    Those are (4p - s^2)/4 = N = p - k^2 and 4p - s^2 = 4N for even
     s = 2k < 2 sqrt(p), k = 0 included: about 2 sqrt(p) values instead of the
     4p + 1 of a dense table. ``d_max`` is 4p, as for the dense table the
     identities check it against.
+
+    Every N and every 4N with N = 1, 2 (mod 4) is counted by
+    :func:`twelve_h_at`; 4N with N = 0, 3 (mod 4) follows from N and N/4 by
+    the index-4 relation, and raises ArithmeticError unless it is positive.
     """
     require_prime(p)
     k = np.arange(math.isqrt(p) + 1, dtype=np.int64)
-    discriminants = np.concatenate((p - k * k, 4 * (p - k * k)))
-    values = twelve_h_at(discriminants)
+    n = p - k * k
+    derived = (n % 4 == 0) | (n % 4 == 3)
+    whole = n % 4 == 0  # where the N/4 term applies
+    counted = twelve_h_at(np.concatenate((n, 4 * n[~derived], n[whole] // 4)))
+    twelve_n, direct, quarter = np.split(counted, np.cumsum([len(n), np.count_nonzero(~derived)]))
+    twelve_quarter = np.zeros_like(n)
+    twelve_quarter[whole] = quarter
+    twelve_4n = _twelve_h_four_times(n, twelve_n, twelve_quarter)
+    bad = derived & (twelve_4n <= 0)
+    if bad.any():
+        raise ArithmeticError(f"index-4 relation gave 12 H*({4 * int(n[bad][0])}) <= 0 at p={p}")
+    twelve_4n[~derived] = direct
+    discriminants = np.concatenate((n, 4 * n))
+    values = np.concatenate((twelve_n, twelve_4n))
     return SparseHurwitzTable(4 * p, dict(zip(discriminants.tolist(), values.tolist())))
 
 
@@ -259,12 +319,12 @@ def multiplicity_rhs(table: HurwitzTable, p: int) -> dict[int, tuple[Fraction, F
         if s % 2:
             rhs[s] = (Fraction(0), Fraction(0))
             continue
-        small = table.star(p - (s // 2) ** 2)  # (4p - s^2)/4
-        big = table.star(4 * p - s * s)
+        small = table.twelve(p - (s // 2) ** 2)  # (4p - s^2)/4
+        big = table.twelve(4 * p - s * s)
         hit_a, hit_b = int(s == ta), int(s == tb)
         rhs[s] = (
-            2 * small + big - Fraction(hit_a + hit_b, 2),
-            4 * small - big - Fraction(hit_a - hit_b, 2),
+            Fraction(2 * small + big - 6 * (hit_a + hit_b), 12),
+            Fraction(4 * small - big - 6 * (hit_a - hit_b), 12),
         )
     return rhs
 
@@ -275,16 +335,15 @@ def moment_rhs(table: HurwitzTable, p: int, n: int, twisted: bool = False) -> Fr
     Runs over even s with 0 < s < 2 sqrt(p); weights are
     2 H*((4p-s^2)/4) + H*(4p-s^2) untwisted and
     4 H*((4p-s^2)/4) - H*(4p-s^2) twisted, minus the two-square correction.
-    The sum is taken in twelfths, in integers, with one Fraction at the end.
+    With s = 2k, each is 4^n times the power sums of 12 H*(p - k^2) and
+    12 H*(4(p - k^2)) over 0 < k < sqrt(p), in integers, with one Fraction at
+    the end.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if table.d_max < 4 * p:
         raise ValueError(f"table covers D <= {table.d_max}, need 4p = {4 * p}")
-    total = 0
-    for s in range(2, math.isqrt(4 * p - 1) + 1, 2):
-        small = twelfths(table.star(p - (s // 2) ** 2))  # (4p - s^2)/4
-        big = twelfths(table.star(4 * p - s * s))
-        weight = 4 * small - big if twisted else 2 * small + big
-        total += weight * s ** (2 * n)
-    return Fraction(total, 12) - c_pm(p, n, "-" if twisted else "+")
+    small = table.power_sums(1, p, n)[n]
+    big = table.power_sums(4, 4 * p, n)[n]
+    weight = 4 * small - big if twisted else 2 * small + big
+    return Fraction(4**n * weight, 12) - c_pm(p, n, "-" if twisted else "+")

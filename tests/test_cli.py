@@ -81,6 +81,42 @@ def test_verify_moments_stopped_midway_prints_nothing(monkeypatch, capsys):
     assert captured.err == "error: internal check failed: moment guard tripped\n"
 
 
+@pytest.mark.parametrize("error, code", [(ArithmeticError, 3), (ValueError, 2)])
+def test_verify_brackets_stopped_midway_prints_nothing(monkeypatch, capsys, error, code):
+    from k3batman import brackets
+
+    audit = brackets.deligne_audit
+
+    def failing_audit(m, *args):
+        if m == 2:
+            raise error("guard tripped at m=2")
+        return audit(m, *args)
+
+    monkeypatch.setattr(brackets, "deligne_audit", failing_audit)
+    assert dispatch(["verify", "brackets", "--p", "101"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "guard tripped at m=2" in captured.err
+
+
+@pytest.mark.parametrize("error, code", [(ArithmeticError, 3), (ValueError, 2)])
+def test_audit_constants_stopped_midway_prints_nothing(monkeypatch, capsys, error, code):
+    from k3batman import selberg
+
+    audit = selberg.proof_bound_audit
+
+    def failing_audit(p, twisted):
+        if twisted:
+            raise error("eval_trig failed on the twisted chain")
+        return audit(p, twisted)
+
+    monkeypatch.setattr(selberg, "proof_bound_audit", failing_audit)
+    assert dispatch(["audit-constants", "--p", "101"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "twisted chain" in captured.err
+
+
 def test_verify_brackets(capsys):
     assert dispatch(["verify", "brackets", "--p", "7", "--mmax", "3"]) == 0
     assert "m=1 vanishing" in capsys.readouterr().out
@@ -534,3 +570,76 @@ def test_traces_json_matches_entries(tmp_path):
     assert json.loads(out.read_text()) == [
         {"lambda": lam, "a": a, "phi": sign} for lam, a, sign in table.entries()
     ]
+
+
+def _truncate(raw):
+    return raw[:-9]
+
+
+def _flip_payload_byte(raw):
+    raw = bytearray(raw)
+    raw[30] ^= 0xFF
+    return bytes(raw)
+
+
+def _hurwitz_kind(raw):
+    raw = bytearray(raw)
+    raw[8] = cache.KIND_HURWITZ
+    return bytes(raw)
+
+
+@pytest.mark.parametrize("corrupt", [_truncate, _flip_payload_byte, _hurwitz_kind],
+                         ids=["truncated", "checksum", "kind"])
+def test_unreadable_cache_is_rebuilt(tmp_path, capsys, corrupt):
+    """An unreadable cache file is a miss: same stdout and exit code as a run
+    with no cache, one warning line, and a good file saved over the bad one."""
+    p = 101
+    assert dispatch(["traces", "--p", str(p)]) == 0
+    expected = capsys.readouterr().out
+    path = tmp_path / f"trace_p{p}.bin"
+    cache.save_trace_table(path, build_trace_table(make_context(p)))
+    good = path.read_bytes()
+    path.write_bytes(corrupt(good))
+    assert dispatch(["traces", "--p", str(p), "--cache-dir", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: ")
+    assert path.read_bytes() == good
+    assert sorted(f.name for f in tmp_path.iterdir()) == [path.name]
+
+
+def test_memory_guard_refuses_before_building(monkeypatch, capsys):
+    from k3batman import cli
+
+    def never(*args):
+        raise AssertionError("allocated past the memory guard")
+
+    monkeypatch.setattr(cli, "_available_memory", lambda: 10 << 20)
+    monkeypatch.setattr(cli, "make_context", never)
+    monkeypatch.setattr(cli, "build_trace_table", never)
+    assert dispatch(["verify", "moments", "--p", "1000003"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: p=1000003 needs about 85 MB to build the trace table, "
+                            "but only 10 MB is available\n")
+
+
+def test_memory_guard_passes_unknown_memory_and_cache_hits(tmp_path, monkeypatch, capsys):
+    from k3batman import cli
+
+    argv = ["traces", "--p", "101", "--cache-dir", str(tmp_path)]
+    monkeypatch.setattr(cli, "_available_memory", lambda: None)
+    assert dispatch(argv) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(cli, "_available_memory", lambda: 0)
+    assert dispatch(argv) == 0  # read from the cache: nothing to build
+    assert capsys.readouterr().out == expected
+    assert dispatch(["traces", "--p", "103"]) == 2
+
+
+def test_available_memory_reads_the_machine():
+    from k3batman import cli
+
+    free = cli._available_memory()
+    assert free is None or free > 0

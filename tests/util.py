@@ -7,9 +7,11 @@ checked against a second route.
 
 from collections import Counter
 from fractions import Fraction
-from math import isqrt
+from math import comb, isqrt
 
 import numpy as np
+
+from k3batman import c_pm, even_chebyshev, two_squares
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -145,3 +147,61 @@ def histogram_by_loop(table, bins: int) -> list[int]:
         k = (value + 3) * bins // 6
         counts[min(k, bins - 1)] += 1
     return counts
+
+
+# Per-s reference loops for the class-number identities, which the library
+# evaluates from integer power sums. Every term is a Fraction read by ``star``.
+
+
+def bracket_coeff_by_loop(m: int, t: int, n: int, table) -> Fraction:
+    """Coefficient of q^n in the m-th bracket, summed over every integer s
+    with t s^2 <= n, s and -s apart."""
+    root = isqrt(n // t)
+    total = Fraction(0)
+    for s in range(-root, root + 1):
+        total += table.star(n - t * s * s) * even_chebyshev(m, t * s * s, n)
+    return comb(2 * m, m) * total / 4**m
+
+
+def _class_sum_by_loop(m: int, p: int, star_at) -> Fraction:
+    q = 4 * p
+    total = Fraction(0)
+    for s in range(2, isqrt(q - 1) + 1, 2):
+        total += star_at(s) * even_chebyshev(m, s * s, q)
+    return total / q**m
+
+
+def class_sum_a_by_loop(m: int, p: int, table) -> Fraction:
+    return _class_sum_by_loop(m, p, lambda s: 2 * table.star(p - (s // 2) ** 2))
+
+
+def class_sum_b_by_loop(m: int, p: int, table) -> Fraction:
+    return _class_sum_by_loop(m, p, lambda s: table.star(4 * p - s * s))
+
+
+def moment_rhs_by_loop(table, p: int, n: int, twisted: bool = False) -> Fraction:
+    total = Fraction(0)
+    for s in range(2, isqrt(4 * p - 1) + 1, 2):
+        small = table.star(p - (s // 2) ** 2)  # (4p - s^2)/4
+        big = table.star(4 * p - s * s)
+        weight = 4 * small - big if twisted else 2 * small + big
+        total += weight * s ** (2 * n)
+    return total - c_pm(p, n, "-" if twisted else "+")
+
+
+def multiplicity_rhs_by_loop(table, p: int) -> dict[int, tuple[Fraction, Fraction]]:
+    squares = two_squares(p)
+    ta, tb = (2 * squares[0], 2 * squares[1]) if squares else (0, 0)
+    rhs = {}
+    for s in range(1, isqrt(4 * p) + 1):
+        if s % 2:
+            rhs[s] = (Fraction(0), Fraction(0))
+            continue
+        small = table.star(p - (s // 2) ** 2)
+        big = table.star(4 * p - s * s)
+        hit_a, hit_b = int(s == ta), int(s == tb)
+        rhs[s] = (
+            2 * small + big - Fraction(hit_a + hit_b, 2),
+            4 * small - big - Fraction(hit_a - hit_b, 2),
+        )
+    return rhs
