@@ -10,16 +10,23 @@ from .brackets import (
     mertens_coeff,
     pihol_coeff,
 )
-from .clausen import AValue, TraceTable, a_value, build_trace_table, chebyshev_sum, clausen_trace, moment
+from .clausen import (
+    AValue,
+    TraceSummary,
+    TraceTable,
+    a_value,
+    build_trace_table,
+    chebyshev_sum,
+    clausen_trace,
+    moment,
+)
 from .field import FieldContext, is_prime, make_context, two_squares
 from .hurwitz import (
     HurwitzTable,
     SparseHurwitzTable,
     build_hurwitz_table,
-    c_pm,
     class_number,
     identity_table,
-    moment_rhs,
     multiplicity_rhs,
     twelve_h_at,
 )
@@ -45,13 +52,13 @@ __all__ = [
     "HurwitzTable",
     "IntervalCounts",
     "SparseHurwitzTable",
+    "TraceSummary",
     "TraceTable",
     "TrigPolynomial",
     "a_value",
     "bracket_coeff",
     "build_hurwitz_table",
     "build_trace_table",
-    "c_pm",
     "chebyshev_closed",
     "chebyshev_coeffs",
     "chebyshev_eval",
@@ -72,7 +79,6 @@ __all__ = [
     "make_context",
     "mertens_coeff",
     "moment",
-    "moment_rhs",
     "multiplicity_rhs",
     "mu_bat",
     "mu_st",

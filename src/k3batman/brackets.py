@@ -11,8 +11,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, isqrt
+from typing import TYPE_CHECKING
 
-from .hurwitz import HurwitzTable
+if TYPE_CHECKING:  # hurwitz imports clausen, which imports this module
+    from .hurwitz import HurwitzTable
 
 
 @lru_cache(maxsize=None)

@@ -35,14 +35,9 @@ class TraceTable:
             yield i + 1, int(self.traces[i]), int(self.signs[i])
 
     @cached_property
-    def multiplicities(self) -> np.ndarray:
-        """Read-only counts ``[s, 0]`` / ``[s, 1]`` of lambda with |a_lambda| = s
-        and phi(-lambda) = +1 / -1, for 0 <= s <= isqrt(4p).
-
-        Every statistic reads a trace only through a^2 and the sign, so these
-        about 2 sqrt(p) pairs stand in for the p-2 entries. Raises
-        ArithmeticError when a trace breaks the Hasse bound.
-        """
+    def multiplicities(self) -> TraceSummary:
+        """The TraceSummary of this table; raises ArithmeticError when a trace
+        breaks the Hasse bound."""
         bound = math.isqrt(4 * self.p)
         magnitudes = np.abs(self.traces)
         if magnitudes.size and int(magnitudes.max()) > bound:
@@ -50,14 +45,46 @@ class TraceTable:
                 f"Hasse bound violated at p={self.p}: |a| = {int(magnitudes.max())} > {bound}"
             )
         counts = np.bincount(2 * magnitudes + (self.signs < 0), minlength=2 * bound + 2)
-        counts = counts.reshape(bound + 1, 2)
+        return TraceSummary(self.p, counts.reshape(bound + 1, 2))
+
+
+@dataclass(frozen=True)
+class TraceSummary:
+    """Counts ``counts[s, 0]`` / ``counts[s, 1]`` of lambda = 1..p-2 with
+    |a_lambda| = s and phi(-lambda) = +1 / -1, for 0 <= s <= isqrt(4p).
+
+    Every statistic reads a trace only through a^2 and the sign, so these
+    about 2 sqrt(p) pairs stand in for the p-2 entries. The counts are kept
+    as a read-only int64 copy.
+    """
+
+    p: int
+    counts: np.ndarray
+
+    def __post_init__(self):
+        counts = np.array(self.counts, dtype=np.int64)
         counts.setflags(write=False)
-        return counts
+        object.__setattr__(self, "counts", counts)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TraceSummary):
+            return NotImplemented
+        return self.p == other.p and np.array_equal(self.counts, other.counts)
 
     def weights(self, twisted: bool = False) -> list[int]:
         """Per |a| = s, the number of lambda, or their phi(-lambda)-signed sum."""
-        plus, minus = self.multiplicities.T
+        plus, minus = self.counts.T
         return (plus - minus if twisted else plus + minus).tolist()
+
+    @cached_property
+    def numerators(self) -> np.ndarray:
+        """Read-only p A_lambda(p) of each cell: s^2 - p for phi(-lambda) = +1
+        and p - s^2 for -1."""
+        s = np.arange(len(self.counts), dtype=np.int64)
+        plus = s * s - self.p
+        num = np.stack((plus, -plus), axis=1)
+        num.setflags(write=False)
+        return num
 
 
 def clausen_trace(ctx: FieldContext, lam: int) -> int:
@@ -164,7 +191,7 @@ def a_value(ctx: FieldContext, mu: int, trace: int | None = None) -> AValue:
     return AValue(mu, value)
 
 
-def moment(table: TraceTable, n: int, twisted: bool = False) -> int:
+def moment(summary: TraceSummary, n: int, twisted: bool = False) -> int:
     """Exact 2n-th power moment, optionally twisted by phi(-lambda).
 
     Summed over the distinct |a| in Python integers: a^(2n) reaches (4p)^n,
@@ -172,10 +199,10 @@ def moment(table: TraceTable, n: int, twisted: bool = False) -> int:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return sum(w * s ** (2 * n) for s, w in enumerate(table.weights(twisted)) if w)
+    return sum(w * s ** (2 * n) for s, w in enumerate(summary.weights(twisted)) if w)
 
 
-def chebyshev_sum(table: TraceTable, m: int, twisted: bool = False) -> Fraction:
+def chebyshev_sum(summary: TraceSummary, m: int, twisted: bool = False) -> Fraction:
     """Exact sum of U_{2m}(a_lambda / 2 sqrt(p)), optionally twisted.
 
     Only even powers of the argument occur, so each term is a rational with
@@ -183,7 +210,7 @@ def chebyshev_sum(table: TraceTable, m: int, twisted: bool = False) -> Fraction:
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    q = 4 * table.p
-    weights = table.weights(twisted)
+    q = 4 * summary.p
+    weights = summary.weights(twisted)
     total = sum(w * even_chebyshev(m, s * s, q) for s, w in enumerate(weights) if w)
     return Fraction(total, q**m)

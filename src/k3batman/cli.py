@@ -13,7 +13,7 @@ import numpy as np
 
 from . import brackets, cache, hurwitz, measures, selberg, stats, svg
 from .clausen import TraceTable, build_trace_table, moment
-from .field import inverses, make_context, require_prime
+from .field import inverses, make_context, require_inverse_range, require_prime
 
 _REPORT_HEADER = "lo,hi,empirical,target,gap,bound,pass"
 
@@ -168,8 +168,9 @@ def cmd_traces(args) -> int:
 
 def cmd_avalues(args) -> int:
     p = args.p
+    require_inverse_range(p)
+    table = _get_trace_table(p, args.cache_dir)  # before the inverses: it holds the memory guard
     inv = inverses(p)  # of mu + 1 = 2..p-1, so lambda = -(mu+1)^(-1) = p - inv
-    table = _get_trace_table(p, args.cache_dir)
     index = p - 1 - inv  # lambda - 1
     a = table.traces[index]
     num = table.signs[index] * (a * a - p)  # p * A_mu(p)
@@ -182,21 +183,21 @@ def cmd_avalues(args) -> int:
 def cmd_hist(args) -> int:
     table = _get_trace_table(args.p, args.cache_dir)
     spec = svg.HistogramSpec(args.p, args.bins, overlay=args.overlay)
-    _write_text(args.out, svg.render_histogram(table, spec))
+    _write_text(args.out, svg.render_histogram(table.multiplicities, spec))
     return 0
 
 
 def cmd_verify_moments(args) -> int:
-    table = _get_trace_table(args.p, args.cache_dir)
-    htable = hurwitz.identity_table(args.p)
+    summary = _get_trace_table(args.p, args.cache_dir).multiplicities
+    expected = hurwitz.multiplicity_rhs(hurwitz.identity_table(args.p), args.p)
     ok = True
     # every line is computed before any is printed, so a run stopped by an
     # internal check leaves nothing on stdout
     lines = [f"moment identities at p={args.p}, n <= {args.nmax}"]
     for n in range(1, args.nmax + 1):
         for twisted in (False, True):
-            lhs = moment(table, n, twisted)
-            rhs = hurwitz.moment_rhs(htable, args.p, n, twisted)
+            lhs = moment(summary, n, twisted)
+            rhs = moment(expected, n, twisted)
             good = rhs == lhs
             ok &= good
             kind = "twisted" if twisted else "untwisted"
@@ -207,18 +208,19 @@ def cmd_verify_moments(args) -> int:
 
 
 def cmd_verify_multiplicities(args) -> int:
-    """#{lambda : |a_lambda| = s}, plain and phi-signed, against class numbers
-    at every 0 < s <= isqrt(4p): the moment identities for every n at once."""
+    """The trace summary against the class-number summary, row by row: the
+    moment identities for every n at once."""
     p = args.p
-    table = _get_trace_table(p, args.cache_dir)
+    summary = _get_trace_table(p, args.cache_dir).multiplicities
     expected = hurwitz.multiplicity_rhs(hurwitz.identity_table(p), p)
-    plain, signed = table.weights(), table.weights(twisted=True)
-    for s, (rhs_plain, rhs_signed) in expected.items():
-        if (plain[s], signed[s]) != (rhs_plain, rhs_signed):
+    rows = zip(summary.weights(), summary.weights(twisted=True),
+               expected.weights(), expected.weights(twisted=True))
+    for s, (plain, signed, rhs_plain, rhs_signed) in enumerate(rows):
+        if (plain, signed) != (rhs_plain, rhs_signed):
             print(f"multiplicity identity at p={p} FAILS first at s={s}: "
-                  f"counts {plain[s]}, {signed[s]} vs class numbers {rhs_plain}, {rhs_signed}")
+                  f"counts {plain}, {signed} vs class numbers {rhs_plain}, {rhs_signed}")
             return 1
-    print(f"multiplicity identities at p={p}: all hold for 0 < s <= {max(expected)}")
+    print(f"multiplicity identities at p={p}: all hold for 0 < s <= {len(summary.counts) - 1}")
     return 0
 
 
@@ -277,11 +279,11 @@ def _grids_for(which: str, k: int, seed: int | None):
 
 
 def cmd_verify_distribution(args) -> int:
-    table = _get_trace_table(args.p, args.cache_dir)
+    summary = _get_trace_table(args.p, args.cache_dir).multiplicities
     ok = True
     for which in stats.STATISTICS:
         grid = _grids_for(which, args.grid, args.seed)
-        report = stats.discrepancy_report(table, grid, which)
+        report = stats.discrepancy_report(summary, grid, which)
         ok &= report.all_pass
         print(f"{which}: {len(report.rows)} rows, max gap {report.max_gap:.6f}, "
               f"{'all pass' if report.all_pass else 'BOUND EXCEEDED'}")
@@ -372,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_hist = sub.add_parser("hist", help="render an SVG histogram of A-values")
     p_hist.add_argument("--p", type=int, required=True)
-    p_hist.add_argument("--bins", type=int, required=True)
+    p_hist.add_argument("--bins", type=_positive_int, required=True)
     p_hist.add_argument("--overlay", action="store_true",
                         help="draw the limiting density over the bars")
     _add_common(p_hist, fmt=False)

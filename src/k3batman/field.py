@@ -128,6 +128,13 @@ def power_table(g: int, p: int) -> np.ndarray:
     return powers
 
 
+def require_inverse_range(p: int) -> None:
+    """Raise ValueError unless p is a prime >= 5 with p^2 < 2^63."""
+    require_prime(p)
+    if p * p >= 1 << 63:
+        raise ValueError(f"p={p} is too large: inverses in int64 need p^2 < 2^63")
+
+
 def inverses(p: int) -> np.ndarray:
     """Inverses mod p of x = 2..p-1; ``inverses(p)[i]`` belongs to x = i + 2.
 
@@ -136,9 +143,7 @@ def inverses(p: int) -> np.ndarray:
     with p^2 < 2^63, and ArithmeticError unless x * inverse = 1 (mod p) for
     every x.
     """
-    require_prime(p)
-    if p * p >= 1 << 63:
-        raise ValueError(f"p={p} is too large: inverses in int64 need p^2 < 2^63")
+    require_inverse_range(p)
     powers = power_table(primitive_root(p), p)
     table = np.zeros(p, dtype=np.int64)  # an x no power reaches keeps 0 and fails the check
     table[powers] = np.roll(powers[::-1], 1)  # g^k -> g^((p-1-k) mod (p-1))

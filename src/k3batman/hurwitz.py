@@ -1,4 +1,4 @@
-"""Exact Hurwitz class numbers and the class-number sides of the moment identities."""
+"""Exact Hurwitz class numbers and the trace-multiplicity summary they give."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from operator import mul
 
 import numpy as np
 
+from .clausen import TraceSummary
 from .field import require_prime, two_squares
 
 
@@ -286,64 +287,35 @@ def identity_table(p: int) -> SparseHurwitzTable:
     return SparseHurwitzTable(4 * p, dict(zip(discriminants.tolist(), values.tolist())))
 
 
-def c_pm(p: int, n: int, sign: str) -> int:
-    """((2a)^(2n) +- (2b)^(2n)) / 2 from the two-square decomposition of p,
-    zero when p = 3 (mod 4)."""
-    if sign not in ("+", "-"):
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    squares = two_squares(p)
-    if squares is None:
-        return 0
-    a, b = squares
-    ta, tb = (2 * a) ** (2 * n), (2 * b) ** (2 * n)
-    return (ta + tb) // 2 if sign == "+" else (ta - tb) // 2
+def multiplicity_rhs(table: HurwitzTable, p: int) -> TraceSummary:
+    """The trace-multiplicity summary at p, from class numbers alone.
 
+    Zero for odd s. For even s = 2k > 0, with N = p - k^2 and p = a^2 + b^2
+    (a odd; no bracket terms when p = 3 (mod 4)),
 
-def multiplicity_rhs(table: HurwitzTable, p: int) -> dict[int, tuple[Fraction, Fraction]]:
-    """Class-number side of #{lambda : |a_lambda| = s}, plain and
-    phi(-lambda)-signed, for every 0 < s <= isqrt(4p).
+        #{phi(-lambda) = +1} = 3 H*(N) - [s = 2a] / 2,
+        #{phi(-lambda) = -1} = H*(4N) - H*(N) - [s = 2b] / 2;
 
-    Zero for odd s. For even s, the weights of ``moment_rhs``,
-    2 H*((4p-s^2)/4) + H*(4p-s^2) and 4 H*((4p-s^2)/4) - H*(4p-s^2), less
-    ([s = 2a] +- [s = 2b]) / 2 for p = a^2 + b^2 with a odd: each moment
-    identity is the sum of these times s^(2n).
+    their sum and difference carry the weights 2 H*(N) + H*(4N) and
+    4 H*(N) - H*(4N) of the moment identities. The s = 0 row makes up the
+    column totals: the p - 2 signs phi(-lambda) sum to -1, so (p - 3) / 2 of
+    them are +1 and (p - 1) / 2 are -1.
+
+    Raises ArithmeticError if a count comes out negative or not an integer.
     """
     if table.d_max < 4 * p:
         raise ValueError(f"table covers D <= {table.d_max}, need 4p = {4 * p}")
     squares = two_squares(p)
     ta, tb = (2 * squares[0], 2 * squares[1]) if squares else (0, 0)
-    rhs = {}
-    for s in range(1, math.isqrt(4 * p) + 1):
-        if s % 2:
-            rhs[s] = (Fraction(0), Fraction(0))
-            continue
-        small = table.twelve(p - (s // 2) ** 2)  # (4p - s^2)/4
+    twelfths = np.zeros((math.isqrt(4 * p) + 1, 2), dtype=np.int64)  # 12 times each count
+    for s in range(2, len(twelfths), 2):
+        small = table.twelve(p - (s // 2) ** 2)
         big = table.twelve(4 * p - s * s)
-        hit_a, hit_b = int(s == ta), int(s == tb)
-        rhs[s] = (
-            Fraction(2 * small + big - 6 * (hit_a + hit_b), 12),
-            Fraction(4 * small - big - 6 * (hit_a - hit_b), 12),
-        )
-    return rhs
-
-
-def moment_rhs(table: HurwitzTable, p: int, n: int, twisted: bool = False) -> Fraction:
-    """Class-number side of the 2n-th (twisted) trace moment, exact.
-
-    Runs over even s with 0 < s < 2 sqrt(p); weights are
-    2 H*((4p-s^2)/4) + H*(4p-s^2) untwisted and
-    4 H*((4p-s^2)/4) - H*(4p-s^2) twisted, minus the two-square correction.
-    With s = 2k, each is 4^n times the power sums of 12 H*(p - k^2) and
-    12 H*(4(p - k^2)) over 0 < k < sqrt(p), in integers, with one Fraction at
-    the end.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if table.d_max < 4 * p:
-        raise ValueError(f"table covers D <= {table.d_max}, need 4p = {4 * p}")
-    small = table.power_sums(1, p, n)[n]
-    big = table.power_sums(4, 4 * p, n)[n]
-    weight = 4 * small - big if twisted else 2 * small + big
-    return Fraction(4**n * weight, 12) - c_pm(p, n, "-" if twisted else "+")
+        twelfths[s] = 3 * small - 6 * (s == ta), big - small - 6 * (s == tb)
+    twelfths[0] = 6 * (p - 3) - twelfths[:, 0].sum(), 6 * (p - 1) - twelfths[:, 1].sum()
+    counts, rest = np.divmod(twelfths, 12)
+    bad = np.flatnonzero((rest != 0).any(axis=1) | (counts < 0).any(axis=1))
+    if bad.size:
+        raise ArithmeticError(
+            f"class numbers give a negative or fractional count at |a| = {bad[0]}, p={p}")
+    return TraceSummary(p, counts)

@@ -106,9 +106,9 @@ def proof_bound_audit(p: int, twisted: bool = False) -> BoundAudit:
     lhs = 4.0 * p / (M + 1)
     for m in range(1, M + 1):
         if twisted:
-            term = 2.0 * (m - 1) * sqrt_p + (2 * m + 1) + 3.0 / float(p) ** m
+            term = 2.0 * (m - 1) * sqrt_p + (2 * m + 1) + 3.0 * float(p) ** -m
         else:
-            term = 4.0 / 3.0 * (m - 1) * sqrt_p + (2 * m + 1) + 2.0 / float(p) ** m
+            term = 4.0 / 3.0 * (m - 1) * sqrt_p + (2 * m + 1) + 2.0 * float(p) ** -m
         lhs += 8.0 / m * term
     constant = 28.89 if twisted else 26.52
     rhs = constant * p**0.75

@@ -6,9 +6,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .clausen import TraceTable
+from .clausen import TraceSummary
 from .measures import mu_bat, mu_st
 
 STATISTICS = ("clausen_N", "clausen_Hpm", "clausen_M", "batman")
@@ -42,23 +40,15 @@ class IntervalCounts:
     h_minus: int
 
 
-def _squares(table: TraceTable) -> np.ndarray:
-    """s^2 for each row s of ``table.multiplicities``."""
-    s = np.arange(len(table.multiplicities), dtype=np.int64)
-    return s * s
-
-
-def _count_squared(table: TraceTable, lo_sq: Fraction, hi_sq: Fraction) -> IntervalCounts:
-    p = table.p
-    lo_cut = math.ceil(4 * p * lo_sq)
-    hi_cut = math.floor(4 * p * hi_sq)
-    a2 = _squares(table)
-    inside = (a2 >= lo_cut) & (a2 <= hi_cut)
-    h_plus, h_minus = table.multiplicities[inside].sum(axis=0).tolist()
+def _count_squared(summary: TraceSummary, lo_sq: Fraction, hi_sq: Fraction) -> IntervalCounts:
+    p = summary.p
+    squares = summary.numerators[:, 0] + p  # s^2 from the + column's s^2 - p
+    inside = (squares >= math.ceil(4 * p * lo_sq)) & (squares <= math.floor(4 * p * hi_sq))
+    h_plus, h_minus = summary.counts[inside].sum(axis=0).tolist()
     return IntervalCounts(h_plus + h_minus, h_plus - h_minus, h_plus, h_minus)
 
 
-def interval_counts_squared(table: TraceTable, lo_sq, hi_sq) -> IntervalCounts:
+def interval_counts_squared(summary: TraceSummary, lo_sq, hi_sq) -> IntervalCounts:
     """Counts with the endpoints given as exact squared bounds.
 
     Membership means lo_sq <= (a/2 sqrt(p))^2 <= hi_sq, decided through the
@@ -68,19 +58,19 @@ def interval_counts_squared(table: TraceTable, lo_sq, hi_sq) -> IntervalCounts:
     lo_sq, hi_sq = as_rational(lo_sq), as_rational(hi_sq)
     if not 0 <= lo_sq < hi_sq <= 1:
         raise ValueError(f"need 0 <= lo^2 < hi^2 <= 1, got [{lo_sq}, {hi_sq}]")
-    return _count_squared(table, lo_sq, hi_sq)
+    return _count_squared(summary, lo_sq, hi_sq)
 
 
-def interval_counts(table: TraceTable, lo, hi) -> IntervalCounts:
+def interval_counts(summary: TraceSummary, lo, hi) -> IntervalCounts:
     """Counts of lambda with |a_lambda| / 2 sqrt(p) in [lo, hi] in [0, 1]:
     total N, character-signed M, and the per-sign counts H+-."""
     lo, hi = as_rational(lo), as_rational(hi)
     if not 0 <= lo < hi <= 1:
         raise ValueError(f"need 0 <= lo < hi <= 1, got [{lo}, {hi}]")
-    return _count_squared(table, lo * lo, hi * hi)
+    return _count_squared(summary, lo * lo, hi * hi)
 
 
-def empirical_A_count(table: TraceTable, lo, hi) -> int:
+def empirical_A_count(summary: TraceSummary, lo, hi) -> int:
     """Number of mu with A_mu(p) in [lo, hi], decided on exact rationals.
 
     Counting over mu equals counting over lambda because the reindexing map
@@ -89,14 +79,10 @@ def empirical_A_count(table: TraceTable, lo, hi) -> int:
     lo, hi = as_rational(lo), as_rational(hi)
     if not -3 <= lo < hi <= 3:
         raise ValueError(f"need -3 <= lo < hi <= 3, got [{lo}, {hi}]")
-    p = table.p
-    lo_cut = math.ceil(p * lo)
-    hi_cut = math.floor(p * hi)
-    plus, minus = table.multiplicities.T
-    values = _squares(table) - p  # p * A_lambda for phi(-lambda) = +1; negated for -1
-    total = plus[(values >= lo_cut) & (values <= hi_cut)].sum()
-    total += minus[(-values >= lo_cut) & (-values <= hi_cut)].sum()
-    return int(total)
+    p = summary.p
+    num = summary.numerators
+    inside = (num >= math.ceil(p * lo)) & (num <= math.floor(p * hi))
+    return int(summary.counts[inside].sum())
 
 
 @dataclass(frozen=True)
@@ -125,7 +111,7 @@ def _batman_bound(lo: Fraction, hi: Fraction, scale: float) -> float:
     return _BOUND_BAT / scale
 
 
-def discrepancy_report(table: TraceTable, grid, which: str) -> DiscrepancyReport:
+def discrepancy_report(summary: TraceSummary, grid, which: str) -> DiscrepancyReport:
     """Per-interval gaps between empirical frequencies and the limit measure.
 
     ``which`` selects the statistic: total counts against twice the
@@ -135,18 +121,18 @@ def discrepancy_report(table: TraceTable, grid, which: str) -> DiscrepancyReport
     """
     if which not in STATISTICS:
         raise ValueError(f"unknown statistic {which!r}; choose from {STATISTICS}")
-    p = table.p
+    p = summary.p
     scale = p**0.25
     rows: list[ReportRow] = []
     for raw_lo, raw_hi in grid:
         lo, hi = as_rational(raw_lo), as_rational(raw_hi)
         if which == "batman":
-            count = empirical_A_count(table, lo, hi)
+            count = empirical_A_count(summary, lo, hi)
             target = mu_bat(float(lo), float(hi))
             bound = _batman_bound(lo, hi, scale)
             _append_row(rows, p, lo, hi, count, target, bound)
             continue
-        counts = interval_counts(table, lo, hi)
+        counts = interval_counts(summary, lo, hi)
         if which == "clausen_N":
             target = 2.0 * mu_st(float(lo), float(hi))
             _append_row(rows, p, lo, hi, counts.n_total, target, _BOUND_N / scale)

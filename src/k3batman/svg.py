@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .clausen import TraceTable
+from .clausen import TraceSummary
 from .measures import density_f
 
 WIDTH, HEIGHT = 720, 440
@@ -26,38 +26,34 @@ class HistogramSpec:
     overlay: bool = False
 
 
-def histogram_counts(table: TraceTable, bins: int) -> list[int]:
+def histogram_counts(summary: TraceSummary, bins: int) -> list[int]:
     """Exact bin assignment of the p-2 A-values; the buckets are left-closed
     with the last one absorbing A = 3.
 
-    Each (|a|, sign) pair of ``table.multiplicities`` is one A-value, binned
-    once and counted with its multiplicity.
+    Each cell of the summary is one A-value, binned once and counted with
+    its multiplicity.
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    p = table.p
-    counts = [0] * bins
-    six_p = 6 * p
-    for s, pair in enumerate(table.multiplicities.tolist()):
-        for num, count in zip((s * s - p, p - s * s), pair):  # p * A_lambda
-            if not count:
-                continue
-            if abs(num) > 3 * p:
-                raise ArithmeticError(
-                    f"A-value {num}/{p} outside [-3, 3]: Hasse bound violated"
-                )
-            idx = (num + 3 * p) * bins // six_p
-            counts[min(idx, bins - 1)] += count
-    return counts
+    p = summary.p
+    if 6 * p * bins > np.iinfo(np.int64).max:
+        raise ValueError(f"bins={bins} is too many for p={p}")
+    filled = summary.counts > 0
+    num = summary.numerators[filled]  # p * A_lambda
+    if np.abs(num).max(initial=0) > 3 * p:
+        raise ArithmeticError(f"an A-value escapes [-3, 3] at p={p}: Hasse bound violated")
+    counts = np.zeros(bins, dtype=np.int64)
+    np.add.at(counts, np.minimum((num + 3 * p) * bins // (6 * p), bins - 1), summary.counts[filled])
+    return counts.tolist()
 
 
 def _fmt(x: float) -> str:
     return format(x, ".4f")
 
 
-def render_histogram(table: TraceTable, spec: HistogramSpec) -> str:
+def render_histogram(summary: TraceSummary, spec: HistogramSpec) -> str:
     """Standalone SVG document; output is a pure function of the inputs."""
-    counts = histogram_counts(table, spec.bins)
+    counts = histogram_counts(summary, spec.bins)
     p, bins = spec.p, spec.bins
     bin_width = 6.0 / bins
     heights = [c / (p * bin_width) for c in counts]

@@ -24,8 +24,8 @@ from k3batman import (
     eval_trig,
     interval_counts_squared,
     moment,
-    moment_rhs,
     mu_bat,
+    multiplicity_rhs,
     optimal_delta,
     pihol_coeff,
     selberg_pair,
@@ -44,16 +44,17 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_01_moment_identities(trace_tables_1000, hurwitz_4000):
     anchors = (
-        moment(trace_tables_1000[5], 1),
-        moment(trace_tables_1000[5], 1, twisted=True),
-        moment(trace_tables_1000[5], 2),
+        moment(trace_tables_1000[5].multiplicities, 1),
+        moment(trace_tables_1000[5].multiplicities, 1, twisted=True),
+        moment(trace_tables_1000[5].multiplicities, 2),
     )
     assert anchors == (8, 0, 32)
     checked = 0
     for p, table in trace_tables_1000.items():
+        expected = multiplicity_rhs(hurwitz_4000, p)
         for n in range(1, 6):
             for twisted in (False, True):
-                if moment(table, n, twisted) != moment_rhs(hurwitz_4000, p, n, twisted):
+                if moment(table.multiplicities, n, twisted) != moment(expected, n, twisted):
                     _report("criterion 01 moment identities", False,
                             f"mismatch at p={p}, n={n}, twisted={twisted}")
                 checked += 1
@@ -142,7 +143,7 @@ def test_criterion_07_split_identity(trace_tables_1000):
             intervals.append((Fraction(lo, den), Fraction(hi, den)))
     primes = [p for p in trace_tables_1000 if p <= 200]
     for p in primes:
-        table = trace_tables_1000[p]
+        table = trace_tables_1000[p].multiplicities
         for a, b in intervals:
             direct = empirical_A_count(table, a, b)
             plus = interval_counts_squared(table, (1 + a) / 4, (1 + b) / 4)
@@ -163,7 +164,7 @@ def test_criterion_08_example_prime(table_93283):
     }
     gaps = {}
     for which, grid in grids.items():
-        report = discrepancy_report(table_93283, grid, which)
+        report = discrepancy_report(table_93283.multiplicities, grid, which)
         if not report.all_pass:
             _report("criterion 08 example prime", False, f"{which} exceeded its bound")
         gaps[which] = report.max_gap
@@ -171,7 +172,7 @@ def test_criterion_08_example_prime(table_93283):
         _report("criterion 08 example prime", False,
                 f"batman max_gap {gaps['batman']:.4f} above the expected scale")
     # the ear bins (the ones containing t = -1 and t = +1) dominate the histogram
-    counts = histogram_counts(table_93283, 61)
+    counts = histogram_counts(table_93283.multiplicities, 61)
     spikes = sorted(range(61), key=lambda i: -counts[i])[:2]
     if set(spikes) != {20, 40}:
         _report("criterion 08 example prime", False,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from k3batman import (
+    TraceSummary,
     TraceTable,
     a_value,
     build_hurwitz_table,
@@ -61,7 +62,9 @@ def test_verify_moments_exit_code_and_report(capsys):
 def test_verify_moments_failure_exit(monkeypatch, capsys):
     from k3batman import cli
 
-    monkeypatch.setattr(cli.hurwitz, "moment_rhs", lambda *a, **k: -999)
+    # a wrong but integral class-number summary: one lambda at every (s, sign)
+    monkeypatch.setattr(cli.hurwitz, "multiplicity_rhs",
+                        lambda table, p: TraceSummary(p, np.ones((math.isqrt(4 * p) + 1, 2))))
     assert dispatch(["verify", "moments", "--p", "5", "--nmax", "1"]) == 1
     assert "MISMATCH" in capsys.readouterr().out
 
@@ -148,6 +151,16 @@ def test_audit_constants(capsys):
     assert "simplified" in output
 
 
+@pytest.mark.parametrize("p", [10000019, 100000007])
+def test_audit_constants_at_large_p(p, capsys):
+    # p^m overflows a float at these p; the audit reads p^-m, which underflows to 0
+    assert dispatch(["audit-constants", "--p", str(p)]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 3 and all(line.endswith(" pass") for line in lines)
+    assert captured.err == ""
+
+
 def test_ears_output(capsys):
     assert dispatch(["ears", "--T", "10"]) == 0
     output = capsys.readouterr().out
@@ -200,8 +213,11 @@ def test_composite_p_is_usage_error_everywhere(argv, capsys):
      ["verify", "brackets", "--p", "5", "--mmax", "0"],
      ["verify", "brackets", "--p", "5", "--mmax", "-3"],
      ["verify", "distribution", "--p", "101", "--grid", "0", "--seed", "1"],
-     ["verify", "distribution", "--p", "101", "--grid", "-3", "--seed", "1"]],
-    ids=["nmax-0", "mmax-0", "mmax-negative", "grid-0", "grid-negative"],
+     ["verify", "distribution", "--p", "101", "--grid", "-3", "--seed", "1"],
+     ["hist", "--p", "101", "--bins", "0"],
+     ["hist", "--p", "101", "--bins", "-3"]],
+    ids=["nmax-0", "mmax-0", "mmax-negative", "grid-0", "grid-negative", "bins-0",
+         "bins-negative"],
 )
 def test_empty_verification_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -291,16 +307,28 @@ def test_cache_round_trip_via_cli(tmp_path):
 
 
 def test_histogram_rejects_out_of_range_values():
-    import numpy as np
-
-    from k3batman.clausen import TraceTable
     from k3batman.svg import histogram_counts
 
     broken = TraceTable(
         5, np.array([9, 0, 2], dtype=np.int64), np.array([1, -1, -1], dtype=np.int8)
     )
     with pytest.raises(ArithmeticError, match="Hasse"):
-        histogram_counts(broken, 10)
+        histogram_counts(broken.multiplicities, 10)
+    # a summary with a row past isqrt(4p) reaches the histogram's own guard
+    counts = np.zeros((10, 2), dtype=np.int64)
+    counts[[0, 2, 9], [1, 1, 0]] = 1
+    with pytest.raises(ArithmeticError, match="Hasse"):
+        histogram_counts(TraceSummary(5, counts), 10)
+    counts[9, 0] = 0  # an empty cell past the bound is no A-value
+    assert histogram_counts(TraceSummary(5, counts), 6) == [0, 0, 0, 1, 1, 0]  # A = 1/5, 1
+
+
+def test_histogram_refuses_bins_past_int64():
+    from k3batman.svg import histogram_counts
+
+    summary = build_trace_table(make_context(5)).multiplicities
+    with pytest.raises(ValueError, match="too many"):
+        histogram_counts(summary, (1 << 63) // 30 + 1)
 
 
 def test_trace_cache_round_trip(tmp_path):
@@ -434,6 +462,17 @@ def test_verify_multiplicities_names_first_mismatch(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith(f"multiplicity identity at p={p} FAILS first at s=8: counts ")
     assert out.count("\n") == 1
+
+
+def test_verify_multiplicities_checks_the_zero_row(tmp_path, capsys):
+    p = 101
+    table = build_trace_table(make_context(p))
+    index = int(np.flatnonzero(table.traces == 0)[0])
+    cache_dir = _cache_with_trace(tmp_path, p, index, 2)  # |a| 0 -> 2
+    argv = ["verify", "multiplicities", "--p", str(p), "--cache-dir", cache_dir]
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().out.startswith(
+        f"multiplicity identity at p={p} FAILS first at s=0: counts ")
 
 
 @pytest.mark.parametrize(
@@ -636,6 +675,22 @@ def test_memory_guard_passes_unknown_memory_and_cache_hits(tmp_path, monkeypatch
     assert dispatch(argv) == 0  # read from the cache: nothing to build
     assert capsys.readouterr().out == expected
     assert dispatch(["traces", "--p", "103"]) == 2
+
+
+def test_memory_guard_refuses_avalues_before_its_inverses(monkeypatch, capsys):
+    from k3batman import cli
+
+    def never(*args):
+        raise AssertionError("allocated past the memory guard")
+
+    monkeypatch.setattr(cli, "_available_memory", lambda: 1 << 20)
+    monkeypatch.setattr(cli, "inverses", never)
+    monkeypatch.setattr(cli, "make_context", never)
+    assert dispatch(["avalues", "--p", "1000003"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: p=1000003 needs about 85 MB to build the trace table, "
+                            "but only 1 MB is available\n")
 
 
 def test_available_memory_reads_the_machine():

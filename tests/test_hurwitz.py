@@ -8,15 +8,14 @@ import pytest
 from k3batman import (
     build_hurwitz_table,
     build_trace_table,
-    c_pm,
     class_number,
     identity_table,
     make_context,
     moment,
-    moment_rhs,
+    multiplicity_rhs,
     twelve_h_at,
 )
-from util import hurwitz_star_by_divisors, primes_up_to
+from util import c_pm, hurwitz_star_by_divisors, primes_up_to
 
 SPOT_VALUES = {
     0: Fraction(-1, 12),
@@ -82,23 +81,25 @@ def test_c_pm_examples():
 
 
 def test_moment_rhs_examples(hurwitz_4000):
-    assert moment_rhs(hurwitz_4000, 5, 1) == 8
-    assert moment_rhs(hurwitz_4000, 5, 1, twisted=True) == 0
-    assert moment_rhs(hurwitz_4000, 5, 2) == 32
+    expected = multiplicity_rhs(hurwitz_4000, 5)
+    assert moment(expected, 1) == 8
+    assert moment(expected, 1, twisted=True) == 0
+    assert moment(expected, 2) == 32
 
 
 def test_moment_rhs_range_check():
     small = build_hurwitz_table(10)
     with pytest.raises(ValueError):
-        moment_rhs(small, 5, 1)
+        multiplicity_rhs(small, 5)
 
 
 @pytest.mark.parametrize("twisted", [False, True])
 def test_moment_identity_small_primes(hurwitz_4000, twisted):
     for p in [p for p in primes_up_to(200) if p >= 5]:
-        table = build_trace_table(make_context(p))
+        counts = build_trace_table(make_context(p)).multiplicities
+        expected = multiplicity_rhs(hurwitz_4000, p)
         for n in range(1, 6):
-            assert moment(table, n, twisted) == moment_rhs(hurwitz_4000, p, n, twisted)
+            assert moment(counts, n, twisted) == moment(expected, n, twisted)
 
 
 def test_sparse_kernel_matches_dense_table():
@@ -158,7 +159,7 @@ def test_identity_table_rejects_non_primes(p):
 @pytest.mark.parametrize("twisted", [False, True])
 def test_moment_identity_on_identity_table(twisted):
     for p in [p for p in primes_up_to(200) if p >= 5]:
-        table = build_trace_table(make_context(p))
-        sparse = identity_table(p)
+        counts = build_trace_table(make_context(p)).multiplicities
+        expected = multiplicity_rhs(identity_table(p), p)
         for n in range(1, 4):
-            assert moment(table, n, twisted) == moment_rhs(sparse, p, n, twisted)
+            assert moment(counts, n, twisted) == moment(expected, n, twisted)

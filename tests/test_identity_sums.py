@@ -11,7 +11,7 @@ from k3batman import (
     bracket_coeff,
     build_hurwitz_table,
     identity_table,
-    moment_rhs,
+    moment,
     multiplicity_rhs,
 )
 from k3batman import hurwitz
@@ -56,12 +56,15 @@ def test_class_sums_match_loop(tables):
 def test_moment_rhs_matches_loop(tables, twisted):
     for p, table in tables:
         for n in range(1, 7):
-            assert moment_rhs(table, p, n, twisted) == moment_rhs_by_loop(table, p, n, twisted), (p, n)
+            got = moment(multiplicity_rhs(table, p), n, twisted)
+            assert got == moment_rhs_by_loop(table, p, n, twisted), (p, n)
 
 
 def test_multiplicity_rhs_matches_loop(tables):
     for p, table in tables:
-        assert multiplicity_rhs(table, p) == multiplicity_rhs_by_loop(table, p), p
+        summary = multiplicity_rhs(table, p)
+        rows = list(zip(summary.weights(), summary.weights(twisted=True)))
+        assert rows == multiplicity_rhs_by_loop(table, p), p
 
 
 def test_bracket_coeff_matches_loop_at_every_n(hurwitz_4000):

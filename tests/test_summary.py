@@ -1,6 +1,7 @@
 """The trace-multiplicity summary and the statistics that read it, against
 per-lambda reference loops."""
 
+import dataclasses
 import math
 from collections import Counter
 from fractions import Fraction
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from k3batman import (
+    TraceSummary,
     TraceTable,
     build_trace_table,
     chebyshev_sum,
@@ -20,10 +22,11 @@ from k3batman import (
     interval_counts_squared,
     make_context,
     moment,
-    moment_rhs,
     multiplicity_rhs,
     uniform_grid,
 )
+from k3batman import hurwitz
+from k3batman.cli import dispatch
 from k3batman.svg import histogram_counts
 from util import (
     a_count_by_loop,
@@ -31,6 +34,7 @@ from util import (
     histogram_by_loop,
     interval_counts_by_loop,
     moment_by_loop,
+    moment_rhs_by_loop,
     primes_up_to,
 )
 
@@ -57,27 +61,56 @@ def _every_other(values, limit):
 
 def test_multiplicities_count_each_magnitude_and_sign(oracle_tables):
     for p, table in oracle_tables.items():
-        counts = table.multiplicities
+        summary = table.multiplicities
+        counts = summary.counts
+        assert summary.p == p and counts.dtype == np.int64
         assert counts.shape == (math.isqrt(4 * p) + 1, 2)
         expected = Counter((abs(a), int(sign < 0)) for _, a, sign in table.entries())
         found = {(s, col): int(counts[s, col]) for s in range(len(counts)) for col in (0, 1)}
         assert {key: c for key, c in found.items() if c} == dict(expected), p
-        assert table.weights() == [int(c) for c in counts.sum(axis=1)]
-        assert table.weights(twisted=True) == [int(c) for c in counts[:, 0] - counts[:, 1]]
+        assert summary.weights() == [int(c) for c in counts.sum(axis=1)]
+        assert summary.weights(twisted=True) == [int(c) for c in counts[:, 0] - counts[:, 1]]
 
 
 def test_multiplicities_built_once_and_read_only(table_1009):
-    counts = table_1009.multiplicities
-    assert table_1009.multiplicities is counts
+    summary = table_1009.multiplicities
+    assert table_1009.multiplicities is summary
     with pytest.raises(ValueError):
-        counts[0, 0] = 1
+        summary.counts[0, 0] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        summary.counts = np.zeros_like(summary.counts)
+
+
+def test_summary_keeps_a_read_only_copy():
+    source = np.array([[0, 1], [0, 0], [1, 1]], dtype=np.int32)
+    summary = TraceSummary(5, source)
+    source[0, 0] = 7
+    assert summary.counts.dtype == np.int64 and summary.counts.tolist() == [[0, 1], [0, 0], [1, 1]]
+    assert not summary.counts.flags.writeable
+    assert summary == TraceSummary(5, [[0, 1], [0, 0], [1, 1]])
+    assert summary != TraceSummary(5, [[0, 1], [0, 0], [0, 2]])
+    assert summary != TraceSummary(7, summary.counts)
+
+
+def test_numerators_are_p_times_the_a_value(oracle_tables):
+    """Cell (s, sign) holds the A-values phi(-lambda) (s^2 - p) / p."""
+    for p, table in oracle_tables.items():
+        summary = table.multiplicities
+        num = summary.numerators
+        assert num.shape == summary.counts.shape
+        found = Counter()
+        for (s, col), count in np.ndenumerate(summary.counts):
+            assert num[s, col] == (1 - 2 * col) * (s * s - p)
+            found[Fraction(int(num[s, col]), p)] += int(count)
+        assert +found == Counter(a_value_by_loop(table)), p
 
 
 def test_moments_match_loop(oracle_tables):
     for p, table in oracle_tables.items():
         for n in (1, 2, 3, 5):
             for twisted in (False, True):
-                assert moment(table, n, twisted) == moment_by_loop(table, n, twisted), (p, n)
+                got = moment(table.multiplicities, n, twisted)
+                assert got == moment_by_loop(table, n, twisted), (p, n)
 
 
 def test_interval_counts_match_loop_on_attained_endpoints(oracle_tables):
@@ -90,7 +123,7 @@ def test_interval_counts_match_loop_on_attained_endpoints(oracle_tables):
         for lo_sq, hi_sq in pairs:
             if lo_sq >= hi_sq:
                 continue
-            got = interval_counts_squared(table, lo_sq, hi_sq)
+            got = interval_counts_squared(table.multiplicities, lo_sq, hi_sq)
             expected = interval_counts_by_loop(table, lo_sq, hi_sq)
             found = (got.n_total, got.m_signed, got.h_plus, got.h_minus)
             assert found == expected, (p, lo_sq, hi_sq)
@@ -99,7 +132,7 @@ def test_interval_counts_match_loop_on_attained_endpoints(oracle_tables):
 def test_interval_counts_match_loop_on_rational_grid(oracle_tables):
     for p, table in oracle_tables.items():
         for lo, hi in uniform_grid(0, 1, 7) + [(Fraction(1, 3), Fraction(2, 3))]:
-            got = interval_counts(table, lo, hi)
+            got = interval_counts(table.multiplicities, lo, hi)
             expected = interval_counts_by_loop(table, lo * lo, hi * hi)
             found = (got.n_total, got.m_signed, got.h_plus, got.h_minus)
             assert found == expected, (p, lo, hi)
@@ -115,14 +148,16 @@ def test_a_count_matches_loop_on_attained_endpoints(oracle_tables):
         for lo, hi in pairs:
             if not -3 <= lo < hi <= 3:
                 continue
-            assert empirical_A_count(table, lo, hi) == a_count_by_loop(table, lo, hi), (p, lo, hi)
+            got = empirical_A_count(table.multiplicities, lo, hi)
+            assert got == a_count_by_loop(table, lo, hi), (p, lo, hi)
 
 
 def test_histogram_matches_loop(oracle_tables):
     """With 6p bins every A-value lies on a bin boundary."""
     for p, table in oracle_tables.items():
         for bins in (1, 7, 61, 6 * p):
-            assert histogram_counts(table, bins) == histogram_by_loop(table, bins), (p, bins)
+            got = histogram_counts(table.multiplicities, bins)
+            assert got == histogram_by_loop(table, bins), (p, bins)
 
 
 def test_chebyshev_sum_matches_moment_expansion(oracle_tables):
@@ -131,18 +166,28 @@ def test_chebyshev_sum_matches_moment_expansion(oracle_tables):
         for twisted in (False, True):
             zeroth = sum(sign if twisted else 1 for _, _, sign in table.entries())
             expected = Fraction(moment_by_loop(table, 1, twisted) - p * zeroth, p)
-            assert chebyshev_sum(table, 1, twisted) == expected, p
+            assert chebyshev_sum(table.multiplicities, 1, twisted) == expected, p
 
 
 def test_multiplicity_rhs_matches_counts(trace_tables_1000):
+    """The two summaries agree on the whole counts array, s = 0 included."""
     for p, table in trace_tables_1000.items():
         rhs = multiplicity_rhs(identity_table(p), p)
-        assert list(rhs) == list(range(1, math.isqrt(4 * p) + 1))
+        assert len(rhs.counts) == math.isqrt(4 * p) + 1
         plain, signed = Counter(), Counter()
         for _, a, sign in table.entries():
             plain[abs(a)] += 1
             signed[abs(a)] += sign
-        assert all(rhs[s] == (plain[s], signed[s]) for s in rhs), p
+        rows = zip(rhs.weights(), rhs.weights(twisted=True))
+        assert all(pair == (plain[s], signed[s]) for s, pair in enumerate(rows)), p
+        assert rhs == table.multiplicities, p
+
+
+def test_multiplicity_rhs_matches_counts_on_other_tables(table_93283, trace_tables_1000,
+                                                         hurwitz_4000):
+    assert multiplicity_rhs(identity_table(93283), 93283) == table_93283.multiplicities
+    for p, table in trace_tables_1000.items():  # 4p <= 4000 throughout
+        assert multiplicity_rhs(hurwitz_4000, p) == table.multiplicities, p
 
 
 @pytest.mark.parametrize("p", [5, 13, 101, 1009])
@@ -152,8 +197,29 @@ def test_multiplicity_rhs_sums_to_moment_rhs(p):
     rhs = multiplicity_rhs(htable, p)
     for n in (1, 2, 3):
         for twisted in (False, True):
-            total = sum(pair[twisted] * s ** (2 * n) for s, pair in rhs.items())
-            assert total == moment_rhs(htable, p, n, twisted), (n, twisted)
+            assert moment(rhs, n, twisted) == moment_rhs_by_loop(htable, p, n, twisted), (n, twisted)
+
+
+def _off_by_one(table, d):
+    """A copy of a class-number table with 12 H*(d) one too large."""
+    twelve_h = dict(table.twelve_h)
+    twelve_h[d] += 1
+    return dataclasses.replace(table, twelve_h=twelve_h)
+
+
+@pytest.mark.parametrize("p", [101, 103])  # 1 and 3 (mod 4)
+@pytest.mark.parametrize("which", ["N", "4N"])
+def test_multiplicity_rhs_refuses_a_wrong_class_number(monkeypatch, capsys, p, which):
+    d = p - 4 if which == "N" else 4 * (p - 4)
+    with pytest.raises(ArithmeticError, match="class numbers give"):
+        multiplicity_rhs(_off_by_one(identity_table(p), d), p)
+    identity = hurwitz.identity_table
+    monkeypatch.setattr(hurwitz, "identity_table", lambda q: _off_by_one(identity(q), d))
+    for argv in (["verify", "moments"], ["verify", "multiplicities"]):
+        assert dispatch(argv + ["--p", str(p)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal check failed: class numbers give")
 
 
 def test_multiplicity_rhs_needs_table_up_to_4p():
@@ -165,15 +231,15 @@ def test_multiplicity_rhs_needs_table_up_to_4p():
     "statistic",
     [
         lambda t: t.multiplicities,
-        lambda t: moment(t, 1),
-        lambda t: moment(t, 2, twisted=True),
-        lambda t: interval_counts(t, 0, 1),
-        lambda t: interval_counts_squared(t, 0, Fraction(1, 4)),
-        lambda t: empirical_A_count(t, -3, 3),
-        lambda t: histogram_counts(t, 10),
-        lambda t: chebyshev_sum(t, 2),
-        lambda t: discrepancy_report(t, uniform_grid(0, 1, 3), "clausen_N"),
-        lambda t: discrepancy_report(t, uniform_grid(-3, 3, 3), "batman"),
+        lambda t: moment(t.multiplicities, 1),
+        lambda t: moment(t.multiplicities, 2, twisted=True),
+        lambda t: interval_counts(t.multiplicities, 0, 1),
+        lambda t: interval_counts_squared(t.multiplicities, 0, Fraction(1, 4)),
+        lambda t: empirical_A_count(t.multiplicities, -3, 3),
+        lambda t: histogram_counts(t.multiplicities, 10),
+        lambda t: chebyshev_sum(t.multiplicities, 2),
+        lambda t: discrepancy_report(t.multiplicities, uniform_grid(0, 1, 3), "clausen_N"),
+        lambda t: discrepancy_report(t.multiplicities, uniform_grid(-3, 3, 3), "batman"),
     ],
     ids=["multiplicities", "moment", "twisted-moment", "interval-counts",
          "interval-counts-squared", "A-count", "histogram", "chebyshev-sum",

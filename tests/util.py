@@ -11,7 +11,7 @@ from math import comb, isqrt
 
 import numpy as np
 
-from k3batman import c_pm, even_chebyshev, two_squares
+from k3batman import even_chebyshev, two_squares
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -179,6 +179,21 @@ def class_sum_b_by_loop(m: int, p: int, table) -> Fraction:
     return _class_sum_by_loop(m, p, lambda s: table.star(4 * p - s * s))
 
 
+def c_pm(p: int, n: int, sign: str) -> int:
+    """((2a)^(2n) +- (2b)^(2n)) / 2 from the two-square decomposition of p,
+    zero when p = 3 (mod 4)."""
+    if sign not in ("+", "-"):
+        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    squares = two_squares(p)
+    if squares is None:
+        return 0
+    a, b = squares
+    ta, tb = (2 * a) ** (2 * n), (2 * b) ** (2 * n)
+    return (ta + tb) // 2 if sign == "+" else (ta - tb) // 2
+
+
 def moment_rhs_by_loop(table, p: int, n: int, twisted: bool = False) -> Fraction:
     total = Fraction(0)
     for s in range(2, isqrt(4 * p - 1) + 1, 2):
@@ -189,19 +204,24 @@ def moment_rhs_by_loop(table, p: int, n: int, twisted: bool = False) -> Fraction
     return total - c_pm(p, n, "-" if twisted else "+")
 
 
-def multiplicity_rhs_by_loop(table, p: int) -> dict[int, tuple[Fraction, Fraction]]:
+def multiplicity_rhs_by_loop(table, p: int) -> list[tuple[Fraction, Fraction]]:
+    """(count, phi-signed count) of lambda with |a_lambda| = s, for s = 0..isqrt(4p).
+
+    The s = 0 pair is what the p - 2 lambdas, whose signs sum to -1, leave over.
+    """
     squares = two_squares(p)
     ta, tb = (2 * squares[0], 2 * squares[1]) if squares else (0, 0)
-    rhs = {}
+    rhs = []
     for s in range(1, isqrt(4 * p) + 1):
         if s % 2:
-            rhs[s] = (Fraction(0), Fraction(0))
+            rhs.append((Fraction(0), Fraction(0)))
             continue
         small = table.star(p - (s // 2) ** 2)
         big = table.star(4 * p - s * s)
         hit_a, hit_b = int(s == ta), int(s == tb)
-        rhs[s] = (
+        rhs.append((
             2 * small + big - Fraction(hit_a + hit_b, 2),
             4 * small - big - Fraction(hit_a - hit_b, 2),
-        )
-    return rhs
+        ))
+    zero = (p - 2 - sum(plain for plain, _ in rhs), -1 - sum(signed for _, signed in rhs))
+    return [zero] + rhs
