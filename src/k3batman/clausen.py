@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator
@@ -26,6 +26,11 @@ class TraceTable:
     p: int
     traces: np.ndarray  # int64
     signs: np.ndarray  # int8, values +-1
+    summary: InitVar[TraceSummary | None] = None
+
+    def __post_init__(self, summary):
+        if summary is not None:  # a summary kept with the table, as a cache file holds it
+            self.__dict__["multiplicities"] = summary
 
     def __len__(self) -> int:
         return self.p - 2
@@ -36,8 +41,8 @@ class TraceTable:
 
     @cached_property
     def multiplicities(self) -> TraceSummary:
-        """The TraceSummary of this table; raises ArithmeticError when a trace
-        breaks the Hasse bound."""
+        """The TraceSummary of this table, or the one it was made with; raises
+        ArithmeticError when a trace breaks the Hasse bound."""
         bound = math.isqrt(4 * self.p)
         magnitudes = np.abs(self.traces)
         if magnitudes.size and int(magnitudes.max()) > bound:

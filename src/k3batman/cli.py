@@ -56,14 +56,14 @@ def _available_memory() -> int | None:
 def _get_trace_table(p: int, cache_dir: str | None) -> TraceTable:
     path = Path(cache_dir) / f"trace_p{p}.bin" if cache_dir else None
     if path is not None and path.exists():
-        try:
+        try:  # the load raises ArithmeticError for a trace beyond the Hasse bound
             table = cache.load_trace_table(path)
+            if table.p != p:
+                raise cache.CacheFormatError(f"it holds the table for p={table.p}")
         except cache.CacheFormatError as exc:  # a miss: rebuilt and saved over below
             print(f"warning: rebuilding unreadable cache {path}: {exc}", file=sys.stderr)
         else:
-            if table.p == p:
-                table.multiplicities  # raises ArithmeticError for a trace beyond the Hasse bound
-                return table
+            return table
     need, free = _TRACE_BYTES_PER_P * p, _available_memory()
     if free is not None and need > free:
         raise ValueError(f"p={p} needs about {need >> 20} MB to build the trace table, "
@@ -136,18 +136,19 @@ def _csv_block(columns, prefixes, tail: str) -> bytes:
     cell, and the number right-aligned in the width of the column's widest
     value. ``cells[c, i]`` is cell c of row i, and a mask keeps each
     number's own cells, its '-' just before the first digit included;
-    reading the kept cells row by row gives the text.
+    reading the kept cells row by row gives the text. The digits are
+    worked out in uint32 when a column's magnitudes allow it, else uint64.
     """
-    spans = [len(prefix) + len(str(int(np.abs(values).max()))) + 1
-             for values, prefix in zip(columns, prefixes)]
+    tops = [int(np.abs(values).max()) for values in columns]
+    spans = [len(prefix) + len(str(top)) + 1 for top, prefix in zip(tops, prefixes)]
     cells = np.empty((sum(spans) + len(tail), len(columns[0])), dtype=np.uint8)
     keep = np.ones(cells.shape, dtype=bool)
     stop = 0
-    for values, span, prefix in zip(columns, spans, prefixes):
+    for values, top, span, prefix in zip(columns, tops, spans, prefixes):
         cells[stop : stop + len(prefix)] = np.frombuffer(prefix.encode("ascii"), np.uint8)[:, None]
         start, stop = stop + len(prefix), stop + span
         negative = values < 0
-        rest = np.abs(values)
+        rest = np.abs(values).astype(np.uint32 if top < 1 << 32 else np.uint64)
         higher = rest // 10
         cells[stop - 1] = rest - 10 * higher + ord("0")  # the units digit is always kept
         for cell in range(stop - 2, start - 1, -1):

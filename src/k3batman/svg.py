@@ -52,7 +52,10 @@ def _fmt(x: float) -> str:
 
 
 def render_histogram(summary: TraceSummary, spec: HistogramSpec) -> str:
-    """Standalone SVG document; output is a pure function of the inputs."""
+    """Standalone SVG document; output is a pure function of the inputs.
+    Raises ValueError when ``spec`` is for another prime than ``summary``."""
+    if spec.p != summary.p:
+        raise ValueError(f"histogram spec for p={spec.p} given a summary for p={summary.p}")
     counts = histogram_counts(summary, spec.bins)
     p, bins = spec.p, spec.bins
     bin_width = 6.0 / bins

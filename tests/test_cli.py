@@ -1,5 +1,7 @@
 import json
 import math
+import struct
+import zlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -331,6 +333,15 @@ def test_histogram_refuses_bins_past_int64():
         histogram_counts(summary, (1 << 63) // 30 + 1)
 
 
+def test_histogram_refuses_a_spec_for_another_prime():
+    from k3batman.svg import HistogramSpec, render_histogram
+
+    summary = build_trace_table(make_context(101)).multiplicities
+    with pytest.raises(ValueError, match="p=103"):
+        render_histogram(summary, HistogramSpec(103, 10))
+    assert render_histogram(summary, HistogramSpec(101, 10)).startswith("<svg")
+
+
 def test_trace_cache_round_trip(tmp_path):
     table = build_trace_table(make_context(101))
     path = tmp_path / "t.bin"
@@ -355,7 +366,7 @@ def test_cache_version_error(tmp_path):
     path = tmp_path / "t.bin"
     cache.save_trace_table(path, table)
     raw = bytearray(path.read_bytes())
-    raw[7] = ord("0")  # BATMANv1 -> BATMANv0
+    raw[7] = ord("0")  # BATMANv2 -> BATMANv0
     path.write_bytes(bytes(raw))
     with pytest.raises(cache.CacheFormatError, match="version"):
         cache.load_trace_table(path)
@@ -431,6 +442,22 @@ def test_cache_checksum_error(tmp_path):
         cache.load_trace_table(path)
 
 
+def _pack_trace_file(path, p, traces, signs, counts):
+    """Write a CRC-valid format-v2 trace cache file, packed here apart from the
+    cache module: header, traces, signs, summary counts, then the CRC32."""
+    body = (struct.pack("<8sBQ", b"BATMANv2", 1, p) + np.asarray(traces, "<i8").tobytes()
+            + np.asarray(signs, "i1").tobytes() + np.asarray(counts, "<i8").tobytes())
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
+def _count_summary(p, traces, signs):
+    """The summary counts of ``traces`` without the Hasse check: a trace past
+    the bound is counted in the last row, so the column totals stay right."""
+    bound = math.isqrt(4 * p)
+    cells = 2 * np.minimum(np.abs(traces), bound) + (np.asarray(signs) < 0)
+    return np.bincount(cells, minlength=2 * bound + 2).reshape(bound + 1, 2)
+
+
 def _cache_with_trace(tmp_path, p, index, value):
     """A CRC-valid cache directory whose table has one trace replaced."""
     table = build_trace_table(make_context(p))
@@ -438,8 +465,106 @@ def _cache_with_trace(tmp_path, p, index, value):
     traces[index] = value
     cache_dir = tmp_path / "cache"
     cache_dir.mkdir()
-    cache.save_trace_table(cache_dir / f"trace_p{p}.bin", TraceTable(p, traces, table.signs))
+    _pack_trace_file(cache_dir / f"trace_p{p}.bin", p, traces, table.signs,
+                     _count_summary(p, traces, table.signs))
     return str(cache_dir)
+
+
+@pytest.mark.parametrize("p", [5, 7, 101, 1009, 25013])
+def test_trace_cache_keeps_signs_and_summary(tmp_path, p):
+    table = build_trace_table(make_context(p))
+    path = tmp_path / "t.bin"
+    cache.save_trace_table(path, table)
+    assert path.stat().st_size == 17 + 9 * (p - 2) + 16 * (math.isqrt(4 * p) + 1) + 4
+    loaded = cache.load_trace_table(path)
+    assert loaded.p == p
+    assert np.array_equal(loaded.traces, table.traces)
+    assert np.array_equal(loaded.signs, table.signs)
+    assert loaded.multiplicities == table.multiplicities
+    recounted = _count_summary(p, loaded.traces, loaded.signs)
+    assert np.array_equal(loaded.multiplicities.counts, recounted)
+    assert not (loaded.traces.flags.writeable or loaded.signs.flags.writeable)
+
+
+def test_trace_cache_load_builds_no_legendre_table_and_counts_nothing(tmp_path, monkeypatch):
+    from k3batman import cli, field
+
+    table = build_trace_table(make_context(1009))
+    path = tmp_path / "t.bin"
+    cache.save_trace_table(path, table)
+
+    def never(*args, **kwargs):
+        raise AssertionError("a cache load rebuilt what the file holds")
+
+    for module in (field, cache, cli):
+        monkeypatch.setattr(module, "make_context", never, raising=False)
+    monkeypatch.setattr(np, "bincount", never)
+    loaded = cache.load_trace_table(path)
+    assert loaded.multiplicities == table.multiplicities
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+def test_trace_cache_refuses_a_header_prime_below_5(tmp_path, p):
+    path = tmp_path / "t.bin"
+    _pack_trace_file(path, p, [], [], np.zeros((math.isqrt(4 * p) + 1, 2)))
+    with pytest.raises(cache.CacheFormatError, match="bad prime"):
+        cache.load_trace_table(path)
+
+
+def test_trace_cache_refuses_a_table_beyond_hasse(tmp_path):
+    broken = TraceTable(5, np.array([9, 0, 2], dtype=np.int64), np.array([1, -1, -1], np.int8))
+    with pytest.raises(ArithmeticError, match="Hasse"):
+        cache.save_trace_table(tmp_path / "t.bin", broken)
+    assert list(tmp_path.iterdir()) == []
+
+
+def _negative_count(counts, signs):
+    empty, filled = np.flatnonzero(counts[:, 0] == 0)[-1], np.flatnonzero(counts[:, 0])[0]
+    counts[[empty, filled], 0] += (-1, 1)  # the column total is kept
+    return counts, signs
+
+
+def _count_in_the_wrong_column(counts, signs):
+    row = int(np.flatnonzero(counts[:, 0])[0])
+    counts[row] += (-1, 1)
+    return counts, signs
+
+
+def _flipped_sign(counts, signs):
+    signs = signs.copy()
+    signs[0] = -signs[0]  # the signs no longer sum to -1 or match the column totals
+    return counts, signs
+
+
+@pytest.mark.parametrize("corrupt", [_negative_count, _count_in_the_wrong_column, _flipped_sign],
+                         ids=["negative", "column", "sign"])
+def test_cached_summary_breaking_an_invariant_is_internal_error(tmp_path, capsys, corrupt):
+    p = 101
+    table = build_trace_table(make_context(p))
+    counts, signs = corrupt(table.multiplicities.counts.copy(), table.signs)
+    _pack_trace_file(tmp_path / f"trace_p{p}.bin", p, table.traces, signs, counts)
+    assert dispatch(["verify", "moments", "--p", str(p), "--cache-dir", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: internal check failed: cached trace summary at p={p}")
+
+
+def test_cache_file_for_another_prime_is_rebuilt(tmp_path, capsys):
+    """A file holding another prime is a miss: same stdout and exit code as a
+    run with no cache, one warning line, and the right table saved over it."""
+    argv = ["verify", "moments", "--p", "101"]
+    assert dispatch(argv) == 0
+    expected = capsys.readouterr().out
+    path = tmp_path / "trace_p101.bin"
+    cache.save_trace_table(path, build_trace_table(make_context(103)))
+    assert dispatch(argv + ["--cache-dir", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: ")
+    assert cache.load_trace_table(path).p == 101
 
 
 @pytest.mark.parametrize("p", [5, 7, 101, 1009, 25013])
@@ -587,6 +712,18 @@ def test_int_table_json_matches_emit_rows(tmp_path, capsys, rows, to_file, const
     assert len(json.loads(text)) == rows
 
 
+@pytest.mark.parametrize("top", [1, 999_999_999, 10**9, (1 << 32) - 1, 1 << 32, 1 << 62])
+def test_csv_block_digits_at_the_narrow_and_wide_widths(top):
+    """uint32 digits up to 2^32 - 1, uint64 from 2^32: the text is str's."""
+    from k3batman import cli
+
+    values = np.array([0, 1, -1, top, -top, top - 1, 1 - top, 7], dtype=np.int64)
+    columns = [values, np.abs(values), -np.abs(values)]
+    text = cli._csv_block(columns, ["", ",", ";"], "|\n")
+    rows = zip(*(column.tolist() for column in columns))
+    assert text.decode() == "".join(f"{a},{b};{c}|\n" for a, b, c in rows)
+
+
 @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
 @pytest.mark.parametrize("command", ["traces", "avalues"])
 @pytest.mark.parametrize("p", [5, 101, 1009])
@@ -627,8 +764,14 @@ def _hurwitz_kind(raw):
     return bytes(raw)
 
 
-@pytest.mark.parametrize("corrupt", [_truncate, _flip_payload_byte, _hurwitz_kind],
-                         ids=["truncated", "checksum", "kind"])
+def _v1_format(raw):
+    """The file as format v1 wrote it: the header and the traces, no signs or summary."""
+    body = b"BATMANv1" + raw[8 : 17 + 8 * 99]  # p = 101: 99 traces
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+@pytest.mark.parametrize("corrupt", [_truncate, _flip_payload_byte, _hurwitz_kind, _v1_format],
+                         ids=["truncated", "checksum", "kind", "v1"])
 def test_unreadable_cache_is_rebuilt(tmp_path, capsys, corrupt):
     """An unreadable cache file is a miss: same stdout and exit code as a run
     with no cache, one warning line, and a good file saved over the bad one."""
