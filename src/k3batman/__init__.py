@@ -14,6 +14,7 @@ from .clausen import (
     AValue,
     TraceSummary,
     TraceTable,
+    a_numerators,
     a_value,
     build_trace_table,
     chebyshev_sum,
@@ -55,6 +56,7 @@ __all__ = [
     "TraceSummary",
     "TraceTable",
     "TrigPolynomial",
+    "a_numerators",
     "a_value",
     "bracket_coeff",
     "build_hurwitz_table",

@@ -11,6 +11,7 @@ from typing import Iterator
 import numpy as np
 from numpy.fft import irfft, rfft
 
+from . import field
 from .brackets import even_chebyshev
 from .field import FieldContext
 
@@ -194,6 +195,54 @@ def a_value(ctx: FieldContext, mu: int, trace: int | None = None) -> AValue:
     if not -3 <= value <= 3:
         raise ArithmeticError(f"A_{mu}({p}) = {value} escapes [-3, 3]")
     return AValue(mu, value)
+
+
+# Powers walked per step of a_numerators: its scratch memory is O(_BLOCK), on
+# top of the power table and the result.
+_BLOCK = 1 << 16
+
+
+def a_numerators(table: TraceTable) -> np.ndarray:
+    """p A_mu(p) = phi(-lambda) (a_lambda^2 - p) for mu = 1..p-2, in mu order,
+    with lambda = -(mu+1)^(-1): ``a_numerators(table)[i]`` belongs to mu = i+1.
+
+    With g the least primitive root, x = mu + 1 = g^k has inverse g^(p-1-k),
+    the power table read backwards, so no inverse table is built. The powers
+    are walked in blocks: each block's traces and signs are gathered at
+    lambda - 1 = p - 1 - x^(-1) and scattered to x - 2. The result is int32
+    when 3p < 2^31, else int64. Needs p^2 < 2^63 (the power table's int64
+    products). Raises ArithmeticError when g^1..g^(p-2) miss some x in
+    2..p-1, when some x * x^(-1) != 1 (mod p), or when a numerator escapes
+    [-3p, 3p].
+    """
+    p = table.p
+    g = field.primitive_root(p)
+    powers = field.power_table(g, p)  # read through the module at call time
+    reached = np.zeros(p, dtype=bool)
+    reached[powers[1:]] = True  # p - 2 powers; all of 2..p-1 leaves none for 0 or 1
+    least = 2 + int(np.argmin(reached[2:]))  # the least x missed, if any
+    if not reached[least]:
+        raise ArithmeticError(
+            f"modular inverse check failed at p={p}: x={least} is no power of g={g}"
+        )
+    del reached
+    num = np.empty(p - 2, dtype=np.int32 if 3 * p < 1 << 31 else np.int64)
+    for k in range(1, p - 1, _BLOCK):
+        stop = min(k + _BLOCK, p - 1)
+        x = powers[k:stop]
+        inv = powers[p - stop : p - k][::-1]  # g^(p-1-k) for the same k
+        bad = np.flatnonzero(x * inv % p != 1)
+        if bad.size:
+            i = int(bad[0])
+            raise ArithmeticError(f"modular inverse check failed at p={p}: "
+                                  f"x={int(x[i])}, inverse {int(inv[i])}")
+        index = p - 1 - inv  # lambda - 1
+        a = table.traces[index]
+        block = table.signs[index] * (a * a - p)
+        if int(np.abs(block).max()) > 3 * p:
+            raise ArithmeticError(f"an A-value escapes [-3, 3] at p={p}: Hasse bound violated")
+        num[x - 2] = block
+    return num
 
 
 def moment(summary: TraceSummary, n: int, twisted: bool = False) -> int:

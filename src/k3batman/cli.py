@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from . import brackets, cache, hurwitz, measures, selberg, stats, svg
-from .clausen import TraceTable, build_trace_table, moment
-from .field import inverses, make_context, require_inverse_range, require_prime
+from .clausen import TraceTable, a_numerators, build_trace_table, moment
+from .field import make_context, require_inverse_range, require_prime
 
 _REPORT_HEADER = "lo,hi,empirical,target,gap,bound,pass"
 
@@ -28,6 +28,9 @@ def _write_text(out: str | None, text: str) -> None:
 # Peak bytes per p of make_context plus build_trace_table (88.4 measured at
 # p = 10000019), for refusing a p the machine cannot hold before allocating.
 _TRACE_BYTES_PER_P = 90
+# Peak bytes per p of a_numerators beyond the trace table it reads, for the
+# same refusal on a cache hit (14.6 measured at p = 1000003, 12.3 at 10000019).
+_AVALUE_BYTES_PER_P = 16
 
 
 def _available_memory() -> int | None:
@@ -53,6 +56,14 @@ def _available_memory() -> int | None:
     return min(found) if found else None
 
 
+def _require_memory(p: int, bytes_per_p: int, purpose: str) -> None:
+    """Raise ValueError when ``bytes_per_p * p`` exceeds the memory available."""
+    need, free = bytes_per_p * p, _available_memory()
+    if free is not None and need > free:
+        raise ValueError(f"p={p} needs about {need >> 20} MB to {purpose}, "
+                         f"but only {free >> 20} MB is available")
+
+
 def _get_trace_table(p: int, cache_dir: str | None) -> TraceTable:
     path = Path(cache_dir) / f"trace_p{p}.bin" if cache_dir else None
     if path is not None and path.exists():
@@ -64,10 +75,7 @@ def _get_trace_table(p: int, cache_dir: str | None) -> TraceTable:
             print(f"warning: rebuilding unreadable cache {path}: {exc}", file=sys.stderr)
         else:
             return table
-    need, free = _TRACE_BYTES_PER_P * p, _available_memory()
-    if free is not None and need > free:
-        raise ValueError(f"p={p} needs about {need >> 20} MB to build the trace table, "
-                         f"but only {free >> 20} MB is available")
+    _require_memory(p, _TRACE_BYTES_PER_P, "build the trace table")
     table = build_trace_table(make_context(p))
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -94,14 +102,20 @@ def _csv_cell(v) -> str:
 
 
 # Rows formatted and written per step of _emit_int_table: its memory is
-# O(_BLOCK_ROWS), not one Python str per row of a p-row table.
-_BLOCK_ROWS = 1 << 16
+# O(_BLOCK_ROWS), not one Python str per row of a p-row table. Not a power
+# of two: at 2^16 rows the cell rows and the digit temporaries of _csv_block
+# lie 64 KiB apart, and where numpy's huge pages back them they compete for
+# the same cache sets. In the benchmark's warm pass that made every avalues
+# block about 20 ms instead of 7.
+_BLOCK_ROWS = 65000
 
 
 def _emit_int_table(out, fmt, header: str, first, second, last) -> None:
-    """Three int64 columns, written as ``_emit_rows`` writes them; ``last``
-    is a column or one int repeated on every row. A JSON row opens with the
-    ',' that follows the row before it, so the first row's ',' is dropped."""
+    """Three integer columns, written as ``_emit_rows`` writes them. ``first``
+    is a column or the number of the first row, counting up by one a row, and
+    ``last`` is a column or one int repeated on every row. A JSON row opens
+    with the ',' that follows the row before it, so the first row's ',' is
+    dropped."""
     if fmt == "json":
         first_key, *keys = header.split(",")
         prefixes = [f',\n  {{\n    "{first_key}": '] + [f',\n    "{key}": ' for key in keys]
@@ -114,8 +128,11 @@ def _emit_int_table(out, fmt, header: str, first, second, last) -> None:
 
     def chunks():
         yield head.encode("ascii")
-        for i in range(0, len(first), _BLOCK_ROWS):
-            data = _csv_block([column[i : i + _BLOCK_ROWS] for column in columns], prefixes, tail)
+        for i in range(0, len(second), _BLOCK_ROWS):
+            stop = min(i + _BLOCK_ROWS, len(second))
+            # a counting first column is made one block at a time
+            count = np.arange(first + i, first + stop) if isinstance(first, int) else first[i:stop]
+            data = _csv_block([count] + [column[i:stop] for column in columns[1:]], prefixes, tail)
             yield data[skip:] if i == 0 else data
         yield end.encode("ascii")
 
@@ -128,9 +145,9 @@ def _emit_int_table(out, fmt, header: str, first, second, last) -> None:
 
 
 def _csv_block(columns, prefixes, tail: str) -> bytes:
-    """Rows of equal-length int64 columns, by numpy digit arithmetic: each
-    row is ``prefixes[0]``, the first number, ``prefixes[1]``, the second
-    number, and so on, and then ``tail``.
+    """Rows of equal-length signed integer columns of any width, by numpy
+    digit arithmetic: each row is ``prefixes[0]``, the first number,
+    ``prefixes[1]``, the second number, and so on, and then ``tail``.
 
     Each column takes a fixed span of character cells: its prefix, a sign
     cell, and the number right-aligned in the width of the column's widest
@@ -139,16 +156,18 @@ def _csv_block(columns, prefixes, tail: str) -> bytes:
     reading the kept cells row by row gives the text. The digits are
     worked out in uint32 when a column's magnitudes allow it, else uint64.
     """
-    tops = [int(np.abs(values).max()) for values in columns]
+    # |value| in the unsigned type of the same width: exact at the type's minimum too
+    magnitudes = [np.abs(values).view(f"u{values.itemsize}") for values in columns]
+    tops = [int(magnitude.max()) for magnitude in magnitudes]
     spans = [len(prefix) + len(str(top)) + 1 for top, prefix in zip(tops, prefixes)]
     cells = np.empty((sum(spans) + len(tail), len(columns[0])), dtype=np.uint8)
     keep = np.ones(cells.shape, dtype=bool)
     stop = 0
-    for values, top, span, prefix in zip(columns, tops, spans, prefixes):
+    for values, magnitude, top, span, prefix in zip(columns, magnitudes, tops, spans, prefixes):
         cells[stop : stop + len(prefix)] = np.frombuffer(prefix.encode("ascii"), np.uint8)[:, None]
         start, stop = stop + len(prefix), stop + span
         negative = values < 0
-        rest = np.abs(values).astype(np.uint32 if top < 1 << 32 else np.uint64)
+        rest = magnitude.astype(np.uint32 if top < 1 << 32 else np.uint64, copy=False)
         higher = rest // 10
         cells[stop - 1] = rest - 10 * higher + ord("0")  # the units digit is always kept
         for cell in range(stop - 2, start - 1, -1):
@@ -162,22 +181,17 @@ def _csv_block(columns, prefixes, tail: str) -> bytes:
 
 def cmd_traces(args) -> int:
     table = _get_trace_table(args.p, args.cache_dir)
-    _emit_int_table(args.out, args.format, "lambda,a,phi",
-                    np.arange(1, table.p - 1), table.traces, table.signs.astype(np.int64))
+    _emit_int_table(args.out, args.format, "lambda,a,phi", 1, table.traces, table.signs)
     return 0
 
 
 def cmd_avalues(args) -> int:
     p = args.p
     require_inverse_range(p)
-    table = _get_trace_table(p, args.cache_dir)  # before the inverses: it holds the memory guard
-    inv = inverses(p)  # of mu + 1 = 2..p-1, so lambda = -(mu+1)^(-1) = p - inv
-    index = p - 1 - inv  # lambda - 1
-    a = table.traces[index]
-    num = table.signs[index] * (a * a - p)  # p * A_mu(p)
-    if int(np.abs(num).max()) > 3 * p:
-        raise ArithmeticError(f"an A-value escapes [-3, 3] at p={p}: Hasse bound violated")
-    _emit_int_table(args.out, args.format, "mu,num,den", np.arange(1, p - 1), num, p)
+    table = _get_trace_table(p, args.cache_dir)
+    # a cache hit skips the guard of _get_trace_table, but not this one
+    _require_memory(p, _AVALUE_BYTES_PER_P, "place the A-values")
+    _emit_int_table(args.out, args.format, "mu,num,den", 1, a_numerators(table), p)
     return 0
 
 

@@ -134,6 +134,30 @@ def test_a_value_range():
             assert -3 <= a_value(ctx, mu).value <= 3
 
 
+# 196613 = 1 and 200003 = 3 (mod 4), both past 3 blocks of powers, so the
+# walk takes 4 blocks and the last one is partial.
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 1009, 25013, 196613, 200003])
+def test_a_numerators_match_pow_inverses(p):
+    table = build_trace_table(make_context(p))
+    num = clausen.a_numerators(table)
+    assert num.dtype == np.int32
+    traces, signs = table.traces.tolist(), table.signs.tolist()
+    expected = []
+    for mu in range(1, p - 1):
+        lam = p - pow(mu + 1, -1, p)
+        a = traces[lam - 1]
+        expected.append(signs[lam - 1] * (a * a - p))
+    assert num.tolist() == expected
+
+
+def test_a_numerators_refuse_a_trace_beyond_hasse():
+    table = build_trace_table(make_context(101))
+    traces = table.traces.copy()
+    traces[17] = 22  # 2 sqrt(101) < 21, so |22^2 - 101| > 3 * 101
+    with pytest.raises(ArithmeticError, match=r"escapes \[-3, 3\] at p=101"):
+        clausen.a_numerators(clausen.TraceTable(101, traces, table.signs))
+
+
 def test_moment_examples(table5):
     summary = table5.multiplicities
     assert moment(summary, 1) == 8

@@ -639,6 +639,42 @@ def test_avalues_wrong_inverse_is_internal_error(monkeypatch, capsys):
     )
 
 
+def test_avalues_swapped_powers_are_internal_error(monkeypatch, capsys):
+    from k3batman import field
+
+    power_table = field.power_table
+
+    def swapped(*args):
+        result = power_table(*args)
+        result[[1, 2]] = result[[2, 1]]  # g <-> g^2: every x is still reached
+        return result
+
+    monkeypatch.setattr(field, "power_table", swapped)
+    assert dispatch(["avalues", "--p", "101"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # g = 2, so the walk meets x = 4 at k = 1 against g^99 = 51, the inverse of 2
+    assert captured.err == ("error: internal check failed: modular inverse check failed "
+                            "at p=101: x=4, inverse 51\n")
+
+
+def test_avalues_tracemalloc_peak_from_a_warm_cache(tmp_path):
+    import tracemalloc
+
+    p = 1000003
+    cache.save_trace_table(tmp_path / f"trace_p{p}.bin", build_trace_table(make_context(p)))
+    argv = ["avalues", "--p", str(p), "--cache-dir", str(tmp_path),
+            "--out", str(tmp_path / "a.csv")]
+    tracemalloc.start()
+    try:
+        assert dispatch(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 9 bytes per p hold the loaded table; with a p-length inverse table it was 57.5
+    assert peak <= 30 * p
+
+
 def test_avalues_refuses_p_beyond_int64_inverses(capsys):
     # 3037000507 is the least prime with p^2 >= 2^63
     assert dispatch(["avalues", "--p", "3037000507"]) == 2
@@ -722,6 +758,34 @@ def test_csv_block_digits_at_the_narrow_and_wide_widths(top):
     text = cli._csv_block(columns, ["", ",", ";"], "|\n")
     rows = zip(*(column.tolist() for column in columns))
     assert text.decode() == "".join(f"{a},{b};{c}|\n" for a, b, c in rows)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+def test_csv_block_takes_any_signed_width(dtype):
+    """The int8 signs and int32 numerators are written as they come, the
+    least value of the type included."""
+    from k3batman import cli
+
+    info = np.iinfo(dtype)
+    values = np.array([info.min, info.max, -1, 0, 1, info.min + 1, 9, -10], dtype=dtype)
+    text = cli._csv_block([values, values[::-1], np.zeros_like(values)], ["", ",", ","], "\n")
+    rows = zip(values.tolist(), values[::-1].tolist())
+    assert text.decode() == "".join(f"{a},{b},0\n" for a, b in rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_int_table_counts_its_first_column(capsys, fmt):
+    from k3batman import cli
+
+    second = np.resize(np.array(_EDGE_VALUES, dtype=np.int64), _BLOCK_ROWS + 1)
+    cli._emit_rows(None, fmt, "x,y,z", [[i + 1, v, 7] for i, v in enumerate(second.tolist())])
+    expected = capsys.readouterr().out
+    cli._emit_int_table(None, fmt, "x,y,z", 1, second, 7)
+    lines, expected_lines = capsys.readouterr().out.split("\n"), expected.split("\n")
+    # the first differing line, not a diff of two megabyte strings
+    assert next((i for i, pair in enumerate(zip(lines, expected_lines)) if pair[0] != pair[1]),
+                None) is None
+    assert len(lines) == len(expected_lines)
 
 
 @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
@@ -827,13 +891,33 @@ def test_memory_guard_refuses_avalues_before_its_inverses(monkeypatch, capsys):
         raise AssertionError("allocated past the memory guard")
 
     monkeypatch.setattr(cli, "_available_memory", lambda: 1 << 20)
-    monkeypatch.setattr(cli, "inverses", never)
+    monkeypatch.setattr(cli, "a_numerators", never)
     monkeypatch.setattr(cli, "make_context", never)
     assert dispatch(["avalues", "--p", "1000003"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("error: p=1000003 needs about 85 MB to build the trace table, "
                             "but only 1 MB is available\n")
+
+
+def test_memory_guard_refuses_avalues_on_a_cache_hit(tmp_path, monkeypatch, capsys):
+    from k3batman import cli
+
+    def never(*args):
+        raise AssertionError("allocated past the memory guard")
+
+    p = 1009
+    cache.save_trace_table(tmp_path / f"trace_p{p}.bin", build_trace_table(make_context(p)))
+    monkeypatch.setattr(cli, "_available_memory", lambda: 1 << 10)
+    monkeypatch.setattr(cli, "a_numerators", never)
+    monkeypatch.setattr(cli, "build_trace_table", never)  # the table is read from the cache
+    assert dispatch(["avalues", "--p", str(p), "--cache-dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: p={p} needs about ")
+    assert "to place the A-values, but only 0 MB is available" in lines[0]
 
 
 def test_available_memory_reads_the_machine():

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3batman import is_prime, make_context, two_squares
-from k3batman.field import inverses, primitive_root
-from util import chi_euler, primes_up_to, two_squares_exhaustive
+from k3batman.field import primitive_root
+from util import chi_euler, inverses, primes_up_to, two_squares_exhaustive
 
 PRIMES_10K = [p for p in primes_up_to(10_000) if p >= 5]
 
