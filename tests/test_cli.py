@@ -705,6 +705,10 @@ def test_avalues_rows_match_a_value(tmp_path, p):
 
 _EDGE_VALUES = [0, 1, -1, 9, -9, 10, -10, 99, -99, 100, -100, 123456789, -1000003]
 
+# Each side of a block boundary, and of 2^16 rows: the sizes where a
+# power-of-two block would end, which leave a partial last block here.
+_BLOCK_EDGES = [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1]
+
 
 def _assert_int_table_matches_emit_rows(tmp_path, capsys, fmt, rows, to_file, constant_last):
     from k3batman import cli
@@ -731,7 +735,7 @@ def _assert_int_table_matches_emit_rows(tmp_path, capsys, fmt, rows, to_file, co
 
 @pytest.mark.parametrize("constant_last", [False, True], ids=["last-column", "last-int"])
 @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
-@pytest.mark.parametrize("rows", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+@pytest.mark.parametrize("rows", [0, 1, *_BLOCK_EDGES])
 def test_int_table_csv_matches_emit_rows(tmp_path, capsys, rows, to_file, constant_last):
     text = _assert_int_table_matches_emit_rows(tmp_path, capsys, "csv", rows, to_file,
                                                constant_last)
@@ -741,7 +745,7 @@ def test_int_table_csv_matches_emit_rows(tmp_path, capsys, rows, to_file, consta
 # No empty case: the CLI never writes an empty table, since p >= 5 gives p - 2 >= 3 rows.
 @pytest.mark.parametrize("constant_last", [False, True], ids=["last-column", "last-int"])
 @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
-@pytest.mark.parametrize("rows", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+@pytest.mark.parametrize("rows", [1, *_BLOCK_EDGES])
 def test_int_table_json_matches_emit_rows(tmp_path, capsys, rows, to_file, constant_last):
     text = _assert_int_table_matches_emit_rows(tmp_path, capsys, "json", rows, to_file,
                                                constant_last)
