@@ -49,7 +49,7 @@ def main() -> int:
 
     t0 = time.time()
     summary = table.multiplicities
-    expected = multiplicity_rhs(identity_table(args.p), args.p)
+    expected = multiplicity_rhs(*identity_table(args.p))
     ok = True
     for n in range(1, args.nmax + 1):
         for twisted in (False, True):

@@ -23,8 +23,8 @@ from .clausen import (
 )
 from .field import FieldContext, is_prime, make_context, two_squares
 from .hurwitz import (
+    ClassNumbersAlong,
     HurwitzTable,
-    SparseHurwitzTable,
     build_hurwitz_table,
     class_number,
     identity_table,
@@ -47,12 +47,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AValue",
+    "ClassNumbersAlong",
     "DiscrepancyReport",
     "EarParameters",
     "FieldContext",
     "HurwitzTable",
     "IntervalCounts",
-    "SparseHurwitzTable",
     "TraceSummary",
     "TraceTable",
     "TrigPolynomial",

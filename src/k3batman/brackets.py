@@ -14,7 +14,7 @@ from math import comb, factorial, isqrt
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # hurwitz imports clausen, which imports this module
-    from .hurwitz import HurwitzTable
+    from .hurwitz import ClassNumbersAlong
 
 
 @lru_cache(maxsize=None)
@@ -72,34 +72,26 @@ def even_chebyshev(m: int, x: int, n: int) -> int:
     return total
 
 
-def bracket_coeff(m: int, t: int, n: int, table: HurwitzTable) -> Fraction:
+def bracket_coeff(m: int, along: ClassNumbersAlong) -> Fraction:
     """Coefficient of q^n in the m-th bracket of the class-number series with
-    the theta series in t*tau.
+    the theta series in t*tau, for the (t, n) of ``along``:
 
-    The inner sum runs over all integers s with t s^2 <= n; the convention
-    0^0 = 1 applies at (s=0, l=0), and indices below zero contribute nothing.
+        C(2m, m) / 4^m * sum_k H*(n - t k^2) even_chebyshev(m, t k^2, n)
+
+    over all integers k. The k = 0 term is H*(n), and a square n / t ends the
+    sum with H*(0) = -1/12 at k = +-sqrt(n / t).
     """
-    if t not in (1, 4):
-        raise ValueError(f"t must be 1 or 4, got {t}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if table.d_max < n:
-        raise ValueError(f"table covers D <= {table.d_max}, need {n}")
-    # s and -s give the same term: twice the power sums over 0 < t s^2 < n,
-    # plus s = 0 and, when n/t is a square, the pair at t s^2 = n
-    total = 2 * _chebyshev_combination(m, t, n, table.power_sums(t, n, m))
-    total += table.twelve(n) * even_chebyshev(m, 0, n)
-    root = isqrt(n // t)
-    if t * root * root == n:
-        total += 2 * table.twelve(0) * even_chebyshev(m, n, n)
+    if along.t not in (1, 4):
+        raise ValueError(f"t must be 1 or 4, got {along.t}")
+    total = _chebyshev_combination(m, along.t, along.n, along.power_sums(m))
     return Fraction(comb(2 * m, m) * total, 12 * 4**m)
 
 
 def _chebyshev_combination(m: int, t: int, n: int, sums: list[int]) -> int:
     """sum_l U_{2m}[2l] n^(m-l) t^l sums[l].
 
-    With sums[l] = sum_s w_s s^(2l) this is sum_s w_s even_chebyshev(m, t s^2, n):
-    the s are summed once, in ``sums``, for every m.
+    With sums[l] = sum_k w_k k^(2l) this is sum_k w_k even_chebyshev(m, t k^2, n):
+    the k are summed once, in ``sums``, for every m.
     """
     coeffs = chebyshev_coeffs(2 * m)
     return sum(coeffs[2 * l] * n ** (m - l) * t**l * sums[l] for l in range(m + 1))
@@ -142,10 +134,11 @@ def mertens_coeff(s: int, m: int, n: int) -> int:
     return total
 
 
-def pihol_coeff(m: int, t: int, n: int, table: HurwitzTable) -> Fraction:
-    """Coefficient of q^n in the holomorphic projection of the bracket."""
-    correction = Fraction(comb(2 * m, m), 2 * 4**m) * mertens_coeff(t, m, n)
-    return bracket_coeff(m, t, n, table) + correction
+def pihol_coeff(m: int, along: ClassNumbersAlong) -> Fraction:
+    """Coefficient of q^n in the holomorphic projection of the bracket, for
+    the (t, n) of ``along``."""
+    correction = Fraction(comb(2 * m, m), 2 * 4**m) * mertens_coeff(along.t, m, along.n)
+    return bracket_coeff(m, along) + correction
 
 
 @dataclass(frozen=True)
@@ -159,26 +152,15 @@ class DeligneAudit:
     passed: bool
 
 
-def deligne_audit(
-    m: int,
-    p: int,
-    table: HurwitzTable,
-    a: Fraction | None = None,
-    b: Fraction | None = None,
-) -> DeligneAudit:
+def deligne_audit(m: int, p: int, a: Fraction, b: Fraction) -> DeligneAudit:
     """Check the explicit newform-coefficient bounds at a prime index.
 
-    ``a`` and ``b`` are pihol_coeff(m, 1, p) and pihol_coeff(m, 4, 4p); either
-    is computed from ``table`` when not given. Values are exact rationals;
-    each bound is evaluated in floating point and nudged up one ulp so
-    rounding alone can never produce a spurious failure.
+    ``a`` and ``b`` are pihol_coeff at (1, p) and (4, 4p). Values are exact
+    rationals; each bound is evaluated in floating point and nudged up one
+    ulp so rounding alone can never produce a spurious failure.
     """
     if m < 1 or p < 5:
         raise ValueError("need m >= 1 and p >= 5")
-    if a is None:
-        a = pihol_coeff(m, 1, p, table)
-    if b is None:
-        b = pihol_coeff(m, 4, 4 * p, table)
     scale = (m - 1) * p ** (m + 0.5)
     a_bound = math.nextafter(2.0 / 3.0 * comb(2 * m, m) / 4**m * scale, math.inf)
     b_bound = math.nextafter(4.0 / 3.0 * comb(2 * m, m) * scale, math.inf)
@@ -186,42 +168,43 @@ def deligne_audit(
     return DeligneAudit(m, p, a, a_bound, b, b_bound, passed)
 
 
-def _class_sum(m: int, p: int, sums: list[int]) -> Fraction:
-    """sum_k w_k U_{2m}(2k / 2 sqrt(p)) / 12 over 0 < k < sqrt(p), from the
-    power sums sums[l] = sum_k w_k k^(2l) of the twelfths w_k."""
-    q = 4 * p
-    return Fraction(_chebyshev_combination(m, 4, q, sums), 12 * q**m)
+def _class_sum(m: int, along: ClassNumbersAlong, den: int) -> Fraction:
+    """sum of twelve[|k|] U_{2m}(k sqrt(t / n)) / den over k != 0, from the
+    power sums of ``along`` less their k = 0 term."""
+    sums = along.power_sums(m)
+    sums[0] -= along.twelve[0]
+    n = along.n
+    return Fraction(_chebyshev_combination(m, along.t, n, sums), den * n**m)
 
 
-def class_sum_a(m: int, p: int, table: HurwitzTable) -> Fraction:
-    """Chebyshev-weighted sum over 2 H*((4p-s^2)/4), even 0 < s < 2 sqrt(p)."""
-    return _class_sum(m, p, [2 * x for x in table.power_sums(1, p, m)])
+def class_sum_a(m: int, along_p: ClassNumbersAlong) -> Fraction:
+    """Chebyshev-weighted sum over 2 H*((4p-s^2)/4), even 0 < s <= 2 sqrt(p),
+    from the class numbers along (1, p): k and -k give the 2."""
+    return _class_sum(m, along_p, 12)
 
 
-def class_sum_b(m: int, p: int, table: HurwitzTable) -> Fraction:
-    """Chebyshev-weighted sum over H*(4p-s^2), even 0 < s < 2 sqrt(p)."""
-    return _class_sum(m, p, table.power_sums(4, 4 * p, m))
+def class_sum_b(m: int, along_4p: ClassNumbersAlong) -> Fraction:
+    """Chebyshev-weighted sum over H*(4p-s^2), even 0 < s <= 2 sqrt(p), from
+    the class numbers along (4, 4p): half the sum over k != 0."""
+    return _class_sum(m, along_4p, 24)
 
 
-def coeff_side_a(m: int, p: int, table: HurwitzTable, a: Fraction | None = None) -> Fraction:
+def coeff_side_a(m: int, along_p: ClassNumbersAlong, a: Fraction) -> Fraction:
     """Projected-coefficient side matching :func:`class_sum_a`.
 
-    ``a`` is pihol_coeff(m, 1, p), computed from ``table`` when not given.
-    The (-1)^m H*(p) term is required for exact equality; it vanishes
-    exactly when p = 1 (mod 4).
+    ``a`` is pihol_coeff(m, along_p). The (-1)^m H*(p) term is required for
+    exact equality; it vanishes exactly when p = 1 (mod 4).
     """
-    if a is None:
-        a = pihol_coeff(m, 1, p, table)
+    p = along_p.n
     lead = Fraction(4**m, comb(2 * m, m)) * a / p**m
-    return lead - Fraction(1, p**m) - (-1) ** m * table.star(p)
+    return lead - Fraction(1, p**m) - Fraction((-1) ** m * along_p.twelve[0], 12)
 
 
-def coeff_side_b(m: int, p: int, table: HurwitzTable, b: Fraction | None = None) -> Fraction:
+def coeff_side_b(m: int, along_4p: ClassNumbersAlong, b: Fraction) -> Fraction:
     """Projected-coefficient side matching :func:`class_sum_b`.
 
-    ``b`` is pihol_coeff(m, 4, 4p), computed from ``table`` when not given.
+    ``b`` is pihol_coeff(m, along_4p).
     """
-    if b is None:
-        b = pihol_coeff(m, 4, 4 * p, table)
+    p = along_4p.n // 4
     lead = b / (comb(2 * m, m) * 2 * Fraction(p**m))
-    return lead - Fraction(1, p**m) - Fraction((-1) ** m, 2) * table.star(4 * p)
+    return lead - Fraction(1, p**m) - Fraction((-1) ** m * along_4p.twelve[0], 24)

@@ -56,12 +56,17 @@ def _available_memory() -> int | None:
     return min(found) if found else None
 
 
+def _memory_size(size: int) -> str:
+    """Whole MB from 1 MB up, bytes below, so no amount reads as 0 MB."""
+    return f"{size >> 20} MB" if size >= 1 << 20 else f"{size} bytes"
+
+
 def _require_memory(p: int, bytes_per_p: int, purpose: str) -> None:
     """Raise ValueError when ``bytes_per_p * p`` exceeds the memory available."""
     need, free = bytes_per_p * p, _available_memory()
     if free is not None and need > free:
-        raise ValueError(f"p={p} needs about {need >> 20} MB to {purpose}, "
-                         f"but only {free >> 20} MB is available")
+        raise ValueError(f"p={p} needs about {_memory_size(need)} to {purpose}, "
+                         f"but only {_memory_size(free)} is available")
 
 
 def _get_trace_table(p: int, cache_dir: str | None) -> TraceTable:
@@ -204,7 +209,7 @@ def cmd_hist(args) -> int:
 
 def cmd_verify_moments(args) -> int:
     summary = _get_trace_table(args.p, args.cache_dir).multiplicities
-    expected = hurwitz.multiplicity_rhs(hurwitz.identity_table(args.p), args.p)
+    expected = hurwitz.multiplicity_rhs(*hurwitz.identity_table(args.p))
     ok = True
     # every line is computed before any is printed, so a run stopped by an
     # internal check leaves nothing on stdout
@@ -227,7 +232,7 @@ def cmd_verify_multiplicities(args) -> int:
     moment identities for every n at once."""
     p = args.p
     summary = _get_trace_table(p, args.cache_dir).multiplicities
-    expected = hurwitz.multiplicity_rhs(hurwitz.identity_table(p), p)
+    expected = hurwitz.multiplicity_rhs(*hurwitz.identity_table(p))
     rows = zip(summary.weights(), summary.weights(twisted=True),
                expected.weights(), expected.weights(twisted=True))
     for s, (plain, signed, rhs_plain, rhs_signed) in enumerate(rows):
@@ -241,10 +246,10 @@ def cmd_verify_multiplicities(args) -> int:
 
 def cmd_verify_brackets(args) -> int:
     p = args.p
-    htable = hurwitz.identity_table(p)
+    along_p, along_4p = hurwitz.identity_table(p)
     # a_m(p) and b_m(4p), each computed once and shared by the checks below
     coeffs = {
-        m: (brackets.pihol_coeff(m, 1, p, htable), brackets.pihol_coeff(m, 4, 4 * p, htable))
+        m: (brackets.pihol_coeff(m, along_p), brackets.pihol_coeff(m, along_4p))
         for m in range(1, args.mmax + 1)
     }
     a1, b1 = coeffs[1]
@@ -254,15 +259,15 @@ def cmd_verify_brackets(args) -> int:
     lines = [f"m=1 vanishing at p={p}: a_1({p})={a1}, b_1({4 * p})={b1} "
              f"{'ok' if good else 'FAIL'}"]
     for m, (a, b) in coeffs.items():
-        lhs_a = brackets.class_sum_a(m, p, htable)
-        rhs_a = brackets.coeff_side_a(m, p, htable, a)
-        lhs_b = brackets.class_sum_b(m, p, htable)
-        rhs_b = brackets.coeff_side_b(m, p, htable, b)
+        lhs_a = brackets.class_sum_a(m, along_p)
+        rhs_a = brackets.coeff_side_a(m, along_p, a)
+        lhs_b = brackets.class_sum_b(m, along_4p)
+        rhs_b = brackets.coeff_side_b(m, along_4p, b)
         good = lhs_a == rhs_a and lhs_b == rhs_b
         ok &= good
         lines.append(f"  coefficient identity m={m}: a-side {lhs_a} = {rhs_a}, "
                      f"b-side {lhs_b} = {rhs_b} {'ok' if good else 'FAIL'}")
-        audit = brackets.deligne_audit(m, p, htable, a, b)
+        audit = brackets.deligne_audit(m, p, a, b)
         ok &= audit.passed
         lines.append(f"  coefficient bound m={m}: |a|={abs(float(audit.a_value)):.6g} "
                      f"<= {audit.a_bound:.6g}, |b|={abs(float(audit.b_value)):.6g} "

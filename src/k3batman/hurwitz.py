@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
@@ -14,41 +13,8 @@ from .clausen import TraceSummary
 from .field import require_prime, two_squares
 
 
-class _ClassNumberReader:
-    """What the identities read from a table of 12 H*(D): single values
-    through ``twelve``, and integer power sums along n - t s^2."""
-
-    def twelve(self, d: int) -> int:
-        raise NotImplementedError
-
-    def star(self, d: int) -> Fraction:
-        """H*(D) = twelve(D) / 12; zero for D < 0 and off the 0,3 (mod 4) residues."""
-        return Fraction(self.twelve(d), 12)
-
-    @cached_property
-    def _along(self) -> dict:
-        return {}
-
-    def power_sums(self, t: int, n: int, lmax: int) -> list[int]:
-        """sum of 12 H*(n - t s^2) s^(2l) over s >= 1 with t s^2 < n, for
-        l = 0..lmax.
-
-        The values along n - t s^2 are read once per table and (t, n); the
-        sums are kept, and extended when a larger ``lmax`` is asked for.
-        """
-        memo = self._along.get((t, n))
-        if memo is None:
-            squares = [s * s for s in range(1, math.isqrt((n - 1) // t) + 1)]
-            memo = self._along[t, n] = ([self.twelve(n - t * x) for x in squares], squares, [])
-        terms, squares, sums = memo  # terms[s - 1] = 12 H*(n - t s^2) s^(2 len(sums))
-        while len(sums) <= lmax:
-            sums.append(sum(terms))
-            terms[:] = map(mul, terms, squares)
-        return sums[: lmax + 1]
-
-
 @dataclass(frozen=True)
-class HurwitzTable(_ClassNumberReader):
+class HurwitzTable:
     """twelve_h[D] = 12 H*(D) for 0 <= D <= d_max.
 
     Storing twelve times the value keeps the table integral: the unit
@@ -58,13 +24,44 @@ class HurwitzTable(_ClassNumberReader):
     d_max: int
     twelve_h: np.ndarray  # int64
 
-    def twelve(self, d: int) -> int:
-        """12 H*(D) as an int; zero for D < 0."""
-        if d < 0:
-            return 0
-        if d > self.d_max:
-            raise ValueError(f"D={d} exceeds table range d_max={self.d_max}")
-        return int(self.twelve_h[d])
+
+@dataclass(frozen=True)
+class ClassNumbersAlong:
+    """twelve[k] = 12 H*(n - t k^2) as an int, for k = 0..isqrt(n // t).
+
+    The identities at p read class numbers along two parabolas alone,
+    (t, n) = (1, p) and (4, 4p). When n / t is a square, the last value is
+    12 H*(0) = -1.
+    """
+
+    t: int
+    n: int
+    twelve: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.t < 1 or self.n < 1:
+            raise ValueError(f"need t, n >= 1, got t={self.t}, n={self.n}")
+        if len(self.twelve) != math.isqrt(self.n // self.t) + 1:
+            raise ValueError(f"need {math.isqrt(self.n // self.t) + 1} values along "
+                             f"n - t k^2 for (t, n) = ({self.t}, {self.n}), got {len(self.twelve)}")
+
+    @cached_property
+    def _sums(self) -> tuple[list[int], list[int], list[int]]:
+        terms = [2 * x for x in self.twelve[1:]]  # k and -k
+        return [self.twelve[0] + sum(terms)], terms, [k * k for k in range(1, len(self.twelve))]
+
+    def power_sums(self, lmax: int) -> list[int]:
+        """sum over all integers k of twelve[|k|] k^(2l), for l = 0..lmax,
+        with 0^0 = 1.
+
+        The sums are kept, and extended when a larger ``lmax`` is asked for,
+        so the identities for m = 1..mmax multiply each term mmax times in all.
+        """
+        sums, terms, squares = self._sums  # terms[k - 1] = 2 twelve[k] k^(2 (len(sums) - 1))
+        while len(sums) <= lmax:
+            terms[:] = map(mul, terms, squares)
+            sums.append(sum(terms))
+        return sums[: lmax + 1]
 
 
 def class_number(d: int) -> tuple[int, int]:
@@ -222,27 +219,6 @@ def twelve_h_at(discriminants) -> np.ndarray:
     return twelve
 
 
-@dataclass(frozen=True)
-class SparseHurwitzTable(_ClassNumberReader):
-    """12 H*(D) at a fixed set of D, read through the HurwitzTable interface.
-
-    ``twelve`` and ``star`` are 0 for D < 0, like HurwitzTable's, and raise
-    ValueError for any other D the table does not hold, so an unheld value is
-    never read as 0.
-    """
-
-    d_max: int
-    twelve_h: dict[int, int]
-
-    def twelve(self, d: int) -> int:
-        if d < 0:
-            return 0
-        try:
-            return self.twelve_h[d]
-        except KeyError:
-            raise ValueError(f"D={d} is not held by this table") from None
-
-
 def _twelve_h_four_times(n: np.ndarray, twelve_n: np.ndarray, twelve_quarter: np.ndarray) -> np.ndarray:
     """12 H*(4N) for N = 0, 3 (mod 4) by the index-4 Hecke relation
 
@@ -256,13 +232,13 @@ def _twelve_h_four_times(n: np.ndarray, twelve_n: np.ndarray, twelve_quarter: np
     return (3 - kronecker) * twelve_n - 2 * twelve_quarter
 
 
-def identity_table(p: int) -> SparseHurwitzTable:
-    """H* at the discriminants the moment and bracket identities read at p.
+def identity_table(p: int) -> tuple[ClassNumbersAlong, ClassNumbersAlong]:
+    """The class numbers the moment and bracket identities read at p, along
+    (t, n) = (1, p) and (4, 4p).
 
-    Those are (4p - s^2)/4 = N = p - k^2 and 4p - s^2 = 4N for even
+    Those are N = p - k^2 = (4p - s^2)/4 and 4N = 4p - s^2 for even
     s = 2k < 2 sqrt(p), k = 0 included: about 2 sqrt(p) values instead of the
-    4p + 1 of a dense table. ``d_max`` is 4p, as for the dense table the
-    identities check it against.
+    4p + 1 of a dense table.
 
     Every N and every 4N with N = 1, 2 (mod 4) is counted by
     :func:`twelve_h_at`; 4N with N = 0, 3 (mod 4) follows from N and N/4 by
@@ -282,40 +258,47 @@ def identity_table(p: int) -> SparseHurwitzTable:
     if bad.any():
         raise ArithmeticError(f"index-4 relation gave 12 H*({4 * int(n[bad][0])}) <= 0 at p={p}")
     twelve_4n[~derived] = direct
-    discriminants = np.concatenate((n, 4 * n))
-    values = np.concatenate((twelve_n, twelve_4n))
-    return SparseHurwitzTable(4 * p, dict(zip(discriminants.tolist(), values.tolist())))
+    return (ClassNumbersAlong(1, p, tuple(twelve_n.tolist())),
+            ClassNumbersAlong(4, 4 * p, tuple(twelve_4n.tolist())))
 
 
-def multiplicity_rhs(table: HurwitzTable, p: int) -> TraceSummary:
-    """The trace-multiplicity summary at p, from class numbers alone.
+def multiplicity_rhs(along_p: ClassNumbersAlong, along_4p: ClassNumbersAlong) -> TraceSummary:
+    """The trace-multiplicity summary at p, from the class numbers along
+    (1, p) and (4, 4p) alone.
 
-    Zero for odd s. For even s = 2k > 0, with N = p - k^2 and p = a^2 + b^2
-    (a odd; no bracket terms when p = 3 (mod 4)),
+    Zero for odd s. For even s = 2k, with N = p - k^2, p = a^2 + b^2 (a odd)
+    when p = 1 (mod 4) and a = b = 0 when p = 3 (mod 4),
 
-        #{phi(-lambda) = +1} = 3 H*(N) - [s = 2a] / 2,
-        #{phi(-lambda) = -1} = H*(4N) - H*(N) - [s = 2b] / 2;
+        #{phi(-lambda) = +1} = (c_k 3 H*(N) - [k = a]) / 2,
+        #{phi(-lambda) = -1} = (c_k (H*(4N) - H*(N)) - [k = b]) / 2,
 
-    their sum and difference carry the weights 2 H*(N) + H*(4N) and
-    4 H*(N) - H*(4N) of the moment identities. The s = 0 row makes up the
-    column totals: the p - 2 signs phi(-lambda) sum to -1, so (p - 3) / 2 of
-    them are +1 and (p - 1) / 2 are -1.
+    where c_k = 2 for k > 0, since s and -s both occur, and c_0 = 1. For
+    k > 0 the sum and difference of these carry the weights 2 H*(N) + H*(4N)
+    and 4 H*(N) - H*(4N) of the moment identities.
 
-    Raises ArithmeticError if a count comes out negative or not an integer.
+    Raises ArithmeticError if a count comes out negative or not an integer,
+    or unless the columns total (p - 3) / 2 and (p - 1) / 2: the p - 2 signs
+    phi(-lambda) sum to -1. That relation reads every class number of the
+    summary, H*(p) and H*(4p) included.
     """
-    if table.d_max < 4 * p:
-        raise ValueError(f"table covers D <= {table.d_max}, need 4p = {4 * p}")
-    squares = two_squares(p)
-    ta, tb = (2 * squares[0], 2 * squares[1]) if squares else (0, 0)
-    twelfths = np.zeros((math.isqrt(4 * p) + 1, 2), dtype=np.int64)  # 12 times each count
-    for s in range(2, len(twelfths), 2):
-        small = table.twelve(p - (s // 2) ** 2)
-        big = table.twelve(4 * p - s * s)
-        twelfths[s] = 3 * small - 6 * (s == ta), big - small - 6 * (s == tb)
-    twelfths[0] = 6 * (p - 3) - twelfths[:, 0].sum(), 6 * (p - 1) - twelfths[:, 1].sum()
-    counts, rest = np.divmod(twelfths, 12)
+    p = along_p.n
+    if (along_p.t, along_4p.t, along_4p.n) != (1, 4, 4 * p):
+        raise ValueError(f"need class numbers along (1, p) and (4, 4p), got ({along_p.t}, {p}) "
+                         f"and ({along_4p.t}, {along_4p.n})")
+    a, b = two_squares(p) or (0, 0)
+    small, big = np.array(along_p.twelve, dtype=np.int64), np.array(along_4p.twelve, dtype=np.int64)
+    k = np.arange(len(small))
+    pairs = np.where(k > 0, 2, 1)
+    twenty_fourths = np.zeros((math.isqrt(4 * p) + 1, 2), dtype=np.int64)  # 24 times each count
+    twenty_fourths[::2, 0] = pairs * 3 * small - 12 * (k == a)
+    twenty_fourths[::2, 1] = pairs * (big - small) - 12 * (k == b)
+    counts, rest = np.divmod(twenty_fourths, 24)
     bad = np.flatnonzero((rest != 0).any(axis=1) | (counts < 0).any(axis=1))
     if bad.size:
         raise ArithmeticError(
             f"class numbers give a negative or fractional count at |a| = {bad[0]}, p={p}")
+    totals, expected = counts.sum(axis=0).tolist(), [(p - 3) // 2, (p - 1) // 2]
+    if totals != expected:
+        raise ArithmeticError(f"class numbers give {totals[0]} signs +1 and {totals[1]} signs -1 "
+                              f"at p={p}, not {expected[0]} and {expected[1]}")
     return TraceSummary(p, counts)

@@ -34,7 +34,7 @@ from k3batman import (
 from k3batman.brackets import class_sum_a, class_sum_b, coeff_side_a, coeff_side_b
 from k3batman.selberg import simplified_chain, simplified_chain_bound
 from k3batman.svg import histogram_counts
-from util import mu_bat_quadrature, primes_up_to
+from util import dense_identity_table, mu_bat_quadrature, primes_up_to
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -51,7 +51,7 @@ def test_criterion_01_moment_identities(trace_tables_1000, hurwitz_4000):
     assert anchors == (8, 0, 32)
     checked = 0
     for p, table in trace_tables_1000.items():
-        expected = multiplicity_rhs(hurwitz_4000, p)
+        expected = multiplicity_rhs(*dense_identity_table(hurwitz_4000, p))
         for n in range(1, 6):
             for twisted in (False, True):
                 if moment(table.multiplicities, n, twisted) != moment(expected, n, twisted):
@@ -65,9 +65,10 @@ def test_criterion_01_moment_identities(trace_tables_1000, hurwitz_4000):
 def test_criterion_02_m1_vanishing(hurwitz_4000):
     primes = [p for p in primes_up_to(500) if p >= 5]
     for p in primes:
-        if pihol_coeff(1, 1, p, hurwitz_4000) != 0:
+        along_p, along_4p = dense_identity_table(hurwitz_4000, p)
+        if pihol_coeff(1, along_p) != 0:
             _report("criterion 02 m=1 vanishing", False, f"a_1({p}) != 0")
-        if pihol_coeff(1, 4, 4 * p, hurwitz_4000) != 0:
+        if pihol_coeff(1, along_4p) != 0:
             _report("criterion 02 m=1 vanishing", False, f"b_1({4 * p}) != 0")
     _report("criterion 02 m=1 vanishing", True,
             f"a_1(p) = b_1(4p) = 0 exactly for all {len(primes)} primes <= 500")
@@ -77,11 +78,13 @@ def test_criterion_03_corrected_identities(hurwitz_4000):
     primes = [p for p in primes_up_to(200) if p >= 5]
     checked = 0
     for p in primes:
+        along_p, along_4p = dense_identity_table(hurwitz_4000, p)
         for m in range(1, 5):
-            if class_sum_a(m, p, hurwitz_4000) != coeff_side_a(m, p, hurwitz_4000):
+            a, b = pihol_coeff(m, along_p), pihol_coeff(m, along_4p)
+            if class_sum_a(m, along_p) != coeff_side_a(m, along_p, a):
                 _report("criterion 03 corrected identities", False,
                         f"a-side mismatch at p={p}, m={m}")
-            if class_sum_b(m, p, hurwitz_4000) != coeff_side_b(m, p, hurwitz_4000):
+            if class_sum_b(m, along_4p) != coeff_side_b(m, along_4p, b):
                 _report("criterion 03 corrected identities", False,
                         f"b-side mismatch at p={p}, m={m}")
             checked += 2
@@ -92,8 +95,9 @@ def test_criterion_03_corrected_identities(hurwitz_4000):
 def test_criterion_04_deligne_audit(hurwitz_4000):
     primes = [p for p in primes_up_to(500) if p >= 5]
     for p in primes:
+        along_p, along_4p = dense_identity_table(hurwitz_4000, p)
         for m in range(1, 7):
-            audit = deligne_audit(m, p, hurwitz_4000)
+            audit = deligne_audit(m, p, pihol_coeff(m, along_p), pihol_coeff(m, along_4p))
             if not audit.passed:
                 _report("criterion 04 coefficient bounds", False,
                         f"bound exceeded at p={p}, m={m}")

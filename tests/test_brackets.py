@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from k3batman import (
+    ClassNumbersAlong,
     bracket_coeff,
     build_hurwitz_table,
     chebyshev_closed,
@@ -17,7 +18,7 @@ from k3batman import (
     pihol_coeff,
 )
 from k3batman.brackets import class_sum_a, class_sum_b, coeff_side_a, coeff_side_b
-from util import mertens_by_scan, primes_up_to
+from util import class_numbers_along, dense_identity_table, mertens_by_scan, primes_up_to
 
 
 def test_chebyshev_coeff_examples():
@@ -77,17 +78,29 @@ def table2400():
     return build_hurwitz_table(2400)
 
 
-def test_bracket_examples(table2400):
-    assert bracket_coeff(1, 1, 5, table2400) == Fraction(-1, 2)
-    assert bracket_coeff(1, 4, 20, table2400) == -4
-    assert bracket_coeff(1, 1, 7, table2400) == Fraction(-1, 2)
+@pytest.fixture(scope="module")
+def along2400(table2400):
+    """(t, n) -> the class numbers along n - t k^2, from the dense table."""
+    return lambda t, n: class_numbers_along(table2400, t, n)
 
 
-def test_bracket_validation(table2400):
+def _audit(m, p, table):
+    """deligne_audit at p with both coefficients from a dense table."""
+    along_p, along_4p = dense_identity_table(table, p)
+    return deligne_audit(m, p, pihol_coeff(m, along_p), pihol_coeff(m, along_4p))
+
+
+def test_bracket_examples(along2400):
+    assert bracket_coeff(1, along2400(1, 5)) == Fraction(-1, 2)
+    assert bracket_coeff(1, along2400(4, 20)) == -4
+    assert bracket_coeff(1, along2400(1, 7)) == Fraction(-1, 2)
+
+
+def test_bracket_validation(along2400):
+    with pytest.raises(ValueError, match="t must be 1 or 4"):
+        bracket_coeff(1, along2400(2, 5))
     with pytest.raises(ValueError):
-        bracket_coeff(1, 2, 5, table2400)
-    with pytest.raises(ValueError):
-        bracket_coeff(1, 1, 2401, table2400)
+        ClassNumbersAlong(1, 2401, along2400(1, 2400).twelve)  # 2401 = 49^2 needs k = 49
 
 
 def test_mertens_examples():
@@ -105,40 +118,45 @@ def test_mertens_matches_exhaustive_scan(s, m):
         assert mertens_coeff(s, m, n) == mertens_by_scan(s, m, n)
 
 
-def test_pihol_examples(table2400):
-    assert pihol_coeff(1, 1, 5, table2400) == 0
-    assert pihol_coeff(1, 1, 7, table2400) == 0
-    assert pihol_coeff(1, 4, 20, table2400) == 0
+def test_pihol_examples(along2400):
+    assert pihol_coeff(1, along2400(1, 5)) == 0
+    assert pihol_coeff(1, along2400(1, 7)) == 0
+    assert pihol_coeff(1, along2400(4, 20)) == 0
 
 
 def test_m1_vanishing_small(table2400):
     for p in [p for p in primes_up_to(100) if p >= 5]:
-        assert pihol_coeff(1, 1, p, table2400) == 0
-        assert pihol_coeff(1, 4, 4 * p, table2400) == 0
+        for along in dense_identity_table(table2400, p):
+            assert pihol_coeff(1, along) == 0
+
+
+def _corrected_identities_hold(m, along_p, along_4p):
+    a, b = pihol_coeff(m, along_p), pihol_coeff(m, along_4p)
+    return (class_sum_a(m, along_p) == coeff_side_a(m, along_p, a)
+            and class_sum_b(m, along_4p) == coeff_side_b(m, along_4p, b))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_corrected_identities_small(table2400, m):
     for p in [p for p in primes_up_to(100) if p >= 5]:
-        assert class_sum_a(m, p, table2400) == coeff_side_a(m, p, table2400)
-        assert class_sum_b(m, p, table2400) == coeff_side_b(m, p, table2400)
+        assert _corrected_identities_hold(m, *dense_identity_table(table2400, p)), p
 
 
 def test_deligne_audit_examples(table2400):
-    report = deligne_audit(1, 5, table2400)
+    report = _audit(1, 5, table2400)
     assert report.passed
     assert report.a_value == 0 and report.b_value == 0
-    report = deligne_audit(2, 5, table2400)
+    report = _audit(2, 5, table2400)
     assert report.passed
     assert report.a_bound == pytest.approx(13.9755, abs=1e-3)
-    report = deligne_audit(6, 11, table2400)
+    report = _audit(6, 11, table2400)
     assert report.passed
 
 
 def test_deligne_audit_small_grid(table2400):
     for m in range(1, 5):
         for p in [p for p in primes_up_to(100) if p >= 5]:
-            assert deligne_audit(m, p, table2400).passed
+            assert _audit(m, p, table2400).passed
 
 
 def test_even_chebyshev_matches_rational_sum():
@@ -150,18 +168,20 @@ def test_even_chebyshev_matches_rational_sum():
 
 
 def test_shared_coefficients_match_recomputed(table2400):
+    """Coefficients from identity_table give the sides and audit of those
+    recomputed from the dense table."""
     for m in range(1, 5):
         for p in (7, 13, 101):
-            a = pihol_coeff(m, 1, p, table2400)
-            b = pihol_coeff(m, 4, 4 * p, table2400)
-            assert coeff_side_a(m, p, table2400, a) == coeff_side_a(m, p, table2400)
-            assert coeff_side_b(m, p, table2400, b) == coeff_side_b(m, p, table2400)
-            assert deligne_audit(m, p, table2400, a, b) == deligne_audit(m, p, table2400)
+            along_p, along_4p = identity_table(p)
+            dense_p, dense_4p = dense_identity_table(table2400, p)
+            a, b = pihol_coeff(m, along_p), pihol_coeff(m, along_4p)
+            assert (a, b) == (pihol_coeff(m, dense_p), pihol_coeff(m, dense_4p))
+            assert coeff_side_a(m, along_p, a) == coeff_side_a(m, dense_p, a)
+            assert coeff_side_b(m, along_4p, b) == coeff_side_b(m, dense_4p, b)
+            assert deligne_audit(m, p, a, b) == _audit(m, p, table2400)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_corrected_identities_on_identity_table(m):
     for p in [p for p in primes_up_to(300) if p >= 5]:
-        table = identity_table(p)
-        assert class_sum_a(m, p, table) == coeff_side_a(m, p, table)
-        assert class_sum_b(m, p, table) == coeff_side_b(m, p, table)
+        assert _corrected_identities_hold(m, *identity_table(p)), p

@@ -16,7 +16,7 @@ from k3batman import (
     two_squares,
 )
 from k3batman import clausen
-from util import curve_point_count, primes_up_to
+from util import curve_point_count, primes_up_to, star
 
 
 @pytest.fixture(scope="module")
@@ -102,8 +102,8 @@ def test_trace_multiplicities_match_class_numbers(trace_tables_1000, hurwitz_400
             if s % 2:
                 expected = (0, 0)
             else:
-                small = hurwitz_4000.star(p - (s // 2) ** 2)  # (4p - s^2)/4
-                big = hurwitz_4000.star(4 * p - s * s)
+                small = star(hurwitz_4000, p - (s // 2) ** 2)  # (4p - s^2)/4
+                big = star(hurwitz_4000, 4 * p - s * s)
                 hit_a, hit_b = int(s == ta), int(s == tb)
                 expected = (
                     2 * small + big - Fraction(hit_a + hit_b, 2),

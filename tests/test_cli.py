@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import struct
@@ -20,6 +21,7 @@ from k3batman import (
 )
 from k3batman import cache
 from k3batman.cli import _BLOCK_ROWS, dispatch
+from util import dense_identity_table
 
 P5_TRACES_CSV = "lambda,a,phi\n1,-2,1\n2,0,-1\n3,2,-1\n"
 P5_AVALUES_CSV = "mu,num,den\n1,5,5\n2,1,5\n3,-1,5\n"
@@ -65,8 +67,8 @@ def test_verify_moments_failure_exit(monkeypatch, capsys):
     from k3batman import cli
 
     # a wrong but integral class-number summary: one lambda at every (s, sign)
-    monkeypatch.setattr(cli.hurwitz, "multiplicity_rhs",
-                        lambda table, p: TraceSummary(p, np.ones((math.isqrt(4 * p) + 1, 2))))
+    monkeypatch.setattr(cli.hurwitz, "multiplicity_rhs", lambda along_p, along_4p: TraceSummary(
+        along_p.n, np.ones((math.isqrt(4 * along_p.n) + 1, 2))))
     assert dispatch(["verify", "moments", "--p", "5", "--nmax", "1"]) == 1
     assert "MISMATCH" in capsys.readouterr().out
 
@@ -230,7 +232,7 @@ def test_empty_verification_is_usage_error(argv, capsys):
     assert "must be >= 1" in captured.err
 
 
-@pytest.mark.parametrize("command", ["moments", "brackets"])
+@pytest.mark.parametrize("command", ["moments", "brackets", "multiplicities"])
 @pytest.mark.parametrize("p", [5, 101, 1009, 25013])
 def test_identity_table_output_matches_dense_table(monkeypatch, capsys, command, p):
     from k3batman import cli
@@ -238,7 +240,8 @@ def test_identity_table_output_matches_dense_table(monkeypatch, capsys, command,
     argv = ["verify", command, "--p", str(p)]
     assert dispatch(argv) == 0
     sparse_out = capsys.readouterr().out
-    monkeypatch.setattr(cli.hurwitz, "identity_table", lambda q: build_hurwitz_table(4 * q))
+    monkeypatch.setattr(cli.hurwitz, "identity_table",
+                        lambda q: dense_identity_table(build_hurwitz_table(4 * q), q))
     assert dispatch(argv) == 0
     assert capsys.readouterr().out == sparse_out
 
@@ -249,9 +252,9 @@ def test_verify_brackets_computes_each_coefficient_once(monkeypatch, capsys):
     calls = []
     pihol = brackets.pihol_coeff
 
-    def counted(*args):
-        calls.append(args[:3])
-        return pihol(*args)
+    def counted(m, along):
+        calls.append((m, along.t, along.n))
+        return pihol(m, along)
 
     monkeypatch.setattr(brackets, "pihol_coeff", counted)
     assert dispatch(["verify", "brackets", "--p", "101", "--mmax", "4"]) == 0
@@ -729,7 +732,12 @@ def _assert_int_table_matches_emit_rows(tmp_path, capsys, fmt, rows, to_file, co
         else:
             emit(None)
             texts.append(capsys.readouterr().out.encode())
-    assert texts[1] == texts[0]
+    # the first differing line and its index, not a diff of two megabyte strings
+    lines, expected_lines = texts[1].split(b"\n"), texts[0].split(b"\n")
+    pairs = enumerate(itertools.zip_longest(lines, expected_lines))
+    first = next((i for i, (line, expected_line) in pairs if line != expected_line), None)
+    assert first is None, (
+        f"line {first}: {lines[first : first + 1]} != {expected_lines[first : first + 1]}")
     return texts[1]
 
 
@@ -918,10 +926,10 @@ def test_memory_guard_refuses_avalues_on_a_cache_hit(tmp_path, monkeypatch, caps
     assert dispatch(["avalues", "--p", str(p), "--cache-dir", str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith(f"error: p={p} needs about ")
-    assert "to place the A-values, but only 0 MB is available" in lines[0]
+    # below 1 MB an amount is given in bytes, not as 0 MB
+    need = cli._AVALUE_BYTES_PER_P * p
+    assert captured.err == (f"error: p={p} needs about {need} bytes to place the A-values, "
+                            "but only 1024 bytes is available\n")
 
 
 def test_available_memory_reads_the_machine():

@@ -1,11 +1,11 @@
 import random
 from fractions import Fraction
-from math import isqrt
 
 import numpy as np
 import pytest
 
 from k3batman import (
+    ClassNumbersAlong,
     build_hurwitz_table,
     build_trace_table,
     class_number,
@@ -15,7 +15,14 @@ from k3batman import (
     multiplicity_rhs,
     twelve_h_at,
 )
-from util import c_pm, hurwitz_star_by_divisors, primes_up_to
+from util import (
+    c_pm,
+    class_numbers_along,
+    dense_identity_table,
+    hurwitz_star_by_divisors,
+    primes_up_to,
+    star,
+)
 
 SPOT_VALUES = {
     0: Fraction(-1, 12),
@@ -47,7 +54,7 @@ def test_class_number_rejects_non_discriminants(d):
 
 def test_spot_values(hurwitz_4000):
     for d, expected in SPOT_VALUES.items():
-        assert hurwitz_4000.star(d) == expected
+        assert star(hurwitz_4000, d) == expected
 
 
 def test_star_zero_off_residues_and_negative(hurwitz_4000):
@@ -56,19 +63,22 @@ def test_star_zero_off_residues_and_negative(hurwitz_4000):
     assert not twelve[(d % 4 == 1) | (d % 4 == 2)].any()
     assert (twelve[1:] >= 0).all()
     assert twelve[0] == -1
-    assert hurwitz_4000.star(-8) == 0
 
 
-def test_star_range_error(hurwitz_4000):
-    with pytest.raises(ValueError):
-        hurwitz_4000.star(4001)
+def test_class_numbers_along_rejects_a_wrong_length(hurwitz_4000):
+    held = class_numbers_along(hurwitz_4000, 4, 400)  # 400 = 4 * 10^2: k = 0..10
+    assert len(held.twelve) == 11 and held.twelve[-1] == -1
+    for t, n, twelve in ((4, 400, held.twelve[:-1]), (4, 403, held.twelve + (0,)),
+                         (0, 400, held.twelve), (4, 0, (-1,))):
+        with pytest.raises(ValueError):
+            ClassNumbersAlong(t, n, twelve)
 
 
 def test_table_matches_divisor_sum_oracle(hurwitz_4000):
     rng = random.Random(7)
     sample = rng.sample(range(hurwitz_4000.d_max + 1), 200)
     for d in sample:
-        assert hurwitz_4000.star(d) == hurwitz_star_by_divisors(d, class_number)
+        assert star(hurwitz_4000, d) == hurwitz_star_by_divisors(d, class_number)
 
 
 def test_c_pm_examples():
@@ -81,23 +91,23 @@ def test_c_pm_examples():
 
 
 def test_moment_rhs_examples(hurwitz_4000):
-    expected = multiplicity_rhs(hurwitz_4000, 5)
+    expected = multiplicity_rhs(*dense_identity_table(hurwitz_4000, 5))
     assert moment(expected, 1) == 8
     assert moment(expected, 1, twisted=True) == 0
     assert moment(expected, 2) == 32
 
 
 def test_moment_rhs_range_check():
-    small = build_hurwitz_table(10)
-    with pytest.raises(ValueError):
-        multiplicity_rhs(small, 5)
+    along_p, along_4p = identity_table(5)
+    with pytest.raises(ValueError, match="along"):
+        multiplicity_rhs(along_4p, along_p)
 
 
 @pytest.mark.parametrize("twisted", [False, True])
 def test_moment_identity_small_primes(hurwitz_4000, twisted):
     for p in [p for p in primes_up_to(200) if p >= 5]:
         counts = build_trace_table(make_context(p)).multiplicities
-        expected = multiplicity_rhs(hurwitz_4000, p)
+        expected = multiplicity_rhs(*dense_identity_table(hurwitz_4000, p))
         for n in range(1, 6):
             assert moment(counts, n, twisted) == moment(expected, n, twisted)
 
@@ -119,35 +129,17 @@ def test_sparse_kernel_rejects_bad_input(bad):
         twelve_h_at(bad)
 
 
-def _identity_discriminants(p):
-    return {p - k * k for k in range(isqrt(p) + 1)} | {4 * (p - k * k) for k in range(isqrt(p) + 1)}
-
-
 def test_identity_table_matches_dense_small_primes(hurwitz_4000):
     for p in [p for p in primes_up_to(1000) if p >= 5]:
         table = identity_table(p)
-        assert table.d_max == 4 * p
-        assert set(table.twelve_h) == _identity_discriminants(p)
-        for d, twelve in table.twelve_h.items():
-            assert twelve == hurwitz_4000.twelve_h[d], (p, d)
+        assert table == dense_identity_table(hurwitz_4000, p), p
+        for along in table:
+            assert all(type(x) is int for x in along.twelve), p  # exact power sums
 
 
 def test_identity_table_matches_dense_93283():
     p = 93283
-    dense = build_hurwitz_table(4 * p)
-    table = identity_table(p)
-    assert set(table.twelve_h) == _identity_discriminants(p)
-    for d, twelve in table.twelve_h.items():
-        assert twelve == dense.twelve_h[d], d
-
-
-def test_identity_table_star_outside_its_set():
-    table = identity_table(101)
-    assert table.star(-3) == 0
-    assert table.star(101) == Fraction(int(build_hurwitz_table(101).twelve_h[101]), 12)
-    for d in (0, 99, 4 * 101 - 1, 4 * 101 + 4):
-        with pytest.raises(ValueError, match="not held"):
-            table.star(d)
+    assert identity_table(p) == dense_identity_table(build_hurwitz_table(4 * p), p)
 
 
 @pytest.mark.parametrize("p", [1, 4, 100, 3])
@@ -160,6 +152,6 @@ def test_identity_table_rejects_non_primes(p):
 def test_moment_identity_on_identity_table(twisted):
     for p in [p for p in primes_up_to(200) if p >= 5]:
         counts = build_trace_table(make_context(p)).multiplicities
-        expected = multiplicity_rhs(identity_table(p), p)
+        expected = multiplicity_rhs(*identity_table(p))
         for n in range(1, 4):
             assert moment(counts, n, twisted) == moment(expected, n, twisted)

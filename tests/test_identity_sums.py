@@ -1,13 +1,11 @@
 """The class-number identities from integer power sums, against per-s loops."""
 
-from collections import Counter
 from math import isqrt
 
 import numpy as np
 import pytest
 
 from k3batman import (
-    SparseHurwitzTable,
     bracket_coeff,
     build_hurwitz_table,
     identity_table,
@@ -19,8 +17,10 @@ from k3batman.brackets import class_sum_a, class_sum_b
 from k3batman.cli import dispatch
 from util import (
     bracket_coeff_by_loop,
+    class_numbers_along,
     class_sum_a_by_loop,
     class_sum_b_by_loop,
+    dense_identity_table,
     moment_rhs_by_loop,
     multiplicity_rhs_by_loop,
     primes_up_to,
@@ -29,102 +29,84 @@ from util import (
 PRIMES = [p for p in primes_up_to(300) if p >= 5] + [4099, 93283]
 
 
-@pytest.fixture(scope="module", params=["dense", "sparse"])
-def tables(request, hurwitz_4000):
-    """(p, table) for every prime of PRIMES, each table covering D <= 4p."""
-    if request.param == "sparse":
-        return [(p, identity_table(p)) for p in PRIMES]
+@pytest.fixture(scope="module")
+def dense_tables(hurwitz_4000):
+    """A dense table covering D <= 4p for every prime of PRIMES: the loops' source."""
     large = {p: build_hurwitz_table(4 * p) for p in PRIMES if 4 * p > hurwitz_4000.d_max}
-    return [(p, large.get(p, hurwitz_4000)) for p in PRIMES]
+    return {p: large.get(p, hurwitz_4000) for p in PRIMES}
+
+
+@pytest.fixture(scope="module", params=["dense", "sparse"])
+def tables(request, dense_tables):
+    """(p, the class numbers along (1, p) and (4, 4p), a dense table) for
+    every prime of PRIMES; the class numbers are sliced from the dense table
+    or counted by identity_table."""
+    if request.param == "sparse":
+        return [(p, identity_table(p), dense) for p, dense in dense_tables.items()]
+    return [(p, dense_identity_table(dense, p), dense) for p, dense in dense_tables.items()]
 
 
 def test_bracket_coeff_matches_loop(tables):
-    for p, table in tables:
+    for p, pair, dense in tables:
         for m in range(1, 7):
-            for t, n in ((1, p), (4, 4 * p)):
-                assert bracket_coeff(m, t, n, table) == bracket_coeff_by_loop(m, t, n, table), (p, m, t)
+            for along in pair:
+                expected = bracket_coeff_by_loop(m, along.t, along.n, dense)
+                assert bracket_coeff(m, along) == expected, (p, m, along.t)
 
 
 def test_class_sums_match_loop(tables):
-    for p, table in tables:
+    for p, (along_p, along_4p), dense in tables:
         for m in range(1, 7):
-            assert class_sum_a(m, p, table) == class_sum_a_by_loop(m, p, table), (p, m)
-            assert class_sum_b(m, p, table) == class_sum_b_by_loop(m, p, table), (p, m)
+            assert class_sum_a(m, along_p) == class_sum_a_by_loop(m, p, dense), (p, m)
+            assert class_sum_b(m, along_4p) == class_sum_b_by_loop(m, p, dense), (p, m)
 
 
 @pytest.mark.parametrize("twisted", [False, True])
 def test_moment_rhs_matches_loop(tables, twisted):
-    for p, table in tables:
+    for p, pair, dense in tables:
         for n in range(1, 7):
-            got = moment(multiplicity_rhs(table, p), n, twisted)
-            assert got == moment_rhs_by_loop(table, p, n, twisted), (p, n)
+            got = moment(multiplicity_rhs(*pair), n, twisted)
+            assert got == moment_rhs_by_loop(dense, p, n, twisted), (p, n)
 
 
 def test_multiplicity_rhs_matches_loop(tables):
-    for p, table in tables:
-        summary = multiplicity_rhs(table, p)
+    for p, pair, dense in tables:
+        summary = multiplicity_rhs(*pair)
         rows = list(zip(summary.weights(), summary.weights(twisted=True)))
-        assert rows == multiplicity_rhs_by_loop(table, p), p
+        assert rows == multiplicity_rhs_by_loop(dense, p), p
 
 
 def test_bracket_coeff_matches_loop_at_every_n(hurwitz_4000):
     # n = t s^2 for some s puts H*(0) = -1/12 at the ends of the sum
     for t in (1, 4):
         for n in range(1, 401):
+            along = class_numbers_along(hurwitz_4000, t, n)
             for m in range(7):
                 expected = bracket_coeff_by_loop(m, t, n, hurwitz_4000)
-                assert bracket_coeff(m, t, n, hurwitz_4000) == expected, (m, t, n)
+                assert bracket_coeff(m, along) == expected, (m, t, n)
 
 
 def test_class_sums_match_loop_at_every_p(hurwitz_4000):
-    # square p: s = 2 sqrt(p) is left out, where 4p - s^2 = 0
+    # square p: the last term, s = 2 sqrt(p), reads H*(4p - s^2) = H*(0) = -1/12
     for p in range(1, 301):
+        along_p, along_4p = dense_identity_table(hurwitz_4000, p)
         for m in range(7):
-            assert class_sum_a(m, p, hurwitz_4000) == class_sum_a_by_loop(m, p, hurwitz_4000), (p, m)
-            assert class_sum_b(m, p, hurwitz_4000) == class_sum_b_by_loop(m, p, hurwitz_4000), (p, m)
+            assert class_sum_a(m, along_p) == class_sum_a_by_loop(m, p, hurwitz_4000), (p, m)
+            assert class_sum_b(m, along_4p) == class_sum_b_by_loop(m, p, hurwitz_4000), (p, m)
 
 
 def test_power_sums_any_order():
     p = 4099
-    for t, n in ((1, p), (4, 4 * p)):
-        table = identity_table(p)
-        values = [(table.twelve(n - t * s * s), s * s) for s in range(1, isqrt((n - 1) // t) + 1)]
-        direct = [sum(v * x**l for v, x in values) for l in range(8)]
-        assert table.power_sums(t, n, 3) == direct[:4]
-        assert table.power_sums(t, n, 7) == direct
-        assert table.power_sums(t, n, 0) == direct[:1]
-        assert identity_table(p).power_sums(t, n, 7) == direct
-
-
-def test_twelve_matches_star(hurwitz_4000):
-    sparse = identity_table(101)
-    for table in (hurwitz_4000, sparse):
-        for d in sorted(sparse.twelve_h) + [-4]:
-            assert 12 * table.star(d) == table.twelve(d)
-            assert type(table.twelve(d)) is int
-    with pytest.raises(ValueError, match="exceeds"):
-        hurwitz_4000.twelve(4001)
-    with pytest.raises(ValueError, match="not held"):
-        sparse.twelve(99)
-
-
-def test_verify_brackets_reads_each_value_once(monkeypatch, capsys):
-    """Across every m, each H*(p - k^2) and H*(4(p - k^2)) with k > 0 is read
-    once; only the k = 0 values are read again, by each bracket and each
-    coefficient side."""
-    p, mmax = 1009, 6
-    reads = Counter()
-    twelve = SparseHurwitzTable.twelve
-
-    def counted(self, d):
-        reads[d] += 1
-        return twelve(self, d)
-
-    monkeypatch.setattr(SparseHurwitzTable, "twelve", counted)
-    assert dispatch(["verify", "brackets", "--p", str(p), "--mmax", str(mmax)]) == 0
-    for k in range(1, isqrt(p) + 1):
-        assert reads[p - k * k] == 1 and reads[4 * (p - k * k)] == 1, k
-    assert reads[p] == reads[4 * p] == 2 * mmax
+    for along in identity_table(p):
+        root = isqrt(along.n // along.t)
+        direct = [sum(along.twelve[abs(k)] * k ** (2 * l) for k in range(-root, root + 1))
+                  for l in range(8)]
+        assert along.power_sums(3) == direct[:4]
+        assert along.power_sums(7) == direct
+        assert along.power_sums(0) == direct[:1]
+        sums = along.power_sums(7)
+        sums[0] += 1  # a caller's copy: the kept sums do not change
+        assert along.power_sums(7) == direct
 
 
 def test_index_four_relation_matches_dense_table():

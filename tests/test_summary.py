@@ -3,6 +3,7 @@ per-lambda reference loops."""
 
 import dataclasses
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -31,6 +32,8 @@ from k3batman.svg import histogram_counts
 from util import (
     a_count_by_loop,
     a_value_by_loop,
+    class_numbers_along,
+    dense_identity_table,
     histogram_by_loop,
     interval_counts_by_loop,
     moment_by_loop,
@@ -172,7 +175,7 @@ def test_chebyshev_sum_matches_moment_expansion(oracle_tables):
 def test_multiplicity_rhs_matches_counts(trace_tables_1000):
     """The two summaries agree on the whole counts array, s = 0 included."""
     for p, table in trace_tables_1000.items():
-        rhs = multiplicity_rhs(identity_table(p), p)
+        rhs = multiplicity_rhs(*identity_table(p))
         assert len(rhs.counts) == math.isqrt(4 * p) + 1
         plain, signed = Counter(), Counter()
         for _, a, sign in table.entries():
@@ -183,48 +186,76 @@ def test_multiplicity_rhs_matches_counts(trace_tables_1000):
         assert rhs == table.multiplicities, p
 
 
+def test_multiplicity_rhs_matches_trace_table_below_5000(trace_tables_1000):
+    """The closed-form s = 0 row and every other row, at every prime below 5000."""
+    for p in primes_up_to(5000):
+        if p >= 5:
+            table = trace_tables_1000.get(p) or build_trace_table(make_context(p))
+            assert multiplicity_rhs(*identity_table(p)) == table.multiplicities, p
+
+
 def test_multiplicity_rhs_matches_counts_on_other_tables(table_93283, trace_tables_1000,
                                                          hurwitz_4000):
-    assert multiplicity_rhs(identity_table(93283), 93283) == table_93283.multiplicities
+    assert multiplicity_rhs(*identity_table(93283)) == table_93283.multiplicities
     for p, table in trace_tables_1000.items():  # 4p <= 4000 throughout
-        assert multiplicity_rhs(hurwitz_4000, p) == table.multiplicities, p
+        expected = multiplicity_rhs(*dense_identity_table(hurwitz_4000, p))
+        assert expected == table.multiplicities, p
 
 
 @pytest.mark.parametrize("p", [5, 13, 101, 1009])
 def test_multiplicity_rhs_sums_to_moment_rhs(p):
     """Each moment identity is the sum of the multiplicity identities times s^(2n)."""
-    htable = identity_table(p)
-    rhs = multiplicity_rhs(htable, p)
+    rhs = multiplicity_rhs(*identity_table(p))
+    dense = build_hurwitz_table(4 * p)
     for n in (1, 2, 3):
         for twisted in (False, True):
-            assert moment(rhs, n, twisted) == moment_rhs_by_loop(htable, p, n, twisted), (n, twisted)
+            assert moment(rhs, n, twisted) == moment_rhs_by_loop(dense, p, n, twisted), (n, twisted)
 
 
-def _off_by_one(table, d):
-    """A copy of a class-number table with 12 H*(d) one too large."""
-    twelve_h = dict(table.twelve_h)
-    twelve_h[d] += 1
-    return dataclasses.replace(table, twelve_h=twelve_h)
+# Which class number to patch: (along (1, p) or (4, 4p), k) for 12 H*(n - t k^2).
+_PATCHED = {"N": (0, 2), "4N": (1, 2), "p": (0, 0), "4p": (1, 0)}
 
 
-@pytest.mark.parametrize("p", [101, 103])  # 1 and 3 (mod 4)
-@pytest.mark.parametrize("which", ["N", "4N"])
-def test_multiplicity_rhs_refuses_a_wrong_class_number(monkeypatch, capsys, p, which):
-    d = p - 4 if which == "N" else 4 * (p - 4)
-    with pytest.raises(ArithmeticError, match="class numbers give"):
-        multiplicity_rhs(_off_by_one(identity_table(p), d), p)
+def _patched(pair, which, by):
+    """A copy of the class numbers along (1, p) and (4, 4p) with one value raised by ``by``."""
+    index, k = _PATCHED[which]
+    twelve = list(pair[index].twelve)
+    twelve[k] += by
+    patched = dataclasses.replace(pair[index], twelve=tuple(twelve))
+    return (patched, pair[1]) if index == 0 else (pair[0], patched)
+
+
+def _assert_refused(monkeypatch, capsys, p, which, by, message):
+    with pytest.raises(ArithmeticError, match=message):
+        multiplicity_rhs(*_patched(identity_table(p), which, by))
     identity = hurwitz.identity_table
-    monkeypatch.setattr(hurwitz, "identity_table", lambda q: _off_by_one(identity(q), d))
+    monkeypatch.setattr(hurwitz, "identity_table", lambda q: _patched(identity(q), which, by))
     for argv in (["verify", "moments"], ["verify", "multiplicities"]):
         assert dispatch(argv + ["--p", str(p)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: internal check failed: class numbers give")
+        assert re.match(f"error: internal check failed: {message}", captured.err)
 
 
-def test_multiplicity_rhs_needs_table_up_to_4p():
-    with pytest.raises(ValueError, match="need 4p"):
-        multiplicity_rhs(build_hurwitz_table(100), 101)
+@pytest.mark.parametrize("p", [101, 103])  # 1 and 3 (mod 4)
+@pytest.mark.parametrize("which", ["N", "4N", "p", "4p"])
+def test_multiplicity_rhs_refuses_a_wrong_class_number(monkeypatch, capsys, p, which):
+    """12 H* one too large anywhere, H*(p) and H*(4p) of the s = 0 row included."""
+    _assert_refused(monkeypatch, capsys, p, which, 1, "class numbers give")
+
+
+@pytest.mark.parametrize("p", [101, 103])
+@pytest.mark.parametrize("which", ["p", "4p"])
+def test_multiplicity_rhs_refuses_wrong_column_totals(monkeypatch, capsys, p, which):
+    """A wrong H*(p) or H*(4p) that still gives whole, non-negative counts
+    leaves the column totals off."""
+    _assert_refused(monkeypatch, capsys, p, which, 24, r"class numbers give \d+ signs \+1")
+
+
+def test_multiplicity_rhs_needs_table_up_to_4p(hurwitz_4000):
+    along_p, _ = identity_table(101)
+    with pytest.raises(ValueError, match=r"\(4, 4p\)"):
+        multiplicity_rhs(along_p, class_numbers_along(hurwitz_4000, 4, 400))
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from math import comb, isqrt
 
 import numpy as np
 
-from k3batman import even_chebyshev, two_squares
+from k3batman import ClassNumbersAlong, even_chebyshev, two_squares
 from k3batman.field import power_table, primitive_root, require_inverse_range
 
 
@@ -173,8 +173,26 @@ def histogram_by_loop(table, bins: int) -> list[int]:
     return counts
 
 
-# Per-s reference loops for the class-number identities, which the library
-# evaluates from integer power sums. Every term is a Fraction read by ``star``.
+# The class numbers the library reads, sliced from a dense table, and per-s
+# reference loops for the identities, which the library evaluates from
+# integer power sums. Every term of a loop is a Fraction read by ``star``
+# straight from the dense table.
+
+
+def class_numbers_along(table, t: int, n: int) -> ClassNumbersAlong:
+    """12 H*(n - t k^2) for k = 0..isqrt(n // t), read from a dense table."""
+    k = np.arange(isqrt(n // t) + 1)
+    return ClassNumbersAlong(t, n, tuple(table.twelve_h[n - t * k * k].tolist()))
+
+
+def dense_identity_table(table, p: int) -> tuple[ClassNumbersAlong, ClassNumbersAlong]:
+    """What ``identity_table(p)`` returns, sliced from a dense table with d_max >= 4p."""
+    return class_numbers_along(table, 1, p), class_numbers_along(table, 4, 4 * p)
+
+
+def star(table, d: int) -> Fraction:
+    """H*(D) from a dense table, for 0 <= D <= d_max."""
+    return Fraction(int(table.twelve_h[d]), 12)
 
 
 def bracket_coeff_by_loop(m: int, t: int, n: int, table) -> Fraction:
@@ -183,24 +201,24 @@ def bracket_coeff_by_loop(m: int, t: int, n: int, table) -> Fraction:
     root = isqrt(n // t)
     total = Fraction(0)
     for s in range(-root, root + 1):
-        total += table.star(n - t * s * s) * even_chebyshev(m, t * s * s, n)
+        total += star(table, n - t * s * s) * even_chebyshev(m, t * s * s, n)
     return comb(2 * m, m) * total / 4**m
 
 
 def _class_sum_by_loop(m: int, p: int, star_at) -> Fraction:
     q = 4 * p
     total = Fraction(0)
-    for s in range(2, isqrt(q - 1) + 1, 2):
+    for s in range(2, isqrt(q) + 1, 2):
         total += star_at(s) * even_chebyshev(m, s * s, q)
     return total / q**m
 
 
 def class_sum_a_by_loop(m: int, p: int, table) -> Fraction:
-    return _class_sum_by_loop(m, p, lambda s: 2 * table.star(p - (s // 2) ** 2))
+    return _class_sum_by_loop(m, p, lambda s: 2 * star(table, p - (s // 2) ** 2))
 
 
 def class_sum_b_by_loop(m: int, p: int, table) -> Fraction:
-    return _class_sum_by_loop(m, p, lambda s: table.star(4 * p - s * s))
+    return _class_sum_by_loop(m, p, lambda s: star(table, 4 * p - s * s))
 
 
 def c_pm(p: int, n: int, sign: str) -> int:
@@ -221,8 +239,8 @@ def c_pm(p: int, n: int, sign: str) -> int:
 def moment_rhs_by_loop(table, p: int, n: int, twisted: bool = False) -> Fraction:
     total = Fraction(0)
     for s in range(2, isqrt(4 * p - 1) + 1, 2):
-        small = table.star(p - (s // 2) ** 2)  # (4p - s^2)/4
-        big = table.star(4 * p - s * s)
+        small = star(table, p - (s // 2) ** 2)  # (4p - s^2)/4
+        big = star(table, 4 * p - s * s)
         weight = 4 * small - big if twisted else 2 * small + big
         total += weight * s ** (2 * n)
     return total - c_pm(p, n, "-" if twisted else "+")
@@ -240,8 +258,8 @@ def multiplicity_rhs_by_loop(table, p: int) -> list[tuple[Fraction, Fraction]]:
         if s % 2:
             rhs.append((Fraction(0), Fraction(0)))
             continue
-        small = table.star(p - (s // 2) ** 2)
-        big = table.star(4 * p - s * s)
+        small = star(table, p - (s // 2) ** 2)
+        big = star(table, 4 * p - s * s)
         hit_a, hit_b = int(s == ta), int(s == tb)
         rhs.append((
             2 * small + big - Fraction(hit_a + hit_b, 2),
