@@ -1,13 +1,17 @@
 """Binary cache files for trace and class-number tables.
 
-Layout: 8-byte magic ``BATMANv2``, one kind byte (1 = trace table,
+Layout: 8-byte magic ``BATMANv3``, one kind byte (1 = trace table,
 2 = class-number table), the prime or d_max as a little-endian u64, the
 payload arrays one after another, and a trailing CRC32 (little-endian u32)
 over everything before it.
 
-- Kind 1: the p-2 traces (``<i8``), the p-2 signs phi(-lambda) (``i1``),
-  then the ``TraceSummary`` counts (``<i8``, shape ``(isqrt(4p)+1, 2)``).
+- Kind 1: the p-2 traces (``<i4``: |a| <= 2 sqrt(p)), the p-2 signs
+  phi(-lambda) (``i1``), then the ``TraceSummary`` counts (``<i8``, shape
+  ``(isqrt(4p)+1, 2)``). Format v2 stored the traces as ``<i8``.
 - Kind 2: ``12 H*(D)`` for D = 0..d_max (``<i8``).
+
+A file of another version, v1 or v2 included, fails the magic check like
+any other unreadable file.
 
 A load reads each array straight into its numpy buffer and folds the CRC
 over it as it goes, so the file is read once and copied nowhere else. A
@@ -25,10 +29,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .clausen import TraceSummary, TraceTable
+from .clausen import TraceSummary, TraceTable, check_hasse
 from .hurwitz import HurwitzTable
 
-MAGIC = b"BATMANv2"
+MAGIC = b"BATMANv3"
 KIND_TRACE = 1
 KIND_HURWITZ = 2
 
@@ -43,7 +47,7 @@ class CacheFormatError(ValueError):
 def _trace_layout(p: int) -> list[tuple[str, tuple[int, ...]]]:
     if p < 5:
         raise CacheFormatError(f"bad prime {p} in a trace-table header")
-    return [("<i8", (p - 2,)), ("i1", (p - 2,)), ("<i8", (math.isqrt(4 * p) + 1, 2))]
+    return [("<i4", (p - 2,)), ("i1", (p - 2,)), ("<i8", (math.isqrt(4 * p) + 1, 2))]
 
 
 def _hurwitz_layout(d_max: int) -> list[tuple[str, tuple[int, ...]]]:
@@ -111,10 +115,12 @@ def _read(path, kind: int, layout) -> tuple[int, list[np.ndarray]]:
 
 
 def save_trace_table(path, table: TraceTable) -> None:
-    """Save ``table`` with its signs and summary; raises ArithmeticError for a
-    trace beyond the Hasse bound, since the summary cannot be counted."""
+    """Save ``table`` with its signs and summary, the traces narrowed to int32;
+    raises ArithmeticError for a trace beyond the Hasse bound, checked
+    before the narrowing, so no trace can wrap."""
     counts = table.multiplicities.counts
-    arrays = [np.ascontiguousarray(table.traces, dtype="<i8"),
+    check_hasse(table.p, table.traces)  # a summary given with the table checked none
+    arrays = [np.ascontiguousarray(table.traces, dtype="<i4"),
               np.ascontiguousarray(table.signs, dtype="i1"),
               np.ascontiguousarray(counts, dtype="<i8")]
     _write_atomic(path, KIND_TRACE, table.p, arrays)
@@ -124,9 +130,7 @@ def _check_trace_payload(p: int, traces, signs, counts) -> None:
     """The Hasse bound on every trace, then the stored summary's invariants:
     the signs are +-1 and sum to -1, no count is negative, and the column
     totals equal the number of +1 and of -1 signs. Raises ArithmeticError."""
-    bound, top = math.isqrt(4 * p), max(int(traces.max()), -int(traces.min()))
-    if top > bound:
-        raise ArithmeticError(f"Hasse bound violated at p={p}: |a| = {top} > {bound}")
+    check_hasse(p, traces)
     plus, minus = counts.sum(axis=0).tolist()
     signs_ok = (np.count_nonzero(signs) == p - 2 and int(signs.min()) >= -1
                 and int(signs.max()) <= 1 and int(signs.sum()) == -1)

@@ -29,8 +29,9 @@ def _write_text(out: str | None, text: str) -> None:
 # p = 10000019), for refusing a p the machine cannot hold before allocating.
 _TRACE_BYTES_PER_P = 90
 # Peak bytes per p of a_numerators beyond the trace table it reads, for the
-# same refusal on a cache hit (14.6 measured at p = 1000003, 12.3 at 10000019).
-_AVALUE_BYTES_PER_P = 16
+# same refusal on a cache hit (9.25 measured at p = 1000003, 4.52 at 10000019:
+# the int32 result and a one-byte mask, plus block scratch of fixed size).
+_AVALUE_BYTES_PER_P = 10
 
 
 def _available_memory() -> int | None:
@@ -196,7 +197,9 @@ def cmd_avalues(args) -> int:
     table = _get_trace_table(p, args.cache_dir)
     # a cache hit skips the guard of _get_trace_table, but not this one
     _require_memory(p, _AVALUE_BYTES_PER_P, "place the A-values")
-    _emit_int_table(args.out, args.format, "mu,num,den", 1, a_numerators(table), p)
+    num = a_numerators(table)
+    del table  # only the numerators stay alive while the text is written
+    _emit_int_table(args.out, args.format, "mu,num,den", 1, num, p)
     return 0
 
 

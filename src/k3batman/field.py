@@ -108,24 +108,24 @@ def primitive_root(p: int) -> int:
     return g
 
 
-def power_table(g: int, p: int) -> np.ndarray:
-    """g^k mod p for k = 0..p-2, in int64.
+def powers(g: int, p: int, count: int) -> np.ndarray:
+    """g^k mod p for k = 0..count-1, in int64, for count >= 1.
 
     Doubling: with g^0..g^(k-1) known, g^k..g^(2k-1) is that block times g^k,
-    so about log2(p) vectorised steps. Every product is below p^2, so
+    so about log2(count) vectorised steps. Every product is below p^2, so
     p^2 < 2^63 is required.
     """
-    powers = np.empty(p - 1, dtype=np.int64)
-    powers[0] = 1
+    table = np.empty(count, dtype=np.int64)
+    table[0] = 1
     k, g_k = 1, g % p
-    while k < p - 1:
-        m = min(k, p - 1 - k)
-        block = powers[k : k + m]
-        np.multiply(powers[:m], g_k, out=block)
+    while k < count:
+        m = min(k, count - k)
+        block = table[k : k + m]
+        np.multiply(table[:m], g_k, out=block)
         block %= p
         k += m
         g_k = g_k * g_k % p
-    return powers
+    return table
 
 
 def require_inverse_range(p: int) -> None:

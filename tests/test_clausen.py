@@ -135,8 +135,9 @@ def test_a_value_range():
 
 
 # 196613 = 1 and 200003 = 3 (mod 4), both past 3 blocks of powers, so the
-# walk takes 4 blocks and the last one is partial.
-@pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 1009, 25013, 196613, 200003])
+# walk takes 4 blocks and the last one is partial. At 65537, p - 1 = _BLOCK:
+# one whole block, and the base table is every power.
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 1009, 25013, 65537, 196613, 200003])
 def test_a_numerators_match_pow_inverses(p):
     table = build_trace_table(make_context(p))
     num = clausen.a_numerators(table)
@@ -151,11 +152,54 @@ def test_a_numerators_match_pow_inverses(p):
 
 
 def test_a_numerators_refuse_a_trace_beyond_hasse():
+    _assert_a_numerators_refuse_trace(22)  # 2 sqrt(101) < 21, so |22^2 - 101| > 3 * 101
+
+
+# the int32 extremes square past int32 and, for the least, np.abs wraps
+@pytest.mark.parametrize("value", [-(1 << 31), (1 << 31) - 1])
+def test_a_numerators_refuse_an_int32_extreme_trace(value):
+    _assert_a_numerators_refuse_trace(value)
+
+
+def _assert_a_numerators_refuse_trace(value):
     table = build_trace_table(make_context(101))
     traces = table.traces.copy()
-    traces[17] = 22  # 2 sqrt(101) < 21, so |22^2 - 101| > 3 * 101
+    traces[17] = value
     with pytest.raises(ArithmeticError, match=r"escapes \[-3, 3\] at p=101"):
         clausen.a_numerators(clausen.TraceTable(101, traces, table.signs))
+
+
+@pytest.mark.parametrize("value", [22, -(1 << 31), (1 << 31) - 1])
+def test_multiplicities_refuse_an_int32_trace_beyond_hasse(value):
+    table = build_trace_table(make_context(101))
+    traces = table.traces.copy()
+    traces[17] = value
+    message = rf"Hasse bound violated at p=101: \|a\| = {abs(value)} > 20"
+    with pytest.raises(ArithmeticError, match=message):
+        clausen.TraceTable(101, traces, table.signs).multiplicities
+
+
+@pytest.mark.parametrize("p", [5, 101, 25013])
+def test_trace_table_is_int32(p):
+    table = build_trace_table(make_context(p))
+    assert table.traces.dtype == np.int32
+    assert not table.traces.flags.writeable
+
+
+def test_trace_build_checks_hasse_before_the_int32_cast(monkeypatch):
+    """An integral float trace past int32 is caught on the floats. A cast
+    through int64 would wrap it back to the true trace, and a direct cast
+    to int32 is undefined for it in C."""
+    irfft = clausen.irfft
+
+    def shifted(*args):
+        corr = irfft(*args)
+        corr[5] -= 1 << 32  # lambda = 5; a = -corr, so a gains 2^32
+        return corr
+
+    monkeypatch.setattr(clausen, "irfft", shifted)
+    with pytest.raises(ArithmeticError, match="Hasse bound violated at p=101"):
+        build_trace_table(make_context(101))
 
 
 def test_moment_examples(table5):

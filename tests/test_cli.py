@@ -369,7 +369,7 @@ def test_cache_version_error(tmp_path):
     path = tmp_path / "t.bin"
     cache.save_trace_table(path, table)
     raw = bytearray(path.read_bytes())
-    raw[7] = ord("0")  # BATMANv2 -> BATMANv0
+    raw[7] = ord("0")  # BATMANv3 -> BATMANv0
     path.write_bytes(bytes(raw))
     with pytest.raises(cache.CacheFormatError, match="version"):
         cache.load_trace_table(path)
@@ -446,18 +446,20 @@ def test_cache_checksum_error(tmp_path):
 
 
 def _pack_trace_file(path, p, traces, signs, counts):
-    """Write a CRC-valid format-v2 trace cache file, packed here apart from the
-    cache module: header, traces, signs, summary counts, then the CRC32."""
-    body = (struct.pack("<8sBQ", b"BATMANv2", 1, p) + np.asarray(traces, "<i8").tobytes()
+    """Write a CRC-valid format-v3 trace cache file, packed here apart from the
+    cache module: header, int32 traces, signs, summary counts, then the CRC32."""
+    body = (struct.pack("<8sBQ", b"BATMANv3", 1, p) + np.asarray(traces, "<i4").tobytes()
             + np.asarray(signs, "i1").tobytes() + np.asarray(counts, "<i8").tobytes())
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
 def _count_summary(p, traces, signs):
     """The summary counts of ``traces`` without the Hasse check: a trace past
-    the bound is counted in the last row, so the column totals stay right."""
+    the bound is counted in the last row, so the column totals stay right.
+    Widened first, since np.abs wraps at the least int32."""
     bound = math.isqrt(4 * p)
-    cells = 2 * np.minimum(np.abs(traces), bound) + (np.asarray(signs) < 0)
+    magnitudes = np.abs(np.asarray(traces, dtype=np.int64))
+    cells = 2 * np.minimum(magnitudes, bound) + (np.asarray(signs) < 0)
     return np.bincount(cells, minlength=2 * bound + 2).reshape(bound + 1, 2)
 
 
@@ -478,9 +480,10 @@ def test_trace_cache_keeps_signs_and_summary(tmp_path, p):
     table = build_trace_table(make_context(p))
     path = tmp_path / "t.bin"
     cache.save_trace_table(path, table)
-    assert path.stat().st_size == 17 + 9 * (p - 2) + 16 * (math.isqrt(4 * p) + 1) + 4
+    assert path.stat().st_size == 17 + 5 * (p - 2) + 16 * (math.isqrt(4 * p) + 1) + 4
     loaded = cache.load_trace_table(path)
     assert loaded.p == p
+    assert loaded.traces.dtype == np.int32
     assert np.array_equal(loaded.traces, table.traces)
     assert np.array_equal(loaded.signs, table.signs)
     assert loaded.multiplicities == table.multiplicities
@@ -515,10 +518,49 @@ def test_trace_cache_refuses_a_header_prime_below_5(tmp_path, p):
 
 
 def test_trace_cache_refuses_a_table_beyond_hasse(tmp_path):
-    broken = TraceTable(5, np.array([9, 0, 2], dtype=np.int64), np.array([1, -1, -1], np.int8))
+    _assert_save_refuses_trace(tmp_path, 9)
+
+
+@pytest.mark.parametrize("value", [1 << 31, -(1 << 31) - 1, (1 << 32) + 2])
+def test_trace_cache_refuses_int64_traces_past_int32(tmp_path, value):
+    """A trace that the narrowing to int32 would wrap, the last one back into
+    the Hasse range, is refused before anything is written."""
+    _assert_save_refuses_trace(tmp_path, value)
+
+
+def _assert_save_refuses_trace(tmp_path, value):
+    broken = TraceTable(5, np.array([value, 0, 2], dtype=np.int64), np.array([1, -1, -1], np.int8))
     with pytest.raises(ArithmeticError, match="Hasse"):
         cache.save_trace_table(tmp_path / "t.bin", broken)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_trace_cache_refuses_traces_beyond_hasse_with_a_summary(tmp_path):
+    """A table made with a summary counts nothing, so the save checks the
+    traces itself before narrowing them."""
+    table = build_trace_table(make_context(101))
+    traces = table.traces.astype(np.int64)
+    traces[0] = (1 << 32) + int(traces[0])  # the same int32 bits as the true trace
+    broken = TraceTable(101, traces, table.signs, summary=table.multiplicities)
+    with pytest.raises(ArithmeticError, match="Hasse"):
+        cache.save_trace_table(tmp_path / "t.bin", broken)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("p", [5, 101, 25013])
+def test_trace_cache_narrows_int64_traces(tmp_path, p):
+    """An int64 table, as the benchmark's FFT generator makes, is saved as
+    int32 traces and loads with equal values and summary."""
+    table = build_trace_table(make_context(p))
+    wide = TraceTable(p, table.traces.astype(np.int64), table.signs)
+    path = tmp_path / "t.bin"
+    cache.save_trace_table(path, wide)
+    loaded = cache.load_trace_table(path)
+    assert loaded.traces.dtype == np.int32
+    assert np.array_equal(loaded.traces, wide.traces)
+    assert loaded.multiplicities == wide.multiplicities
+    cache.save_trace_table(tmp_path / "narrow.bin", table)
+    assert path.read_bytes() == (tmp_path / "narrow.bin").read_bytes()
 
 
 def _negative_count(counts, signs):
@@ -603,15 +645,30 @@ def test_verify_multiplicities_checks_the_zero_row(tmp_path, capsys):
         f"multiplicity identity at p={p} FAILS first at s=0: counts ")
 
 
-@pytest.mark.parametrize(
+_TRACE_COMMANDS = pytest.mark.parametrize(
     "argv",
     [["verify", "moments"], ["hist", "--bins", "11"], ["verify", "distribution"],
      ["verify", "multiplicities"], ["avalues"], ["traces"]],
     ids=["verify-moments", "hist", "verify-distribution", "verify-multiplicities", "avalues",
          "traces"],
 )
+
+
+@_TRACE_COMMANDS
 def test_cached_trace_beyond_hasse_is_internal_error(tmp_path, capsys, argv):
-    cache_dir = _cache_with_trace(tmp_path, 101, 17, 22)  # 2 sqrt(101) < 21
+    _assert_cached_trace_is_internal_error(tmp_path, capsys, argv, 22)  # 2 sqrt(101) < 21
+
+
+# The least and largest int32: no check may take np.abs of an int32, which
+# wraps at the least value, or square one in int32.
+@pytest.mark.parametrize("value", [-(1 << 31), (1 << 31) - 1], ids=["int32-min", "int32-max"])
+@_TRACE_COMMANDS
+def test_cached_int32_extreme_trace_is_internal_error(tmp_path, capsys, argv, value):
+    _assert_cached_trace_is_internal_error(tmp_path, capsys, argv, value)
+
+
+def _assert_cached_trace_is_internal_error(tmp_path, capsys, argv, value):
+    cache_dir = _cache_with_trace(tmp_path, 101, 17, value)
     assert dispatch(argv + ["--p", "101", "--cache-dir", cache_dir]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -624,14 +681,14 @@ def test_cached_trace_beyond_hasse_is_internal_error(tmp_path, capsys, argv):
 def test_avalues_wrong_inverse_is_internal_error(monkeypatch, capsys):
     from k3batman import field
 
-    power_table = field.power_table
+    powers = field.powers
 
     def off_by_one(*args):
-        result = power_table(*args)
+        result = powers(*args)  # at p = 101 one block holds every power
         result[result == 42] += 1  # no power reaches 42 now, so it gets no inverse
         return result
 
-    monkeypatch.setattr(field, "power_table", off_by_one)
+    monkeypatch.setattr(field, "powers", off_by_one)
     assert dispatch(["avalues", "--p", "101"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -645,14 +702,15 @@ def test_avalues_wrong_inverse_is_internal_error(monkeypatch, capsys):
 def test_avalues_swapped_powers_are_internal_error(monkeypatch, capsys):
     from k3batman import field
 
-    power_table = field.power_table
+    powers = field.powers
 
-    def swapped(*args):
-        result = power_table(*args)
-        result[[1, 2]] = result[[2, 1]]  # g <-> g^2: every x is still reached
+    def swapped(g, p, count):
+        result = powers(g, p, count)
+        if g == 2:  # the powers of g, not of g^(-1) = 51: the streams disagree
+            result[[1, 2]] = result[[2, 1]]  # g <-> g^2: every x is still reached
         return result
 
-    monkeypatch.setattr(field, "power_table", swapped)
+    monkeypatch.setattr(field, "powers", swapped)
     assert dispatch(["avalues", "--p", "101"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -674,8 +732,9 @@ def test_avalues_tracemalloc_peak_from_a_warm_cache(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 9 bytes per p hold the loaded table; with a p-length inverse table it was 57.5
-    assert peak <= 30 * p
+    # 5 bytes per p hold the loaded table and 4 the numerators: 14.5 in all;
+    # with int64 traces and power table it was 23.9, with an inverse table 57.5
+    assert peak <= 20 * p
 
 
 def test_avalues_refuses_p_beyond_int64_inverses(capsys):
@@ -840,14 +899,27 @@ def _hurwitz_kind(raw):
     return bytes(raw)
 
 
-def _v1_format(raw):
-    """The file as format v1 wrote it: the header and the traces, no signs or summary."""
-    body = b"BATMANv1" + raw[8 : 17 + 8 * 99]  # p = 101: 99 traces
+def _older_format(version, raw, *parts):
+    """A CRC-valid file of an older format version at p = 101: its header,
+    the int64 traces read from the v3 file ``raw``, then ``parts``."""
+    traces = np.frombuffer(raw, "<i4", count=99, offset=17)  # p = 101: 99 traces
+    body = version + raw[8:17] + traces.astype("<i8").tobytes() + b"".join(parts)
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-@pytest.mark.parametrize("corrupt", [_truncate, _flip_payload_byte, _hurwitz_kind, _v1_format],
-                         ids=["truncated", "checksum", "kind", "v1"])
+def _v1_format(raw):
+    """The file as format v1 wrote it: the header and the traces, no signs or summary."""
+    return _older_format(b"BATMANv1", raw)
+
+
+def _v2_format(raw):
+    """The file as format v2 wrote it: int64 traces, then the signs and summary."""
+    return _older_format(b"BATMANv2", raw, raw[17 + 4 * 99 : -4])
+
+
+@pytest.mark.parametrize("corrupt",
+                         [_truncate, _flip_payload_byte, _hurwitz_kind, _v1_format, _v2_format],
+                         ids=["truncated", "checksum", "kind", "v1", "v2"])
 def test_unreadable_cache_is_rebuilt(tmp_path, capsys, corrupt):
     """An unreadable cache file is a miss: same stdout and exit code as a run
     with no cache, one warning line, and a good file saved over the bad one."""
@@ -863,8 +935,23 @@ def test_unreadable_cache_is_rebuilt(tmp_path, capsys, corrupt):
     assert captured.out == expected
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("warning: ")
-    assert path.read_bytes() == good
+    if corrupt in (_v1_format, _v2_format):
+        assert "unsupported cache version" in lines[0]
+    assert path.read_bytes() == good  # rewritten in the current format
     assert sorted(f.name for f in tmp_path.iterdir()) == [path.name]
+
+
+def test_v2_format_helper_has_the_v2_layout(tmp_path):
+    """The v2 case above is a whole v2 file: 8 bytes a trace, then the signs
+    and the summary, and a CRC over them."""
+    p = 101
+    path = tmp_path / "t.bin"
+    cache.save_trace_table(path, build_trace_table(make_context(p)))
+    old = _v2_format(path.read_bytes())
+    assert len(old) == 17 + 9 * (p - 2) + 16 * (math.isqrt(4 * p) + 1) + 4
+    assert struct.unpack("<I", old[-4:])[0] == zlib.crc32(old[:-4])
+    traces = np.frombuffer(old, "<i8", count=p - 2, offset=17)
+    assert np.array_equal(traces, cache.load_trace_table(path).traces)
 
 
 def test_memory_guard_refuses_before_building(monkeypatch, capsys):

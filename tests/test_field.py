@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3batman import is_prime, make_context, two_squares
-from k3batman.field import primitive_root
+from k3batman.field import powers, primitive_root
 from util import chi_euler, inverses, primes_up_to, two_squares_exhaustive
 
 PRIMES_10K = [p for p in primes_up_to(10_000) if p >= 5]
@@ -120,3 +120,10 @@ def test_primality_matches_trial_division(n):
 def test_make_context_rejects_all_composites(n):
     with pytest.raises(ValueError):
         make_context(n)
+
+
+@pytest.mark.parametrize("p, count", [(5, 1), (5, 4), (101, 3), (101, 100), (65537, 1 << 16),
+                                      (1000003, 1 << 16)])
+def test_powers_match_pow(p, count):
+    for g in (primitive_root(p), pow(primitive_root(p), -1, p)):
+        assert powers(g, p, count).tolist() == [pow(g, k, p) for k in range(count)]

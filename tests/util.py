@@ -12,7 +12,7 @@ from math import comb, isqrt
 import numpy as np
 
 from k3batman import ClassNumbersAlong, even_chebyshev, two_squares
-from k3batman.field import power_table, primitive_root, require_inverse_range
+from k3batman.field import powers, primitive_root, require_inverse_range
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -35,15 +35,15 @@ def chi_euler(x: int, p: int) -> int:
 def inverses(p: int) -> np.ndarray:
     """Inverses mod p of x = 2..p-1; ``inverses(p)[i]`` belongs to x = i + 2.
 
-    With g a primitive root, the inverse of g^k is g^(p-1-k), so one power
-    table gives every inverse. Raises ValueError unless p is a prime >= 5
-    with p^2 < 2^63, and ArithmeticError unless x * inverse = 1 (mod p) for
-    every x.
+    With g a primitive root, the inverse of g^k is g^(p-1-k), so one
+    p-length table of powers, read backwards, gives every inverse. Raises
+    ValueError unless p is a prime >= 5 with p^2 < 2^63, and ArithmeticError
+    unless x * inverse = 1 (mod p) for every x.
     """
     require_inverse_range(p)
-    powers = power_table(primitive_root(p), p)
+    power_table = powers(primitive_root(p), p, p - 1)
     table = np.zeros(p, dtype=np.int64)  # an x no power reaches keeps 0 and fails the check
-    table[powers] = np.roll(powers[::-1], 1)  # g^k -> g^((p-1-k) mod (p-1))
+    table[power_table] = np.roll(power_table[::-1], 1)  # g^k -> g^((p-1-k) mod (p-1))
     inv = table[2:]
     x = np.arange(2, p, dtype=np.int64)
     bad = np.flatnonzero(x * inv % p != 1)
