@@ -1,13 +1,14 @@
 """Chebyshev coefficients, bracket q-series coefficients, and coefficient-bound audits.
 
 Everything here is exact rational arithmetic; floats appear only in the
-final bound comparisons of :func:`deligne_audit`.
+printed bounds of :func:`deligne_audit`, which compares exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, isqrt
@@ -146,26 +147,34 @@ class DeligneAudit:
     m: int
     p: int
     a_value: Fraction
-    a_bound: float
+    a_bound: float | Decimal
     b_value: Fraction
-    b_bound: float
+    b_bound: float | Decimal
     passed: bool
 
 
 def deligne_audit(m: int, p: int, a: Fraction, b: Fraction) -> DeligneAudit:
     """Check the explicit newform-coefficient bounds at a prime index.
 
-    ``a`` and ``b`` are pihol_coeff at (1, p) and (4, 4p). Values are exact
-    rationals; each bound is evaluated in floating point and nudged up one
-    ulp so rounding alone can never produce a spurious failure.
+    ``a`` and ``b`` are pihol_coeff at (1, p) and (4, 4p). Their bounds are
+    c p^(m + 1/2) with c = 2 C(2m, m) (m - 1) / (3 4^m) and 4 C(2m, m) (m - 1) / 3,
+    checked exactly as a^2 <= c^2 p^(2m + 1), for any m and p.
     """
     if m < 1 or p < 5:
         raise ValueError("need m >= 1 and p >= 5")
-    scale = (m - 1) * p ** (m + 0.5)
-    a_bound = math.nextafter(2.0 / 3.0 * comb(2 * m, m) / 4**m * scale, math.inf)
-    b_bound = math.nextafter(4.0 / 3.0 * comb(2 * m, m) * scale, math.inf)
-    passed = abs(float(a)) <= a_bound and abs(float(b)) <= b_bound
+    c = comb(2 * m, m) * (m - 1)
+    factors = Fraction(2 * c, 3 * 4**m), Fraction(4 * c, 3)
+    passed = all(v * v <= f * f * p ** (2 * m + 1) for v, f in zip((a, b), factors))
+    a_bound, b_bound = (_printed_bound(f, m, p) for f in factors)
     return DeligneAudit(m, p, a, a_bound, b, b_bound, passed)
+
+
+def _printed_bound(factor: Fraction, m: int, p: int) -> float | Decimal:
+    """factor p^(m + 1/2) to 28 digits, as a float nudged up one ulp, so
+    never below it, or as a Decimal where a float cannot hold it."""
+    bound = Decimal(factor.numerator) / factor.denominator * Decimal(p) ** m * Decimal(p).sqrt()
+    near = math.nextafter(float(bound), math.inf)
+    return near if math.isfinite(near) else bound
 
 
 def _class_sum(m: int, along: ClassNumbersAlong, den: int) -> Fraction:

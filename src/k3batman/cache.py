@@ -1,22 +1,20 @@
 """Binary cache files for trace and class-number tables.
 
-Layout: 8-byte magic ``BATMANv3``, one kind byte (1 = trace table,
+Layout: 8-byte magic ``BATMANv4``, one kind byte (1 = trace table,
 2 = class-number table), the prime or d_max as a little-endian u64, the
 payload arrays one after another, and a trailing CRC32 (little-endian u32)
 over everything before it.
 
-- Kind 1: the p-2 traces (``<i4``: |a| <= 2 sqrt(p)), the p-2 signs
-  phi(-lambda) (``i1``), then the ``TraceSummary`` counts (``<i8``, shape
-  ``(isqrt(4p)+1, 2)``). Format v2 stored the traces as ``<i8``.
+- Kind 1: the p-2 traces (``<i4``: |a| <= 2 sqrt(p)), then the p-2 signs
+  phi(-lambda) (``i1``).
 - Kind 2: ``12 H*(D)`` for D = 0..d_max (``<i8``).
 
-A file of another version, v1 or v2 included, fails the magic check like
-any other unreadable file.
+A file of another version fails the magic check like any other unreadable
+file.
 
 A load reads each array straight into its numpy buffer and folds the CRC
 over it as it goes, so the file is read once and copied nowhere else. A
-trace load takes the signs and the summary from the file: it builds no
-Legendre table and counts no traces.
+trace load takes the signs from the file: it builds no Legendre table.
 """
 
 from __future__ import annotations
@@ -29,10 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .clausen import TraceSummary, TraceTable, check_hasse
+from .clausen import TraceTable, check_hasse
 from .hurwitz import HurwitzTable
 
-MAGIC = b"BATMANv3"
+MAGIC = b"BATMANv4"
 KIND_TRACE = 1
 KIND_HURWITZ = 2
 
@@ -47,7 +45,7 @@ class CacheFormatError(ValueError):
 def _trace_layout(p: int) -> list[tuple[str, tuple[int, ...]]]:
     if p < 5:
         raise CacheFormatError(f"bad prime {p} in a trace-table header")
-    return [("<i4", (p - 2,)), ("i1", (p - 2,)), ("<i8", (math.isqrt(4 * p) + 1, 2))]
+    return [("<i4", (p - 2,)), ("i1", (p - 2,))]
 
 
 def _hurwitz_layout(d_max: int) -> list[tuple[str, tuple[int, ...]]]:
@@ -115,39 +113,27 @@ def _read(path, kind: int, layout) -> tuple[int, list[np.ndarray]]:
 
 
 def save_trace_table(path, table: TraceTable) -> None:
-    """Save ``table`` with its signs and summary, the traces narrowed to int32;
-    raises ArithmeticError for a trace beyond the Hasse bound, checked
-    before the narrowing, so no trace can wrap."""
-    counts = table.multiplicities.counts
-    check_hasse(table.p, table.traces)  # a summary given with the table checked none
+    """Save ``table`` with its signs, the traces narrowed to int32; raises
+    ArithmeticError for a trace beyond the Hasse bound, checked before the
+    narrowing, so no trace can wrap."""
+    check_hasse(table.p, table.traces)
     arrays = [np.ascontiguousarray(table.traces, dtype="<i4"),
-              np.ascontiguousarray(table.signs, dtype="i1"),
-              np.ascontiguousarray(counts, dtype="<i8")]
+              np.ascontiguousarray(table.signs, dtype="i1")]
     _write_atomic(path, KIND_TRACE, table.p, arrays)
 
 
-def _check_trace_payload(p: int, traces, signs, counts) -> None:
-    """The Hasse bound on every trace, then the stored summary's invariants:
-    the signs are +-1 and sum to -1, no count is negative, and the column
-    totals equal the number of +1 and of -1 signs. Raises ArithmeticError."""
-    check_hasse(p, traces)
-    plus, minus = counts.sum(axis=0).tolist()
-    signs_ok = (np.count_nonzero(signs) == p - 2 and int(signs.min()) >= -1
-                and int(signs.max()) <= 1 and int(signs.sum()) == -1)
-    if not signs_ok or int(counts.min()) < 0 or (plus, minus) != ((p - 3) // 2, (p - 1) // 2):
-        raise ArithmeticError(
-            f"cached trace summary at p={p} breaks its invariants: column totals "
-            f"{plus}, {minus} for {p - 2} signs summing to {int(signs.sum())}")
-
-
 def load_trace_table(path) -> TraceTable:
-    """The trace table of a kind 1 file, its ``multiplicities`` taken from the
-    file. Raises CacheFormatError for a file that fails the format checks and
-    ArithmeticError for a trace beyond the Hasse bound or a summary that
-    breaks its invariants."""
-    p, (traces, signs, counts) = _read(path, KIND_TRACE, _trace_layout)
-    _check_trace_payload(p, traces, signs, counts)
-    return TraceTable(p, traces, signs, summary=TraceSummary(p, counts))
+    """The trace table of a kind 1 file. Raises CacheFormatError for a file
+    that fails the format checks and ArithmeticError for a trace beyond the
+    Hasse bound or signs that are not p-2 values +-1 summing to -1."""
+    p, (traces, signs) = _read(path, KIND_TRACE, _trace_layout)
+    check_hasse(p, traces)
+    total = int(signs.sum())
+    if not (np.count_nonzero(signs) == p - 2 and int(signs.min()) >= -1
+            and int(signs.max()) <= 1 and total == -1):
+        raise ArithmeticError(f"cached trace signs at p={p} are not {p - 2} values +-1 "
+                              f"summing to -1: they sum to {total}")
+    return TraceTable(p, traces, signs)
 
 
 def save_hurwitz_table(path, table: HurwitzTable) -> None:

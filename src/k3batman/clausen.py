@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator
@@ -30,11 +30,6 @@ class TraceTable:
     p: int
     traces: np.ndarray  # int32 from the library, any signed integer type accepted
     signs: np.ndarray  # int8, values +-1
-    summary: InitVar[TraceSummary | None] = None
-
-    def __post_init__(self, summary):
-        if summary is not None:  # a summary kept with the table, as a cache file holds it
-            self.__dict__["multiplicities"] = summary
 
     def __len__(self) -> int:
         return self.p - 2
@@ -45,13 +40,18 @@ class TraceTable:
 
     @cached_property
     def multiplicities(self) -> TraceSummary:
-        """The TraceSummary of this table, or the one it was made with; raises
-        ArithmeticError when a trace breaks the Hasse bound."""
-        check_hasse(self.p, self.traces)  # before np.abs, which wraps at the least int32
-        bound = math.isqrt(4 * self.p)
-        cells = 2 * np.abs(self.traces) + (self.signs < 0)
-        counts = np.bincount(cells, minlength=2 * bound + 2)
-        return TraceSummary(self.p, counts.reshape(bound + 1, 2))
+        """The TraceSummary of this table, counted _BLOCK entries at a time,
+        so its scratch memory is O(_BLOCK); raises ArithmeticError when a
+        trace breaks the Hasse bound."""
+        check_hasse(self.p, self.traces)  # so every cell is a row of the summary
+        cells = 2 * math.isqrt(4 * self.p) + 2
+        counts = np.zeros(cells, dtype=np.int64)
+        for i in range(0, len(self.traces), _BLOCK):
+            cell = np.abs(self.traces[i : i + _BLOCK], dtype=np.int64)
+            cell *= 2
+            cell += self.signs[i : i + _BLOCK] < 0
+            counts += np.bincount(cell, minlength=cells)
+        return TraceSummary(self.p, counts.reshape(-1, 2))
 
 
 def check_hasse(p: int, traces: np.ndarray) -> None:
@@ -212,8 +212,8 @@ def a_value(ctx: FieldContext, mu: int, trace: int | None = None) -> AValue:
     return AValue(mu, value)
 
 
-# Powers per block of a_numerators: its scratch memory is O(_BLOCK), on top
-# of the result.
+# Entries per block of TraceTable.multiplicities and powers per block of
+# a_numerators: the scratch memory of each is O(_BLOCK), on top of its result.
 _BLOCK = 1 << 16
 
 

@@ -6,6 +6,7 @@ import argparse
 import json
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,6 +33,9 @@ _TRACE_BYTES_PER_P = 90
 # same refusal on a cache hit (9.25 measured at p = 1000003, 4.52 at 10000019:
 # the int32 result and a one-byte mask, plus block scratch of fixed size).
 _AVALUE_BYTES_PER_P = 10
+# Peak bytes per bin of render_histogram and its output (about 385 measured
+# at 10^5 and 10^6 bins, p = 101), for refusing a --bins before binning.
+_SVG_BYTES_PER_BIN = 400
 
 
 def _available_memory() -> int | None:
@@ -62,11 +66,11 @@ def _memory_size(size: int) -> str:
     return f"{size >> 20} MB" if size >= 1 << 20 else f"{size} bytes"
 
 
-def _require_memory(p: int, bytes_per_p: int, purpose: str) -> None:
-    """Raise ValueError when ``bytes_per_p * p`` exceeds the memory available."""
-    need, free = bytes_per_p * p, _available_memory()
+def _require_memory(what: str, need: int, purpose: str) -> None:
+    """Raise ValueError when ``need`` bytes exceed the memory available."""
+    free = _available_memory()
     if free is not None and need > free:
-        raise ValueError(f"p={p} needs about {_memory_size(need)} to {purpose}, "
+        raise ValueError(f"{what} needs about {_memory_size(need)} to {purpose}, "
                          f"but only {_memory_size(free)} is available")
 
 
@@ -81,7 +85,7 @@ def _get_trace_table(p: int, cache_dir: str | None) -> TraceTable:
             print(f"warning: rebuilding unreadable cache {path}: {exc}", file=sys.stderr)
         else:
             return table
-    _require_memory(p, _TRACE_BYTES_PER_P, "build the trace table")
+    _require_memory(f"p={p}", _TRACE_BYTES_PER_P * p, "build the trace table")
     table = build_trace_table(make_context(p))
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -196,7 +200,7 @@ def cmd_avalues(args) -> int:
     require_inverse_range(p)
     table = _get_trace_table(p, args.cache_dir)
     # a cache hit skips the guard of _get_trace_table, but not this one
-    _require_memory(p, _AVALUE_BYTES_PER_P, "place the A-values")
+    _require_memory(f"p={p}", _AVALUE_BYTES_PER_P * p, "place the A-values")
     num = a_numerators(table)
     del table  # only the numerators stay alive while the text is written
     _emit_int_table(args.out, args.format, "mu,num,den", 1, num, p)
@@ -204,6 +208,7 @@ def cmd_avalues(args) -> int:
 
 
 def cmd_hist(args) -> int:
+    _require_memory(f"bins={args.bins}", _SVG_BYTES_PER_BIN * args.bins, "draw the histogram")
     table = _get_trace_table(args.p, args.cache_dir)
     spec = svg.HistogramSpec(args.p, args.bins, overlay=args.overlay)
     _write_text(args.out, svg.render_histogram(table.multiplicities, spec))
@@ -272,11 +277,22 @@ def cmd_verify_brackets(args) -> int:
                      f"b-side {lhs_b} = {rhs_b} {'ok' if good else 'FAIL'}")
         audit = brackets.deligne_audit(m, p, a, b)
         ok &= audit.passed
-        lines.append(f"  coefficient bound m={m}: |a|={abs(float(audit.a_value)):.6g} "
-                     f"<= {audit.a_bound:.6g}, |b|={abs(float(audit.b_value)):.6g} "
-                     f"<= {audit.b_bound:.6g} {'ok' if audit.passed else 'FAIL'}")
+        lines.append(f"  coefficient bound m={m}: |a|={_g6(abs(audit.a_value))} "
+                     f"<= {_g6(audit.a_bound)}, |b|={_g6(abs(audit.b_value))} "
+                     f"<= {_g6(audit.b_bound)} {'ok' if audit.passed else 'FAIL'}")
     print("\n".join(lines))
     return 0 if ok else 1
+
+
+def _g6(value: Fraction | float | Decimal) -> str:
+    """``value`` in the .6g form: of a float, or of a Decimal where a float
+    cannot hold it."""
+    if isinstance(value, Fraction):
+        try:
+            value = float(value)
+        except OverflowError:
+            value = Decimal(value.numerator) / value.denominator
+    return format(value, ".6g")
 
 
 def _random_rational(rng: random.Random, lo: int, hi: int) -> Fraction:

@@ -89,16 +89,19 @@ def ear_parameters(T: float, delta: float | None = None) -> EarParameters:
     """Window width x and prime threshold p_min for density > T near t = +-1.
 
     x = 4 / (1 + 16 pi^2 (T+delta)^2) and p_min = (55.42 / (x delta))^4;
-    delta defaults to the optimal choice for the given T.
+    delta defaults to the optimal choice for the given T. Raises ValueError
+    unless delta, x and p_min are finite positive floats.
     """
     if not T > SQRT3_OVER_4PI:
         raise ValueError(f"T must exceed sqrt(3)/(4 pi) = {SQRT3_OVER_4PI:.6f}, got {T}")
-    if not (math.isfinite(T) and (delta is None or math.isfinite(delta))):
-        raise ValueError(f"T and delta must be finite, got T={T}, delta={delta}")
     if delta is None:
         delta = optimal_delta(T)
-    elif delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    x = 4.0 / (1.0 + 16.0 * math.pi**2 * (T + delta) ** 2)
-    p_min = (55.42 / (x * delta)) ** 4
+    try:
+        x = 4.0 / (1.0 + 16.0 * math.pi**2 * (T + delta) ** 2)
+        p_min = (55.42 / (x * delta)) ** 4
+    except (OverflowError, ZeroDivisionError):  # past the float range
+        x = p_min = math.nan
+    if not all(math.isfinite(v) and v > 0.0 for v in (delta, x, p_min)):
+        raise ValueError(f"T={T}, delta={delta}: delta, x and p_min must be finite and "
+                         "positive floats")
     return EarParameters(T, delta, x, p_min)

@@ -153,6 +153,24 @@ def test_deligne_audit_examples(table2400):
     assert report.passed
 
 
+def test_deligne_audit_is_exact_past_the_float_range():
+    """At m = 200, p = 101 both bounds lie past the largest float, and at
+    m = 1 they are 0: the integer just below each bound passes, the one
+    just above fails, and so does a value a float would round to 0."""
+    m, p = 200, 101
+    b_factor = Fraction(4 * math.comb(2 * m, m) * (m - 1), 3)
+    for factor, side in ((b_factor / (2 * 4**m), 0), (b_factor, 1)):
+        below = math.isqrt(math.floor(factor**2 * p ** (2 * m + 1)))  # the bound is irrational
+        for value, passed in ((below, True), (-below, True), (below + 1, False)):
+            pair = [Fraction(0), Fraction(0)]
+            pair[side] = Fraction(value)
+            audit = deligne_audit(m, p, *pair)
+            assert audit.passed is passed
+            assert float(audit.b_bound) == math.inf  # printed from a Decimal
+    assert deligne_audit(1, 5, Fraction(0), Fraction(0)).passed
+    assert not deligne_audit(1, 5, Fraction(1, 10**400), Fraction(0)).passed
+
+
 def test_deligne_audit_small_grid(table2400):
     for m in range(1, 5):
         for p in [p for p in primes_up_to(100) if p >= 5]:

@@ -1,6 +1,10 @@
+import contextlib
+import functools
+import io
 import itertools
 import json
 import math
+import re
 import struct
 import zlib
 from fractions import Fraction
@@ -186,6 +190,20 @@ def test_ears_non_finite_is_usage_error(argv, capsys):
     assert len(lines) == 1 and "must be finite" in lines[0]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--T", "1e74"], ["--T", "1e154"], ["--T", "10", "--delta", "1e200"],
+     ["--T", "10", "--delta", "-1"]],
+    ids=["p_min-overflows", "delta-overflows", "x-overflows", "delta-negative"],
+)
+def test_ears_past_the_float_range_is_usage_error(argv, capsys):
+    assert dispatch(["ears", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "delta, x and p_min must be finite and positive" in lines[0]
+
+
 def test_internal_check_failure_exit_code(monkeypatch, capsys):
     from k3batman import clausen
 
@@ -244,6 +262,39 @@ def test_identity_table_output_matches_dense_table(monkeypatch, capsys, command,
                         lambda q: dense_identity_table(build_hurwitz_table(4 * q), q))
     assert dispatch(argv) == 0
     assert capsys.readouterr().out == sparse_out
+
+
+def _is_rounding_of_root(text, exact_square):
+    """Whether ``text``, a .6g number, is the 6-digit rounding of the
+    positive value whose square is ``exact_square``, a Fraction."""
+    mantissa, _, exponent = text.partition("e")
+    value = Fraction(mantissa) * Fraction(10) ** int(exponent or 0)
+    half_unit = Fraction(5) * Fraction(10) ** (int(exponent or 0) - 6)
+    return (value - half_unit) ** 2 <= exact_square <= (value + half_unit) ** 2
+
+
+def test_verify_brackets_past_the_float_range(capsys):
+    """At p = 1000003 and m = 50, b and its bound are past the largest
+    float: the audit compares exactly and prints their 6-digit roundings."""
+    from k3batman import brackets, identity_table, pihol_coeff
+
+    p, m = 1000003, 50
+    assert dispatch(["verify", "brackets", "--p", str(p), "--mmax", str(m)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + 2 * m and all(line.endswith(" ok") for line in lines)
+    a_text, a_bound, b_text, b_bound = re.fullmatch(
+        rf"  coefficient bound m={m}: \|a\|=(\S+) <= (\S+), \|b\|=(\S+) <= (\S+) ok",
+        lines[-1]).groups()
+    along_p, along_4p = identity_table(p)
+    a, b = pihol_coeff(m, along_p), pihol_coeff(m, along_4p)
+    assert float(b_bound) == math.inf and abs(b) > Fraction(1 << 1024)
+    b_factor = Fraction(4 * math.comb(2 * m, m) * (m - 1), 3)
+    a_factor = b_factor / (2 * 4**m)
+    root = p ** (2 * m + 1)  # the square of p^(m + 1/2)
+    for text, square in ((a_text, a * a), (a_bound, a_factor**2 * root),
+                         (b_text, b * b), (b_bound, b_factor**2 * root)):
+        assert _is_rounding_of_root(text, square), text
+    assert brackets.deligne_audit(m, p, a, b).passed
 
 
 def test_verify_brackets_computes_each_coefficient_once(monkeypatch, capsys):
@@ -369,7 +420,7 @@ def test_cache_version_error(tmp_path):
     path = tmp_path / "t.bin"
     cache.save_trace_table(path, table)
     raw = bytearray(path.read_bytes())
-    raw[7] = ord("0")  # BATMANv3 -> BATMANv0
+    raw[7] = ord("0")  # BATMANv4 -> BATMANv0
     path.write_bytes(bytes(raw))
     with pytest.raises(cache.CacheFormatError, match="version"):
         cache.load_trace_table(path)
@@ -445,18 +496,18 @@ def test_cache_checksum_error(tmp_path):
         cache.load_trace_table(path)
 
 
-def _pack_trace_file(path, p, traces, signs, counts):
-    """Write a CRC-valid format-v3 trace cache file, packed here apart from the
-    cache module: header, int32 traces, signs, summary counts, then the CRC32."""
-    body = (struct.pack("<8sBQ", b"BATMANv3", 1, p) + np.asarray(traces, "<i4").tobytes()
-            + np.asarray(signs, "i1").tobytes() + np.asarray(counts, "<i8").tobytes())
+def _pack_trace_file(path, p, traces, signs):
+    """Write a CRC-valid format-v4 trace cache file, packed here apart from the
+    cache module: header, int32 traces, signs, then the CRC32."""
+    body = (struct.pack("<8sBQ", b"BATMANv4", 1, p) + np.asarray(traces, "<i4").tobytes()
+            + np.asarray(signs, "i1").tobytes())
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
 def _count_summary(p, traces, signs):
-    """The summary counts of ``traces`` without the Hasse check: a trace past
-    the bound is counted in the last row, so the column totals stay right.
-    Widened first, since np.abs wraps at the least int32."""
+    """The summary counts of ``traces`` without the Hasse check, as formats
+    v2 and v3 stored them: a trace past the bound is counted in the last
+    row. Widened first, since np.abs wraps at the least int32."""
     bound = math.isqrt(4 * p)
     magnitudes = np.abs(np.asarray(traces, dtype=np.int64))
     cells = 2 * np.minimum(magnitudes, bound) + (np.asarray(signs) < 0)
@@ -470,8 +521,7 @@ def _cache_with_trace(tmp_path, p, index, value):
     traces[index] = value
     cache_dir = tmp_path / "cache"
     cache_dir.mkdir()
-    _pack_trace_file(cache_dir / f"trace_p{p}.bin", p, traces, table.signs,
-                     _count_summary(p, traces, table.signs))
+    _pack_trace_file(cache_dir / f"trace_p{p}.bin", p, traces, table.signs)
     return str(cache_dir)
 
 
@@ -480,7 +530,7 @@ def test_trace_cache_keeps_signs_and_summary(tmp_path, p):
     table = build_trace_table(make_context(p))
     path = tmp_path / "t.bin"
     cache.save_trace_table(path, table)
-    assert path.stat().st_size == 17 + 5 * (p - 2) + 16 * (math.isqrt(4 * p) + 1) + 4
+    assert path.stat().st_size == 17 + 5 * (p - 2) + 4
     loaded = cache.load_trace_table(path)
     assert loaded.p == p
     assert loaded.traces.dtype == np.int32
@@ -500,19 +550,20 @@ def test_trace_cache_load_builds_no_legendre_table_and_counts_nothing(tmp_path, 
     cache.save_trace_table(path, table)
 
     def never(*args, **kwargs):
-        raise AssertionError("a cache load rebuilt what the file holds")
+        raise AssertionError("a cache load built a Legendre table or counted the traces")
 
     for module in (field, cache, cli):
         monkeypatch.setattr(module, "make_context", never, raising=False)
     monkeypatch.setattr(np, "bincount", never)
     loaded = cache.load_trace_table(path)
+    monkeypatch.undo()  # the summary is counted from the loaded traces when read
     assert loaded.multiplicities == table.multiplicities
 
 
 @pytest.mark.parametrize("p", [0, 2, 3])
 def test_trace_cache_refuses_a_header_prime_below_5(tmp_path, p):
     path = tmp_path / "t.bin"
-    _pack_trace_file(path, p, [], [], np.zeros((math.isqrt(4 * p) + 1, 2)))
+    _pack_trace_file(path, p, [], [])
     with pytest.raises(cache.CacheFormatError, match="bad prime"):
         cache.load_trace_table(path)
 
@@ -535,18 +586,6 @@ def _assert_save_refuses_trace(tmp_path, value):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_trace_cache_refuses_traces_beyond_hasse_with_a_summary(tmp_path):
-    """A table made with a summary counts nothing, so the save checks the
-    traces itself before narrowing them."""
-    table = build_trace_table(make_context(101))
-    traces = table.traces.astype(np.int64)
-    traces[0] = (1 << 32) + int(traces[0])  # the same int32 bits as the true trace
-    broken = TraceTable(101, traces, table.signs, summary=table.multiplicities)
-    with pytest.raises(ArithmeticError, match="Hasse"):
-        cache.save_trace_table(tmp_path / "t.bin", broken)
-    assert list(tmp_path.iterdir()) == []
-
-
 @pytest.mark.parametrize("p", [5, 101, 25013])
 def test_trace_cache_narrows_int64_traces(tmp_path, p):
     """An int64 table, as the benchmark's FFT generator makes, is saved as
@@ -563,37 +602,30 @@ def test_trace_cache_narrows_int64_traces(tmp_path, p):
     assert path.read_bytes() == (tmp_path / "narrow.bin").read_bytes()
 
 
-def _negative_count(counts, signs):
-    empty, filled = np.flatnonzero(counts[:, 0] == 0)[-1], np.flatnonzero(counts[:, 0])[0]
-    counts[[empty, filled], 0] += (-1, 1)  # the column total is kept
-    return counts, signs
+def _flipped_sign(signs):
+    signs[0] = -signs[0]  # the signs no longer sum to -1
+    return signs
 
 
-def _count_in_the_wrong_column(counts, signs):
-    row = int(np.flatnonzero(counts[:, 0])[0])
-    counts[row] += (-1, 1)
-    return counts, signs
+def _zero_signs(signs):
+    signs[[np.flatnonzero(signs == 1)[0], np.flatnonzero(signs == -1)[0]]] = 0  # sum kept
+    return signs
 
 
-def _flipped_sign(counts, signs):
-    signs = signs.copy()
-    signs[0] = -signs[0]  # the signs no longer sum to -1 or match the column totals
-    return counts, signs
-
-
-@pytest.mark.parametrize("corrupt", [_negative_count, _count_in_the_wrong_column, _flipped_sign],
-                         ids=["negative", "column", "sign"])
+@pytest.mark.parametrize("corrupt", [_flipped_sign, _zero_signs], ids=["sign", "zero"])
 def test_cached_summary_breaking_an_invariant_is_internal_error(tmp_path, capsys, corrupt):
+    """Cached signs that are not p - 2 values +-1 summing to -1, the
+    invariant every summary's column totals rest on, stop the run."""
     p = 101
     table = build_trace_table(make_context(p))
-    counts, signs = corrupt(table.multiplicities.counts.copy(), table.signs)
-    _pack_trace_file(tmp_path / f"trace_p{p}.bin", p, table.traces, signs, counts)
+    signs = corrupt(table.signs.copy())
+    _pack_trace_file(tmp_path / f"trace_p{p}.bin", p, table.traces, signs)
     assert dispatch(["verify", "moments", "--p", str(p), "--cache-dir", str(tmp_path)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith(f"error: internal check failed: cached trace summary at p={p}")
+    assert lines[0].startswith(f"error: internal check failed: cached trace signs at p={p}")
 
 
 def test_cache_file_for_another_prime_is_rebuilt(tmp_path, capsys):
@@ -643,6 +675,42 @@ def test_verify_multiplicities_checks_the_zero_row(tmp_path, capsys):
     assert dispatch(argv) == 1
     assert capsys.readouterr().out.startswith(
         f"multiplicity identity at p={p} FAILS first at s=0: counts ")
+
+
+def _swap_across_signs(traces, signs):
+    """Swap two traces of unequal size and opposite sign: the plain counts
+    keep their totals per |a|, the signed ones do not."""
+    i = int(np.flatnonzero((signs == 1) & (np.abs(traces) == 10))[0])
+    j = int(np.flatnonzero((signs == -1) & (np.abs(traces) == 4))[0])
+    traces[[i, j]] = traces[[j, i]]
+
+
+def _lower_by_two(traces, signs):
+    i = int(np.flatnonzero(np.abs(traces) == 10)[0])
+    traces[i] -= 2 * np.sign(traces[i])  # |a| 10 -> 8
+
+
+@pytest.mark.parametrize("change", [_swap_across_signs, _lower_by_two], ids=["swap", "lower"])
+def test_changed_cached_traces_fail_both_verifications(tmp_path, capsys, change):
+    """A CRC-valid file with traces changed inside the Hasse bound: each
+    summary is counted from the traces that ``traces`` prints, so both
+    trace-side verifications fail on it."""
+    p = 101
+    table = build_trace_table(make_context(p))
+    traces = table.traces.copy()
+    change(traces, table.signs)
+    _pack_trace_file(tmp_path / f"trace_p{p}.bin", p, traces, table.signs)
+    argv = ["--p", str(p), "--cache-dir", str(tmp_path)]
+    assert dispatch(["traces", *argv]) == 0
+    printed = [int(line.split(",")[1]) for line in capsys.readouterr().out.splitlines()[1:]]
+    assert printed == traces.tolist()
+    assert dispatch(["verify", "multiplicities", *argv]) == 1
+    first = 4 if change is _swap_across_signs else 8
+    assert capsys.readouterr().out.startswith(
+        f"multiplicity identity at p={p} FAILS first at s={first}: counts ")
+    assert dispatch(["verify", "moments", *argv]) == 1
+    out = capsys.readouterr().out
+    assert "MISMATCH" in out and out.endswith("IDENTITY FAILURE\n")
 
 
 _TRACE_COMMANDS = pytest.mark.parametrize(
@@ -772,32 +840,44 @@ _EDGE_VALUES = [0, 1, -1, 9, -9, 10, -10, 99, -99, 100, -100, 123456789, -100000
 _BLOCK_EDGES = [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1]
 
 
+def _int_table_columns(rows, constant_last):
+    mixed = np.resize(np.array(_EDGE_VALUES, dtype=np.int64), rows)
+    non_negative = np.abs(mixed)
+    return mixed, non_negative, 7 if constant_last else -non_negative - 1  # negative only
+
+
+# Two entries: the cases of one row count run one after another, the
+# output and stdout cases of each last-column kind reading one entry.
+@functools.lru_cache(maxsize=2)
+def _emit_rows_oracle(fmt, rows, constant_last) -> bytes:
+    """What ``_emit_rows`` writes for ``_int_table_columns(rows, constant_last)``."""
+    from k3batman import cli
+
+    mixed, non_negative, last = _int_table_columns(rows, constant_last)
+    last_cells = [7] * rows if constant_last else last.tolist()
+    expected = [list(row) for row in zip(mixed.tolist(), non_negative.tolist(), last_cells)]
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        cli._emit_rows(None, fmt, "x,y,z", expected)
+    return text.getvalue().encode()
+
+
 def _assert_int_table_matches_emit_rows(tmp_path, capsys, fmt, rows, to_file, constant_last):
     from k3batman import cli
 
-    mixed = np.resize(np.array(_EDGE_VALUES, dtype=np.int64), rows)
-    non_negative = np.abs(mixed)
-    last = 7 if constant_last else -non_negative - 1  # negative only
-    last_cells = [7] * rows if constant_last else last.tolist()
-    expected = [list(row) for row in zip(mixed.tolist(), non_negative.tolist(), last_cells)]
-    texts = []
-    for emit in (
-        lambda out: cli._emit_rows(out, fmt, "x,y,z", expected),
-        lambda out: cli._emit_int_table(out, fmt, "x,y,z", mixed, non_negative, last),
-    ):
-        if to_file:
-            emit(str(tmp_path / "t.out"))
-            texts.append((tmp_path / "t.out").read_bytes())
-        else:
-            emit(None)
-            texts.append(capsys.readouterr().out.encode())
-    # the first differing line and its index, not a diff of two megabyte strings
-    lines, expected_lines = texts[1].split(b"\n"), texts[0].split(b"\n")
-    pairs = enumerate(itertools.zip_longest(lines, expected_lines))
-    first = next((i for i, (line, expected_line) in pairs if line != expected_line), None)
-    assert first is None, (
-        f"line {first}: {lines[first : first + 1]} != {expected_lines[first : first + 1]}")
-    return texts[1]
+    columns = _int_table_columns(rows, constant_last)
+    if to_file:
+        cli._emit_int_table(str(tmp_path / "t.out"), fmt, "x,y,z", *columns)
+        text = (tmp_path / "t.out").read_bytes()
+    else:
+        cli._emit_int_table(None, fmt, "x,y,z", *columns)
+        text = capsys.readouterr().out.encode()
+    expected = _emit_rows_oracle(fmt, rows, constant_last)
+    if text != expected:  # the first differing line, not a diff of two megabyte strings
+        pairs = enumerate(itertools.zip_longest(text.split(b"\n"), expected.split(b"\n")))
+        first, (line, expected_line) = next((i, pair) for i, pair in pairs if pair[0] != pair[1])
+        pytest.fail(f"line {first}: {line!r} != {expected_line!r}")
+    return text
 
 
 @pytest.mark.parametrize("constant_last", [False, True], ids=["last-column", "last-int"])
@@ -899,27 +979,41 @@ def _hurwitz_kind(raw):
     return bytes(raw)
 
 
-def _older_format(version, raw, *parts):
+def _older_format(version, raw, dtype, *parts):
     """A CRC-valid file of an older format version at p = 101: its header,
-    the int64 traces read from the v3 file ``raw``, then ``parts``."""
+    the traces read from the v4 file ``raw`` as ``dtype``, then ``parts``."""
     traces = np.frombuffer(raw, "<i4", count=99, offset=17)  # p = 101: 99 traces
-    body = version + raw[8:17] + traces.astype("<i8").tobytes() + b"".join(parts)
+    body = version + raw[8:17] + traces.astype(dtype).tobytes() + b"".join(parts)
     return body + struct.pack("<I", zlib.crc32(body))
 
 
+def _signs_and_summary(raw):
+    """What formats v2 and v3 stored after the traces: the signs of the v4
+    file ``raw`` at p = 101, then the summary counts as <i8."""
+    traces = np.frombuffer(raw, "<i4", count=99, offset=17)
+    signs = np.frombuffer(raw, "i1", count=99, offset=17 + 4 * 99)
+    return signs.tobytes() + _count_summary(101, traces, signs).astype("<i8").tobytes()
+
+
 def _v1_format(raw):
-    """The file as format v1 wrote it: the header and the traces, no signs or summary."""
-    return _older_format(b"BATMANv1", raw)
+    """The file as format v1 wrote it: the header and int64 traces, no signs or summary."""
+    return _older_format(b"BATMANv1", raw, "<i8")
 
 
 def _v2_format(raw):
     """The file as format v2 wrote it: int64 traces, then the signs and summary."""
-    return _older_format(b"BATMANv2", raw, raw[17 + 4 * 99 : -4])
+    return _older_format(b"BATMANv2", raw, "<i8", _signs_and_summary(raw))
+
+
+def _v3_format(raw):
+    """The file as format v3 wrote it: int32 traces, then the signs and summary."""
+    return _older_format(b"BATMANv3", raw, "<i4", _signs_and_summary(raw))
 
 
 @pytest.mark.parametrize("corrupt",
-                         [_truncate, _flip_payload_byte, _hurwitz_kind, _v1_format, _v2_format],
-                         ids=["truncated", "checksum", "kind", "v1", "v2"])
+                         [_truncate, _flip_payload_byte, _hurwitz_kind, _v1_format, _v2_format,
+                          _v3_format],
+                         ids=["truncated", "checksum", "kind", "v1", "v2", "v3"])
 def test_unreadable_cache_is_rebuilt(tmp_path, capsys, corrupt):
     """An unreadable cache file is a miss: same stdout and exit code as a run
     with no cache, one warning line, and a good file saved over the bad one."""
@@ -935,7 +1029,7 @@ def test_unreadable_cache_is_rebuilt(tmp_path, capsys, corrupt):
     assert captured.out == expected
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("warning: ")
-    if corrupt in (_v1_format, _v2_format):
+    if corrupt in (_v1_format, _v2_format, _v3_format):
         assert "unsupported cache version" in lines[0]
     assert path.read_bytes() == good  # rewritten in the current format
     assert sorted(f.name for f in tmp_path.iterdir()) == [path.name]
@@ -952,6 +1046,22 @@ def test_v2_format_helper_has_the_v2_layout(tmp_path):
     assert struct.unpack("<I", old[-4:])[0] == zlib.crc32(old[:-4])
     traces = np.frombuffer(old, "<i8", count=p - 2, offset=17)
     assert np.array_equal(traces, cache.load_trace_table(path).traces)
+
+
+def test_v3_format_helper_has_the_v3_layout(tmp_path):
+    """The v3 case above is a whole v3 file: int32 traces, the signs, the
+    summary counts, and a CRC over them."""
+    p = 101
+    path = tmp_path / "t.bin"
+    table = build_trace_table(make_context(p))
+    cache.save_trace_table(path, table)
+    old = _v3_format(path.read_bytes())
+    rows = math.isqrt(4 * p) + 1
+    assert len(old) == 17 + 5 * (p - 2) + 16 * rows + 4
+    assert struct.unpack("<I", old[-4:])[0] == zlib.crc32(old[:-4])
+    assert old[17 : 17 + 5 * (p - 2)] == path.read_bytes()[17:-4]
+    counts = np.frombuffer(old, "<i8", count=2 * rows, offset=17 + 5 * (p - 2))
+    assert np.array_equal(counts.reshape(rows, 2), table.multiplicities.counts)
 
 
 def test_memory_guard_refuses_before_building(monkeypatch, capsys):
@@ -1017,6 +1127,26 @@ def test_memory_guard_refuses_avalues_on_a_cache_hit(tmp_path, monkeypatch, caps
     need = cli._AVALUE_BYTES_PER_P * p
     assert captured.err == (f"error: p={p} needs about {need} bytes to place the A-values, "
                             "but only 1024 bytes is available\n")
+
+
+def test_memory_guard_refuses_hist_bins_before_binning(monkeypatch, capsys):
+    from k3batman import cli, svg
+
+    def never(*args):
+        raise AssertionError("binned past the memory guard")
+
+    monkeypatch.setattr(cli, "_available_memory", lambda: 100 << 20)
+    monkeypatch.setattr(svg, "histogram_counts", never)
+    monkeypatch.setattr(cli, "build_trace_table", never)
+    assert dispatch(["hist", "--p", "101", "--bins", "20000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: bins=20000000 needs about 7629 MB to draw the histogram, "
+                            "but only 100 MB is available\n")
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "_available_memory", lambda: 100 << 20)
+    assert dispatch(["hist", "--p", "101", "--bins", "61"]) == 0  # 24 KB fits
+    assert capsys.readouterr().out.startswith("<svg")
 
 
 def test_available_memory_reads_the_machine():
