@@ -82,10 +82,16 @@ def bracket_coeff(m: int, along: ClassNumbersAlong) -> Fraction:
     over all integers k. The k = 0 term is H*(n), and a square n / t ends the
     sum with H*(0) = -1/12 at k = +-sqrt(n / t).
     """
-    if along.t not in (1, 4):
-        raise ValueError(f"t must be 1 or 4, got {along.t}")
+    _root(along.t)
     total = _chebyshev_combination(m, along.t, along.n, along.power_sums(m))
     return Fraction(comb(2 * m, m) * total, 12 * 4**m)
+
+
+def _root(t: int) -> int:
+    """sqrt(t) for the two parabolas the identities read, t = 1 and t = 4."""
+    if t not in (1, 4):
+        raise ValueError(f"t must be 1 or 4, got {t}")
+    return isqrt(t)
 
 
 def _chebyshev_combination(m: int, t: int, n: int, sums: list[int]) -> int:
@@ -156,14 +162,16 @@ class DeligneAudit:
 def deligne_audit(m: int, p: int, a: Fraction, b: Fraction) -> DeligneAudit:
     """Check the explicit newform-coefficient bounds at a prime index.
 
-    ``a`` and ``b`` are pihol_coeff at (1, p) and (4, 4p). Their bounds are
-    c p^(m + 1/2) with c = 2 C(2m, m) (m - 1) / (3 4^m) and 4 C(2m, m) (m - 1) / 3,
-    checked exactly as a^2 <= c^2 p^(2m + 1), for any m and p.
+    ``a`` and ``b`` are pihol_coeff at (1, p) and (4, 4p): the coefficients
+    of q^n at n = p and n = 4p, each bounded by f n^(m + 1/2) with
+    f = 2 C(2m, m) (m - 1) / (3 4^m). As c p^(m + 1/2), b's factor c is then
+    f 4^m sqrt(4) = 4 C(2m, m) (m - 1) / 3. Each is checked exactly as
+    a^2 <= c^2 p^(2m + 1), for any m and p.
     """
     if m < 1 or p < 5:
         raise ValueError("need m >= 1 and p >= 5")
-    c = comb(2 * m, m) * (m - 1)
-    factors = Fraction(2 * c, 3 * 4**m), Fraction(4 * c, 3)
+    f_a = Fraction(2 * comb(2 * m, m) * (m - 1), 3 * 4**m)
+    factors = f_a, f_a * 4**m * isqrt(4)
     passed = all(v * v <= f * f * p ** (2 * m + 1) for v, f in zip((a, b), factors))
     a_bound, b_bound = (_printed_bound(f, m, p) for f in factors)
     return DeligneAudit(m, p, a, a_bound, b, b_bound, passed)
@@ -177,43 +185,30 @@ def _printed_bound(factor: Fraction, m: int, p: int) -> float | Decimal:
     return near if math.isfinite(near) else bound
 
 
-def _class_sum(m: int, along: ClassNumbersAlong, den: int) -> Fraction:
-    """sum of twelve[|k|] U_{2m}(k sqrt(t / n)) / den over k != 0, from the
-    power sums of ``along`` less their k = 0 term."""
+def class_sum(m: int, along: ClassNumbersAlong) -> Fraction:
+    """sum of twelve[|k|] U_{2m}(k sqrt(t / n)) / (12 r) over k != 0, with
+    r = sqrt(t), from the power sums of ``along`` less their k = 0 term.
+
+    Along (1, p) this is the Chebyshev-weighted sum over 2 H*((4p - s^2)/4),
+    and along (4, 4p) the one over H*(4p - s^2), for even 0 < s <= 2 sqrt(p):
+    k and -k give the 2, and r = 2 halves the sum over k != 0.
+    """
+    r = _root(along.t)
     sums = along.power_sums(m)
     sums[0] -= along.twelve[0]
     n = along.n
-    return Fraction(_chebyshev_combination(m, along.t, n, sums), den * n**m)
+    return Fraction(_chebyshev_combination(m, along.t, n, sums), 12 * r * n**m)
 
 
-def class_sum_a(m: int, along_p: ClassNumbersAlong) -> Fraction:
-    """Chebyshev-weighted sum over 2 H*((4p-s^2)/4), even 0 < s <= 2 sqrt(p),
-    from the class numbers along (1, p): k and -k give the 2."""
-    return _class_sum(m, along_p, 12)
+def coeff_side(m: int, along: ClassNumbersAlong, coeff: Fraction) -> Fraction:
+    """Projected-coefficient side matching :func:`class_sum`, with p = n / t:
 
+        4^m coeff / (C(2m, m) r n^m) - 1 / p^m - (-1)^m H*(n) / r
 
-def class_sum_b(m: int, along_4p: ClassNumbersAlong) -> Fraction:
-    """Chebyshev-weighted sum over H*(4p-s^2), even 0 < s <= 2 sqrt(p), from
-    the class numbers along (4, 4p): half the sum over k != 0."""
-    return _class_sum(m, along_4p, 24)
-
-
-def coeff_side_a(m: int, along_p: ClassNumbersAlong, a: Fraction) -> Fraction:
-    """Projected-coefficient side matching :func:`class_sum_a`.
-
-    ``a`` is pihol_coeff(m, along_p). The (-1)^m H*(p) term is required for
-    exact equality; it vanishes exactly when p = 1 (mod 4).
+    ``coeff`` is pihol_coeff(m, along). The H*(n) term is required for exact
+    equality; along (1, p) it vanishes exactly when p = 1 (mod 4).
     """
-    p = along_p.n
-    lead = Fraction(4**m, comb(2 * m, m)) * a / p**m
-    return lead - Fraction(1, p**m) - Fraction((-1) ** m * along_p.twelve[0], 12)
-
-
-def coeff_side_b(m: int, along_4p: ClassNumbersAlong, b: Fraction) -> Fraction:
-    """Projected-coefficient side matching :func:`class_sum_b`.
-
-    ``b`` is pihol_coeff(m, along_4p).
-    """
-    p = along_4p.n // 4
-    lead = b / (comb(2 * m, m) * 2 * Fraction(p**m))
-    return lead - Fraction(1, p**m) - Fraction((-1) ** m * along_4p.twelve[0], 24)
+    r = _root(along.t)
+    n = along.n
+    lead = Fraction(4**m, comb(2 * m, m) * r * n**m) * coeff
+    return lead - Fraction(1, (n // along.t) ** m) - Fraction((-1) ** m * along.twelve[0], 12 * r)

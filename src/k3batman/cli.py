@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,10 @@ _AVALUE_BYTES_PER_P = 10
 # Peak bytes per bin of render_histogram and its output (about 385 measured
 # at 10^5 and 10^6 bins, p = 101), for refusing a --bins before binning.
 _SVG_BYTES_PER_BIN = 400
+# Peak bytes per isqrt(p) of identity_table and the bracket identities beyond
+# the interpreter (2490, 2390 and 2340 measured at p = 10000019, 100000007 and
+# 1000000007, --mmax 1), for refusing a p before its class numbers are counted.
+_CLASS_BYTES_PER_ROOT = 2500
 
 
 def _available_memory() -> int | None:
@@ -254,12 +260,12 @@ def cmd_verify_multiplicities(args) -> int:
 
 def cmd_verify_brackets(args) -> int:
     p = args.p
-    along_p, along_4p = hurwitz.identity_table(p)
+    require_prime(p)  # before the memory guard reads p's size
+    _require_memory(f"p={p}", _CLASS_BYTES_PER_ROOT * isqrt(p), "count the class numbers")
+    alongs = hurwitz.identity_table(p)
     # a_m(p) and b_m(4p), each computed once and shared by the checks below
-    coeffs = {
-        m: (brackets.pihol_coeff(m, along_p), brackets.pihol_coeff(m, along_4p))
-        for m in range(1, args.mmax + 1)
-    }
+    coeffs = {m: [brackets.pihol_coeff(m, along) for along in alongs]
+              for m in range(1, args.mmax + 1)}
     a1, b1 = coeffs[1]
     ok = good = a1 == 0 and b1 == 0
     # every line is computed before any is printed, so a run stopped by an
@@ -267,14 +273,12 @@ def cmd_verify_brackets(args) -> int:
     lines = [f"m=1 vanishing at p={p}: a_1({p})={a1}, b_1({4 * p})={b1} "
              f"{'ok' if good else 'FAIL'}"]
     for m, (a, b) in coeffs.items():
-        lhs_a = brackets.class_sum_a(m, along_p)
-        rhs_a = brackets.coeff_side_a(m, along_p, a)
-        lhs_b = brackets.class_sum_b(m, along_4p)
-        rhs_b = brackets.coeff_side_b(m, along_4p, b)
-        good = lhs_a == rhs_a and lhs_b == rhs_b
+        sides = [(brackets.class_sum(m, along), brackets.coeff_side(m, along, coeff))
+                 for along, coeff in zip(alongs, (a, b))]
+        good = all(lhs == rhs for lhs, rhs in sides)
         ok &= good
-        lines.append(f"  coefficient identity m={m}: a-side {lhs_a} = {rhs_a}, "
-                     f"b-side {lhs_b} = {rhs_b} {'ok' if good else 'FAIL'}")
+        text = ", ".join(f"{name}-side {lhs} = {rhs}" for name, (lhs, rhs) in zip("ab", sides))
+        lines.append(f"  coefficient identity m={m}: {text} {'ok' if good else 'FAIL'}")
         audit = brackets.deligne_audit(m, p, a, b)
         ok &= audit.passed
         lines.append(f"  coefficient bound m={m}: |a|={_g6(abs(audit.a_value))} "
@@ -397,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="k3batman",
         description="Frobenius-trace statistics for a K3 family via Clausen curves",
         epilog="exit codes: 0 all checks pass, 1 a verification failed, "
-        "2 usage error, 3 internal check failed",
+        "2 usage error or failed read/write, 3 internal check failed",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -437,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     v_b = v_sub.add_parser("brackets", help="coefficient identities and bounds")
     v_b.add_argument("--p", type=int, required=True)
     v_b.add_argument("--mmax", type=_positive_int, default=4)
-    _add_common(v_b, out=False, fmt=False)
+    _add_common(v_b, out=False, fmt=False, cache=False)
     v_b.set_defaults(func=cmd_verify_brackets)
 
     v_d = v_sub.add_parser("distribution", help="discrepancy bounds on a grid")
@@ -464,8 +468,10 @@ def dispatch(argv: list[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, cache.CacheFormatError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # a failed write of the last buffered text shows here
+        return code
+    except (ValueError, OSError) as exc:  # OSError: an --out, --cache-dir or stdout write failed
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:  # a run-time guard on a computed table tripped
@@ -474,7 +480,12 @@ def dispatch(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    code = dispatch(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:  # already reported: drop the text the reader left behind
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ from k3batman import (
     selberg_pair,
     uniform_grid,
 )
-from k3batman.brackets import class_sum_a, class_sum_b, coeff_side_a, coeff_side_b
+from k3batman.brackets import class_sum, coeff_side
 from k3batman.selberg import simplified_chain, simplified_chain_bound
 from k3batman.svg import histogram_counts
 from util import dense_identity_table, mu_bat_quadrature, primes_up_to
@@ -81,10 +81,10 @@ def test_criterion_03_corrected_identities(hurwitz_4000):
         along_p, along_4p = dense_identity_table(hurwitz_4000, p)
         for m in range(1, 5):
             a, b = pihol_coeff(m, along_p), pihol_coeff(m, along_4p)
-            if class_sum_a(m, along_p) != coeff_side_a(m, along_p, a):
+            if class_sum(m, along_p) != coeff_side(m, along_p, a):
                 _report("criterion 03 corrected identities", False,
                         f"a-side mismatch at p={p}, m={m}")
-            if class_sum_b(m, along_4p) != coeff_side_b(m, along_4p, b):
+            if class_sum(m, along_4p) != coeff_side(m, along_4p, b):
                 _report("criterion 03 corrected identities", False,
                         f"b-side mismatch at p={p}, m={m}")
             checked += 2

@@ -17,7 +17,7 @@ from k3batman import (
     mertens_coeff,
     pihol_coeff,
 )
-from k3batman.brackets import class_sum_a, class_sum_b, coeff_side_a, coeff_side_b
+from k3batman.brackets import class_sum, coeff_side
 from util import class_numbers_along, dense_identity_table, mertens_by_scan, primes_up_to
 
 
@@ -99,6 +99,10 @@ def test_bracket_examples(along2400):
 def test_bracket_validation(along2400):
     with pytest.raises(ValueError, match="t must be 1 or 4"):
         bracket_coeff(1, along2400(2, 5))
+    with pytest.raises(ValueError, match="t must be 1 or 4, got 2"):
+        class_sum(1, along2400(2, 5))
+    with pytest.raises(ValueError, match="t must be 1 or 4, got 9"):
+        coeff_side(1, along2400(9, 45), Fraction(0))
     with pytest.raises(ValueError):
         ClassNumbersAlong(1, 2401, along2400(1, 2400).twelve)  # 2401 = 49^2 needs k = 49
 
@@ -132,8 +136,8 @@ def test_m1_vanishing_small(table2400):
 
 def _corrected_identities_hold(m, along_p, along_4p):
     a, b = pihol_coeff(m, along_p), pihol_coeff(m, along_4p)
-    return (class_sum_a(m, along_p) == coeff_side_a(m, along_p, a)
-            and class_sum_b(m, along_4p) == coeff_side_b(m, along_4p, b))
+    return (class_sum(m, along_p) == coeff_side(m, along_p, a)
+            and class_sum(m, along_4p) == coeff_side(m, along_4p, b))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -194,8 +198,8 @@ def test_shared_coefficients_match_recomputed(table2400):
             dense_p, dense_4p = dense_identity_table(table2400, p)
             a, b = pihol_coeff(m, along_p), pihol_coeff(m, along_4p)
             assert (a, b) == (pihol_coeff(m, dense_p), pihol_coeff(m, dense_4p))
-            assert coeff_side_a(m, along_p, a) == coeff_side_a(m, dense_p, a)
-            assert coeff_side_b(m, along_4p, b) == coeff_side_b(m, dense_4p, b)
+            assert coeff_side(m, along_p, a) == coeff_side(m, dense_p, a)
+            assert coeff_side(m, along_4p, b) == coeff_side(m, dense_4p, b)
             assert deligne_audit(m, p, a, b) == _audit(m, p, table2400)
 
 

@@ -4,8 +4,11 @@ import io
 import itertools
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 import zlib
 from fractions import Fraction
 from pathlib import Path
@@ -314,8 +317,12 @@ def test_verify_brackets_computes_each_coefficient_once(monkeypatch, capsys):
 
 def test_cache_dir_holds_only_the_trace_table(tmp_path, capsys):
     cache_dir = tmp_path / "cache"
-    for argv in (["verify", "moments", "--p", "101"], ["verify", "brackets", "--p", "101"]):
-        assert dispatch(argv + ["--cache-dir", str(cache_dir)]) == 0
+    assert dispatch(["verify", "moments", "--p", "101", "--cache-dir", str(cache_dir)]) == 0
+    # verify brackets reads no trace table, so it takes no --cache-dir at all
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["verify", "brackets", "--p", "101", "--cache-dir", str(cache_dir)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err
     assert [f.name for f in cache_dir.iterdir()] == ["trace_p101.bin"]
 
 
@@ -872,12 +879,17 @@ def _assert_int_table_matches_emit_rows(tmp_path, capsys, fmt, rows, to_file, co
     else:
         cli._emit_int_table(None, fmt, "x,y,z", *columns)
         text = capsys.readouterr().out.encode()
-    expected = _emit_rows_oracle(fmt, rows, constant_last)
-    if text != expected:  # the first differing line, not a diff of two megabyte strings
+    _assert_same_text(text, _emit_rows_oracle(fmt, rows, constant_last))
+    return text
+
+
+def _assert_same_text(text: bytes, expected: bytes) -> None:
+    """Bytes first; the first differing line only on a mismatch, not a diff
+    of two megabyte strings."""
+    if text != expected:
         pairs = enumerate(itertools.zip_longest(text.split(b"\n"), expected.split(b"\n")))
         first, (line, expected_line) = next((i, pair) for i, pair in pairs if pair[0] != pair[1])
         pytest.fail(f"line {first}: {line!r} != {expected_line!r}")
-    return text
 
 
 @pytest.mark.parametrize("constant_last", [False, True], ids=["last-column", "last-int"])
@@ -932,11 +944,7 @@ def test_int_table_counts_its_first_column(capsys, fmt):
     cli._emit_rows(None, fmt, "x,y,z", [[i + 1, v, 7] for i, v in enumerate(second.tolist())])
     expected = capsys.readouterr().out
     cli._emit_int_table(None, fmt, "x,y,z", 1, second, 7)
-    lines, expected_lines = capsys.readouterr().out.split("\n"), expected.split("\n")
-    # the first differing line, not a diff of two megabyte strings
-    assert next((i for i, pair in enumerate(zip(lines, expected_lines)) if pair[0] != pair[1]),
-                None) is None
-    assert len(lines) == len(expected_lines)
+    _assert_same_text(capsys.readouterr().out.encode(), expected.encode())
 
 
 @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
@@ -1147,6 +1155,75 @@ def test_memory_guard_refuses_hist_bins_before_binning(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_available_memory", lambda: 100 << 20)
     assert dispatch(["hist", "--p", "101", "--bins", "61"]) == 0  # 24 KB fits
     assert capsys.readouterr().out.startswith("<svg")
+
+
+def test_memory_guard_refuses_brackets_before_counting(monkeypatch, capsys):
+    from k3batman import cli
+
+    def never(*args):
+        raise AssertionError("counted past the memory guard")
+
+    p = 100000000000000003  # isqrt(p) = 316227766: gigabytes of class-number work arrays
+    monkeypatch.setattr(cli, "_available_memory", lambda: 100 << 20)
+    monkeypatch.setattr(cli.hurwitz, "identity_table", never)
+    assert dispatch(["verify", "brackets", "--p", str(p), "--mmax", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: p={p} needs about 753945 MB to count the class numbers, "
+                            "but only 100 MB is available\n")
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "_available_memory", lambda: 100 << 20)
+    assert dispatch(["verify", "brackets", "--p", "1000003", "--mmax", "1"]) == 0  # 2.4 MB fits
+    assert capsys.readouterr().out.endswith(" ok\n")
+
+
+_NO_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["traces", "--p", "101", "--out", "{tmp}/missing/t.csv"], "No such file or directory"),
+    (["traces", "--p", "101", "--out", "{tmp}"], "Is a directory"),
+    (["traces", "--p", "101", "--cache-dir", "{tmp}/file"], "File exists"),
+    pytest.param(["hist", "--p", "101", "--bins", "5", "--out", "/dev/full"],
+                 "No space left on device", marks=_NO_DEV_FULL),
+], ids=["missing-dir", "out-is-dir", "cache-dir-is-file", "device-full"])
+def test_failed_write_is_exit_2_with_one_line(tmp_path, capsys, argv, reason):
+    """Exit 1 means a verification failed; a write that fails is exit 2."""
+    (tmp_path / "file").write_text("")
+    assert dispatch([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert reason in captured.err
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["traces", "--p", "5"], "error: [Errno 32] Broken pipe\n"),  # all of it buffered
+    (["traces", "--p", "10007"], "error: [Errno 32] Broken pipe\n"),  # more than a buffer
+    # a line is left buffered for the reader when the --out write fails
+    (["verify", "distribution", "--p", "101", "--out", "{tmp}/missing/r"],
+     "error: [Errno 2] No such file or directory"),
+], ids=["small", "large", "other-error"])
+def test_reader_gone_is_exit_2_with_one_line(tmp_path, argv, error):
+    """``traces | head -1``: the pipe breaks, and neither a traceback nor the
+    interpreter's message about its last flush follows the one error line."""
+    import k3batman
+
+    env = dict(os.environ)
+    src = str(Path(k3batman.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe is block-buffered by default
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first byte is written
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "k3batman.cli", *(arg.format(tmp=tmp_path) for arg in argv)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    err = result.stderr.decode()
+    assert result.returncode == 2, err
+    assert err.count("\n") == 1 and err.startswith(error), err
 
 
 def test_available_memory_reads_the_machine():

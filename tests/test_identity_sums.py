@@ -13,7 +13,7 @@ from k3batman import (
     multiplicity_rhs,
 )
 from k3batman import hurwitz
-from k3batman.brackets import class_sum_a, class_sum_b
+from k3batman.brackets import class_sum
 from k3batman.cli import dispatch
 from util import (
     bracket_coeff_by_loop,
@@ -57,8 +57,8 @@ def test_bracket_coeff_matches_loop(tables):
 def test_class_sums_match_loop(tables):
     for p, (along_p, along_4p), dense in tables:
         for m in range(1, 7):
-            assert class_sum_a(m, along_p) == class_sum_a_by_loop(m, p, dense), (p, m)
-            assert class_sum_b(m, along_4p) == class_sum_b_by_loop(m, p, dense), (p, m)
+            assert class_sum(m, along_p) == class_sum_a_by_loop(m, p, dense), (p, m)
+            assert class_sum(m, along_4p) == class_sum_b_by_loop(m, p, dense), (p, m)
 
 
 @pytest.mark.parametrize("twisted", [False, True])
@@ -91,8 +91,8 @@ def test_class_sums_match_loop_at_every_p(hurwitz_4000):
     for p in range(1, 301):
         along_p, along_4p = dense_identity_table(hurwitz_4000, p)
         for m in range(7):
-            assert class_sum_a(m, along_p) == class_sum_a_by_loop(m, p, hurwitz_4000), (p, m)
-            assert class_sum_b(m, along_4p) == class_sum_b_by_loop(m, p, hurwitz_4000), (p, m)
+            assert class_sum(m, along_p) == class_sum_a_by_loop(m, p, hurwitz_4000), (p, m)
+            assert class_sum(m, along_4p) == class_sum_b_by_loop(m, p, hurwitz_4000), (p, m)
 
 
 def test_power_sums_any_order():
