@@ -1,5 +1,5 @@
-"""Every subcommand's output against SHA-256 digests recorded before the
-refactors that claim byte-identical output.
+"""Every subcommand's output against recorded SHA-256 digests, so that a
+change which keeps the output byte-identical can show it.
 
 Each case runs through ``dispatch`` and records its exit code and the
 digests of its stdout, its stderr and every file it writes through --out.
