@@ -24,7 +24,8 @@ from k3batman import (
     multiplicity_rhs,
     uniform_grid,
 )
-from k3batman.cli import emit_report
+from k3batman.cli import _positive_int, emit_report
+from k3batman.field import require_prime
 from k3batman.stats import STATISTICS
 from k3batman.svg import HistogramSpec, render_histogram
 
@@ -32,14 +33,21 @@ from k3batman.svg import HistogramSpec, render_histogram
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--p", type=int, default=93283)
-    parser.add_argument("--grid", type=int, default=60)
-    parser.add_argument("--bins", type=int, default=61)
-    parser.add_argument("--nmax", type=int, default=3)
+    parser.add_argument("--grid", type=_positive_int, default=60)
+    parser.add_argument("--bins", type=_positive_int, default=61)
+    parser.add_argument("--nmax", type=_positive_int, default=3)
     parser.add_argument("--out-dir", default="out")
     args = parser.parse_args()
+    try:
+        require_prime(args.p)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"--out-dir: {exc}")
 
     t0 = time.time()
     ctx = make_context(args.p)

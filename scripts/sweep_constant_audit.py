@@ -32,6 +32,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--pmax", type=int, default=1_000_000)
     args = parser.parse_args()
+    if args.pmax < 5:
+        parser.error(f"--pmax must be >= 5, got {args.pmax}")
 
     primes = primes_up_to(args.pmax)
     primes = primes[primes >= 5]

@@ -2,20 +2,15 @@
 
 from .brackets import (
     bracket_coeff,
-    chebyshev_closed,
     chebyshev_coeffs,
-    chebyshev_eval,
     deligne_audit,
-    even_chebyshev,
     mertens_coeff,
     pihol_coeff,
 )
 from .clausen import (
-    AValue,
     TraceSummary,
     TraceTable,
     a_numerators,
-    a_value,
     build_trace_table,
     chebyshev_sum,
     clausen_trace,
@@ -26,7 +21,6 @@ from .hurwitz import (
     ClassNumbersAlong,
     HurwitzTable,
     build_hurwitz_table,
-    class_number,
     identity_table,
     multiplicity_rhs,
     twelve_h_at,
@@ -46,7 +40,6 @@ from .stats import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AValue",
     "ClassNumbersAlong",
     "DiscrepancyReport",
     "EarParameters",
@@ -57,21 +50,16 @@ __all__ = [
     "TraceTable",
     "TrigPolynomial",
     "a_numerators",
-    "a_value",
     "bracket_coeff",
     "build_hurwitz_table",
     "build_trace_table",
-    "chebyshev_closed",
     "chebyshev_coeffs",
-    "chebyshev_eval",
     "chebyshev_sum",
-    "class_number",
     "clausen_trace",
     "deligne_audit",
     "density_f",
     "discrepancy_report",
     "ear_parameters",
-    "even_chebyshev",
     "empirical_A_count",
     "eval_trig",
     "identity_table",

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, isqrt
+from math import comb, isqrt
+from operator import mul
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # hurwitz imports clausen, which imports this module
@@ -35,49 +36,11 @@ def chebyshev_coeffs(m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def chebyshev_closed(l: int, m: int) -> int:
-    """Closed form for the coefficient of x^(2l) in U_{2m}, 1 <= l <= m."""
-    if not 1 <= l <= m:
-        raise ValueError(f"need 1 <= l <= m, got l={l}, m={m}")
-    num = (-1) ** (m - l) * 2 ** (2 * l - 1) * factorial(l + m)
-    den = l * factorial(m - l) * factorial(2 * l - 1)
-    if num % den:
-        raise ArithmeticError(f"closed form not integral at (l={l}, m={m})")
-    return num // den
-
-
-def chebyshev_eval(m: int, x: float) -> float:
-    """U_m(x) by the numerically stable three-term recurrence."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    prev2, prev1 = 1.0, 2.0 * x
-    if m == 0:
-        return prev2
-    if m == 1:
-        return prev1
-    for _ in range(m - 1):
-        prev2, prev1 = prev1, 2.0 * x * prev1 - prev2
-    return prev1
-
-
-def even_chebyshev(m: int, x: int, n: int) -> int:
-    """sum_l U_{2m}[2l] x^l n^(m-l) over l = 0..m, exactly in integers.
-
-    U_{2m} has only even powers, so this is n^m U_{2m}(y) for any y with
-    y^2 = x/n: the Chebyshev value with its denominator n^m cleared.
-    """
-    coeffs = chebyshev_coeffs(2 * m)
-    total = 0
-    for l in range(m, -1, -1):  # Horner in x
-        total = total * x + coeffs[2 * l] * n ** (m - l)
-    return total
-
-
 def bracket_coeff(m: int, along: ClassNumbersAlong) -> Fraction:
     """Coefficient of q^n in the m-th bracket of the class-number series with
     the theta series in t*tau, for the (t, n) of ``along``:
 
-        C(2m, m) / 4^m * sum_k H*(n - t k^2) even_chebyshev(m, t k^2, n)
+        C(2m, m) / 4^m * sum_k H*(n - t k^2) n^m U_{2m}(k sqrt(t / n))
 
     over all integers k. The k = 0 term is H*(n), and a square n / t ends the
     sum with H*(0) = -1/12 at k = +-sqrt(n / t).
@@ -97,11 +60,29 @@ def _root(t: int) -> int:
 def _chebyshev_combination(m: int, t: int, n: int, sums: list[int]) -> int:
     """sum_l U_{2m}[2l] n^(m-l) t^l sums[l].
 
-    With sums[l] = sum_k w_k k^(2l) this is sum_k w_k even_chebyshev(m, t k^2, n):
-    the k are summed once, in ``sums``, for every m.
+    With sums[l] = sum_k w_k k^(2l) this is sum_k w_k n^m U_{2m}(k sqrt(t / n)),
+    an integer: the k are summed once, in ``sums``, for every m.
     """
     coeffs = chebyshev_coeffs(2 * m)
     return sum(coeffs[2 * l] * n ** (m - l) * t**l * sums[l] for l in range(m + 1))
+
+
+class PowerSums:
+    """sum_k weights[k] k^(2l) for l = 0, 1, ..., with 0^0 = 1. ``upto(lmax)``
+    returns them as a new list; they are kept, and extended when a larger
+    ``lmax`` is asked for, so each term is multiplied lmax times in all."""
+
+    def __init__(self, weights: list[int]):
+        kept = [k for k, w in enumerate(weights) if k and w]
+        self._squares = [k * k for k in kept]
+        self._terms = [weights[k] for k in kept]  # w_k k^(2 (len(_sums) - 1))
+        self._sums = [sum(weights)]
+
+    def upto(self, lmax: int) -> list[int]:
+        while len(self._sums) <= lmax:
+            self._terms[:] = map(mul, self._terms, self._squares)
+            self._sums.append(sum(self._terms))
+        return self._sums[: lmax + 1]
 
 
 def _divisor_pairs(n: int) -> list[tuple[int, int]]:

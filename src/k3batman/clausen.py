@@ -12,7 +12,7 @@ import numpy as np
 from numpy.fft import irfft, rfft
 
 from . import field
-from .brackets import even_chebyshev
+from .brackets import PowerSums, _chebyshev_combination
 from .field import FieldContext
 
 
@@ -33,10 +33,6 @@ class TraceTable:
 
     def __len__(self) -> int:
         return self.p - 2
-
-    def entries(self) -> Iterator[tuple[int, int, int]]:
-        for i in range(self.p - 2):
-            yield i + 1, int(self.traces[i]), int(self.signs[i])
 
     @cached_property
     def multiplicities(self) -> TraceSummary:
@@ -104,6 +100,14 @@ class TraceSummary:
         num = np.stack((plus, -plus), axis=1)
         num.setflags(write=False)
         return num
+
+    @cached_property
+    def _power_sums(self) -> tuple[PowerSums, PowerSums]:
+        return PowerSums(self.weights()), PowerSums(self.weights(twisted=True))
+
+    def power_sums(self, lmax: int, twisted: bool = False) -> list[int]:
+        """sum over s of weights(twisted)[s] s^(2l) for l = 0..lmax; see PowerSums."""
+        return self._power_sums[twisted].upto(lmax)
 
 
 def clausen_trace(ctx: FieldContext, lam: int) -> int:
@@ -188,30 +192,6 @@ def build_trace_table(ctx: FieldContext) -> TraceTable:
     return table
 
 
-@dataclass(frozen=True)
-class AValue:
-    """Normalized point-count error term A_mu(p) = value, an exact rational."""
-
-    mu: int
-    value: Fraction
-
-
-def a_value(ctx: FieldContext, mu: int, trace: int | None = None) -> AValue:
-    """A_mu(p) = phi(-lambda) (a_lambda^2 - p)/p with lambda = -(mu+1)^(-1)."""
-    p = ctx.p
-    if mu % p in (0, p - 1):
-        raise ValueError(f"mu={mu} is outside the defined family (0 or -1 mod p)")
-    mu %= p
-    lam = (-pow(mu + 1, p - 2, p)) % p
-    if trace is None:
-        trace = clausen_trace(ctx, lam)
-    sign = ctx.chi(p - lam)
-    value = Fraction(sign * (trace * trace - p), p)
-    if not -3 <= value <= 3:
-        raise ArithmeticError(f"A_{mu}({p}) = {value} escapes [-3, 3]")
-    return AValue(mu, value)
-
-
 # Entries per block of TraceTable.multiplicities and powers per block of
 # a_numerators: the scratch memory of each is O(_BLOCK), on top of its result.
 _BLOCK = 1 << 16
@@ -294,18 +274,16 @@ def moment(summary: TraceSummary, n: int, twisted: bool = False) -> int:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return sum(w * s ** (2 * n) for s, w in enumerate(summary.weights(twisted)) if w)
+    return summary.power_sums(n, twisted)[n]
 
 
 def chebyshev_sum(summary: TraceSummary, m: int, twisted: bool = False) -> Fraction:
     """Exact sum of U_{2m}(a_lambda / 2 sqrt(p)), optionally twisted.
 
     Only even powers of the argument occur, so each term is a rational with
-    denominator (4p)^m; the sum is assembled over a common denominator.
+    denominator (4p)^m; the sum is the power sums' combination over it.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     q = 4 * summary.p
-    weights = summary.weights(twisted)
-    total = sum(w * even_chebyshev(m, s * s, q) for s, w in enumerate(weights) if w)
-    return Fraction(total, q**m)
+    return Fraction(_chebyshev_combination(m, 1, q, summary.power_sums(m, twisted)), q**m)

@@ -91,10 +91,11 @@ def _get_trace_table(p: int, cache_dir: str | None) -> TraceTable:
             print(f"warning: rebuilding unreadable cache {path}: {exc}", file=sys.stderr)
         else:
             return table
+    if path is not None:  # a directory that cannot be made fails before the build
+        path.parent.mkdir(parents=True, exist_ok=True)
     _require_memory(f"p={p}", _TRACE_BYTES_PER_P * p, "build the trace table")
     table = build_trace_table(make_context(p))
     if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
         cache.save_trace_table(path, table)
     return table
 

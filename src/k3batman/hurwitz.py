@@ -5,10 +5,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
 
 import numpy as np
 
+from .brackets import PowerSums
 from .clausen import TraceSummary
 from .field import require_prime, two_squares
 
@@ -46,46 +46,12 @@ class ClassNumbersAlong:
                              f"n - t k^2 for (t, n) = ({self.t}, {self.n}), got {len(self.twelve)}")
 
     @cached_property
-    def _sums(self) -> tuple[list[int], list[int], list[int]]:
-        terms = [2 * x for x in self.twelve[1:]]  # k and -k
-        return [self.twelve[0] + sum(terms)], terms, [k * k for k in range(1, len(self.twelve))]
+    def _power_sums(self) -> PowerSums:
+        return PowerSums([self.twelve[0]] + [2 * x for x in self.twelve[1:]])  # k and -k
 
     def power_sums(self, lmax: int) -> list[int]:
-        """sum over all integers k of twelve[|k|] k^(2l), for l = 0..lmax,
-        with 0^0 = 1.
-
-        The sums are kept, and extended when a larger ``lmax`` is asked for,
-        so the identities for m = 1..mmax multiply each term mmax times in all.
-        """
-        sums, terms, squares = self._sums  # terms[k - 1] = 2 twelve[k] k^(2 (len(sums) - 1))
-        while len(sums) <= lmax:
-            terms[:] = map(mul, terms, squares)
-            sums.append(sum(terms))
-        return sums[: lmax + 1]
-
-
-def class_number(d: int) -> tuple[int, int]:
-    """(h, omega) for discriminant -d: h counts reduced primitive forms
-    (a, b, c) with b^2 - 4ac = -d, -a < b <= a <= c and b >= 0 when a = c;
-    omega is 3 for d = 3, 2 for d = 4, and 1 otherwise."""
-    if d <= 0 or d % 4 in (1, 2):
-        raise ValueError(f"-{d} is not a negative discriminant")
-    h = 0
-    a = 1
-    while 3 * a * a <= d:
-        four_a = 4 * a
-        for b in range(-a + 1, a + 1):
-            num = b * b + d
-            if num % four_a:
-                continue
-            c = num // four_a
-            if c < a or (a == c and b < 0):
-                continue
-            if math.gcd(math.gcd(a, b), c) == 1:
-                h += 1
-        a += 1
-    omega = 3 if d == 3 else 2 if d == 4 else 1
-    return h, omega
+        """sum over all integers k of twelve[|k|] k^(2l) for l = 0..lmax; see PowerSums."""
+        return self._power_sums.upto(lmax)
 
 
 def build_hurwitz_table(d_max: int) -> HurwitzTable:

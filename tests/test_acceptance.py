@@ -13,9 +13,7 @@ import numpy as np
 import pytest
 
 from k3batman import (
-    chebyshev_closed,
     chebyshev_coeffs,
-    chebyshev_eval,
     deligne_audit,
     density_f,
     discrepancy_report,
@@ -34,7 +32,13 @@ from k3batman import (
 from k3batman.brackets import class_sum, coeff_side
 from k3batman.selberg import simplified_chain, simplified_chain_bound
 from k3batman.svg import histogram_counts
-from util import dense_identity_table, mu_bat_quadrature, primes_up_to
+from util import (
+    chebyshev_closed,
+    chebyshev_eval,
+    dense_identity_table,
+    mu_bat_quadrature,
+    primes_up_to,
+)
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:

@@ -8,17 +8,22 @@ from k3batman import (
     ClassNumbersAlong,
     bracket_coeff,
     build_hurwitz_table,
-    chebyshev_closed,
     chebyshev_coeffs,
-    chebyshev_eval,
     deligne_audit,
-    even_chebyshev,
     identity_table,
     mertens_coeff,
     pihol_coeff,
 )
 from k3batman.brackets import class_sum, coeff_side
-from util import class_numbers_along, dense_identity_table, mertens_by_scan, primes_up_to
+from util import (
+    chebyshev_closed,
+    chebyshev_eval,
+    class_numbers_along,
+    dense_identity_table,
+    even_chebyshev,
+    mertens_by_scan,
+    primes_up_to,
+)
 
 
 def test_chebyshev_coeff_examples():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from k3batman import (
-    a_value,
     build_trace_table,
     chebyshev_coeffs,
     chebyshev_sum,
@@ -16,7 +15,14 @@ from k3batman import (
     two_squares,
 )
 from k3batman import clausen
-from util import curve_point_count, primes_up_to, star
+from util import (
+    a_value,
+    chebyshev_sum_by_loop,
+    curve_point_count,
+    entries,
+    primes_up_to,
+    star,
+)
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +56,7 @@ def test_trace_matches_point_enumeration():
 
 
 def test_table_p5(table5):
-    assert list(table5.entries()) == [(1, -2, 1), (2, 0, -1), (3, 2, -1)]
+    assert list(entries(table5)) == [(1, -2, 1), (2, 0, -1), (3, 2, -1)]
 
 
 def test_table_p7_hasse():
@@ -241,3 +247,15 @@ def test_chebyshev_sum_matches_moment_expansion(p, twisted):
                 power_sum = moment(table.multiplicities, l, twisted)
             expected += Fraction(coeffs[2 * l], (4 * p) ** l) * power_sum
         assert chebyshev_sum(table.multiplicities, m, twisted) == expected
+
+
+def test_chebyshev_sum_matches_per_term_loop():
+    # every prime below 2000 at low degree, and degrees to 40 at a few primes
+    degrees = {p: 8 for p in primes_up_to(2000) if p >= 5}
+    degrees.update(dict.fromkeys([5, 7, 101, 1009, 1999], 40))
+    for p, top in degrees.items():
+        summary = build_trace_table(make_context(p)).multiplicities
+        for m in range(top + 1):
+            for twisted in (False, True):
+                expected = chebyshev_sum_by_loop(summary, m, twisted)
+                assert chebyshev_sum(summary, m, twisted) == expected, (p, m, twisted)

@@ -19,7 +19,6 @@ import pytest
 from k3batman import (
     TraceSummary,
     TraceTable,
-    a_value,
     build_hurwitz_table,
     build_trace_table,
     clausen_trace,
@@ -28,7 +27,7 @@ from k3batman import (
 )
 from k3batman import cache
 from k3batman.cli import _BLOCK_ROWS, dispatch
-from util import dense_identity_table
+from util import a_value, dense_identity_table, entries
 
 P5_TRACES_CSV = "lambda,a,phi\n1,-2,1\n2,0,-1\n3,2,-1\n"
 P5_AVALUES_CSV = "mu,num,den\n1,5,5\n2,1,5\n3,-1,5\n"
@@ -967,7 +966,7 @@ def test_traces_json_matches_entries(tmp_path):
     out = tmp_path / "t.json"
     assert dispatch(["traces", "--p", "101", "--out", str(out), "--format", "json"]) == 0
     assert json.loads(out.read_text()) == [
-        {"lambda": lam, "a": a, "phi": sign} for lam, a, sign in table.entries()
+        {"lambda": lam, "a": a, "phi": sign} for lam, a, sign in entries(table)
     ]
 
 
@@ -1195,6 +1194,21 @@ def test_failed_write_is_exit_2_with_one_line(tmp_path, capsys, argv, reason):
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
     assert reason in captured.err
+
+
+def test_cache_dir_that_is_a_file_fails_before_the_build(tmp_path, capsys, monkeypatch):
+    from k3batman import cli
+
+    def no_build(ctx):
+        raise AssertionError("the trace table was built")
+
+    monkeypatch.setattr(cli, "build_trace_table", no_build)
+    (tmp_path / "file").write_text("")
+    assert dispatch(["traces", "--p", "1000003", "--cache-dir", str(tmp_path / "file")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert "File exists" in captured.err
 
 
 @pytest.mark.parametrize("argv, error", [

@@ -8,7 +8,6 @@ from k3batman import (
     ClassNumbersAlong,
     build_hurwitz_table,
     build_trace_table,
-    class_number,
     identity_table,
     make_context,
     moment,
@@ -17,6 +16,7 @@ from k3batman import (
 )
 from util import (
     c_pm,
+    class_number,
     class_numbers_along,
     dense_identity_table,
     hurwitz_star_by_divisors,

@@ -1,5 +1,6 @@
 """The class-number identities from integer power sums, against per-s loops."""
 
+import functools
 from math import isqrt
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from k3batman import (
     bracket_coeff,
     build_hurwitz_table,
+    build_trace_table,
     identity_table,
+    make_context,
     moment,
     multiplicity_rhs,
 )
@@ -95,18 +98,28 @@ def test_class_sums_match_loop_at_every_p(hurwitz_4000):
             assert class_sum(m, along_4p) == class_sum_b_by_loop(m, p, hurwitz_4000), (p, m)
 
 
-def test_power_sums_any_order():
-    p = 4099
+def _power_sum_cases(p: int):
+    """(power_sums of one kept kernel, the same sums by a direct loop)."""
     for along in identity_table(p):
         root = isqrt(along.n // along.t)
         direct = [sum(along.twelve[abs(k)] * k ** (2 * l) for k in range(-root, root + 1))
                   for l in range(8)]
-        assert along.power_sums(3) == direct[:4]
-        assert along.power_sums(7) == direct
-        assert along.power_sums(0) == direct[:1]
-        sums = along.power_sums(7)
+        yield along.power_sums, direct
+    summary = build_trace_table(make_context(p)).multiplicities
+    for twisted in (False, True):
+        direct = [sum(w * s ** (2 * l) for s, w in enumerate(summary.weights(twisted)))
+                  for l in range(8)]
+        yield functools.partial(summary.power_sums, twisted=twisted), direct
+
+
+def test_power_sums_any_order():
+    for power_sums, direct in _power_sum_cases(4099):
+        assert power_sums(3) == direct[:4]
+        assert power_sums(7) == direct
+        assert power_sums(0) == direct[:1]
+        sums = power_sums(7)
         sums[0] += 1  # a caller's copy: the kept sums do not change
-        assert along.power_sums(7) == direct
+        assert power_sums(7) == direct
 
 
 def test_index_four_relation_matches_dense_table():

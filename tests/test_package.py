@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import k3batman
@@ -12,3 +13,12 @@ def test_every_export_resolves():
 def test_readme_names_the_cache_magic():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     assert f"`{cache.MAGIC.decode()}`" in readme.read_text()
+
+
+def test_ci_runs_the_tier1_command():
+    # the workflow runs only on the CI host, so its test line is checked here as text
+    root = Path(__file__).resolve().parents[1]
+    tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (root / "ROADMAP.md").read_text())
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text().splitlines()
+    runs = [line.strip().removeprefix("- run: ") for line in workflow if "-m pytest" in line]
+    assert tier1 is not None and runs == [tier1.group(1)]

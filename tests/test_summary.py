@@ -34,6 +34,7 @@ from util import (
     a_value_by_loop,
     class_numbers_along,
     dense_identity_table,
+    entries,
     histogram_by_loop,
     interval_counts_by_loop,
     moment_by_loop,
@@ -68,7 +69,7 @@ def test_multiplicities_count_each_magnitude_and_sign(oracle_tables):
         counts = summary.counts
         assert summary.p == p and counts.dtype == np.int64
         assert counts.shape == (math.isqrt(4 * p) + 1, 2)
-        expected = Counter((abs(a), int(sign < 0)) for _, a, sign in table.entries())
+        expected = Counter((abs(a), int(sign < 0)) for _, a, sign in entries(table))
         found = {(s, col): int(counts[s, col]) for s in range(len(counts)) for col in (0, 1)}
         assert {key: c for key, c in found.items() if c} == dict(expected), p
         assert summary.weights() == [int(c) for c in counts.sum(axis=1)]
@@ -119,7 +120,7 @@ def test_moments_match_loop(oracle_tables):
 def test_interval_counts_match_loop_on_attained_endpoints(oracle_tables):
     """Endpoints with 4p lo^2 = s^2 for attained s pin both closed ends."""
     for p, table in oracle_tables.items():
-        attained = sorted({abs(a) for _, a, _ in table.entries()})
+        attained = sorted({abs(a) for _, a, _ in entries(table)})
         cuts = [Fraction(0)] + [Fraction(s * s, 4 * p) for s in _every_other(attained, 12)]
         cuts = sorted(set(cuts + [Fraction(1)]))
         pairs = list(zip(cuts, cuts[1:])) + [(cuts[0], cuts[-1]), (cuts[1], cuts[-2])]
@@ -167,7 +168,7 @@ def test_chebyshev_sum_matches_moment_expansion(oracle_tables):
     """U_2(x) = 4x^2 - 1, so sum U_2(a / 2 sqrt p) = (moment_1 - p sum 1) / p."""
     for p, table in oracle_tables.items():
         for twisted in (False, True):
-            zeroth = sum(sign if twisted else 1 for _, _, sign in table.entries())
+            zeroth = sum(sign if twisted else 1 for _, _, sign in entries(table))
             expected = Fraction(moment_by_loop(table, 1, twisted) - p * zeroth, p)
             assert chebyshev_sum(table.multiplicities, 1, twisted) == expected, p
 
@@ -178,7 +179,7 @@ def test_multiplicity_rhs_matches_counts(trace_tables_1000):
         rhs = multiplicity_rhs(*identity_table(p))
         assert len(rhs.counts) == math.isqrt(4 * p) + 1
         plain, signed = Counter(), Counter()
-        for _, a, sign in table.entries():
+        for _, a, sign in entries(table):
             plain[abs(a)] += 1
             signed[abs(a)] += sign
         rows = zip(rhs.weights(), rhs.weights(twisted=True))

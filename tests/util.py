@@ -6,12 +6,13 @@ checked against a second route.
 """
 
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, factorial, gcd, isqrt
 
 import numpy as np
 
-from k3batman import ClassNumbersAlong, even_chebyshev, two_squares
+from k3batman import ClassNumbersAlong, FieldContext, chebyshev_coeffs, clausen_trace, two_squares
 from k3batman.field import powers, primitive_root, require_inverse_range
 
 
@@ -62,6 +63,30 @@ def curve_point_count(p: int, lam: int) -> int:
     for x in range(p):
         total += solutions[((x - 1) * (x * x + lam)) % p]
     return total
+
+
+def class_number(d: int) -> tuple[int, int]:
+    """(h, omega) for discriminant -d: h counts reduced primitive forms
+    (a, b, c) with b^2 - 4ac = -d, -a < b <= a <= c and b >= 0 when a = c;
+    omega is 3 for d = 3, 2 for d = 4, and 1 otherwise."""
+    if d <= 0 or d % 4 in (1, 2):
+        raise ValueError(f"-{d} is not a negative discriminant")
+    h = 0
+    a = 1
+    while 3 * a * a <= d:
+        four_a = 4 * a
+        for b in range(-a + 1, a + 1):
+            num = b * b + d
+            if num % four_a:
+                continue
+            c = num // four_a
+            if c < a or (a == c and b < 0):
+                continue
+            if gcd(gcd(a, b), c) == 1:
+                h += 1
+        a += 1
+    omega = 3 if d == 3 else 2 if d == 4 else 1
+    return h, omega
 
 
 def hurwitz_star_by_divisors(d: int, class_number) -> Fraction:
@@ -136,9 +161,40 @@ def mertens_by_scan(s: int, m: int, n: int) -> int:
 # from the trace-multiplicity summary. Membership is decided on Fractions.
 
 
+def entries(table):
+    """(lambda, a_lambda, phi(-lambda)) as Python ints, for lambda = 1..p-2."""
+    for i in range(table.p - 2):
+        yield i + 1, int(table.traces[i]), int(table.signs[i])
+
+
+@dataclass(frozen=True)
+class AValue:
+    """Normalized point-count error term A_mu(p) = value, an exact rational."""
+
+    mu: int
+    value: Fraction
+
+
+def a_value(ctx: FieldContext, mu: int, trace: int | None = None) -> AValue:
+    """A_mu(p) = phi(-lambda) (a_lambda^2 - p)/p with lambda = -(mu+1)^(-1),
+    from one direct character sum unless ``trace`` is given."""
+    p = ctx.p
+    if mu % p in (0, p - 1):
+        raise ValueError(f"mu={mu} is outside the defined family (0 or -1 mod p)")
+    mu %= p
+    lam = (-pow(mu + 1, p - 2, p)) % p
+    if trace is None:
+        trace = clausen_trace(ctx, lam)
+    sign = ctx.chi(p - lam)
+    value = Fraction(sign * (trace * trace - p), p)
+    if not -3 <= value <= 3:
+        raise ArithmeticError(f"A_{mu}({p}) = {value} escapes [-3, 3]")
+    return AValue(mu, value)
+
+
 def moment_by_loop(table, n: int, twisted: bool = False) -> int:
     total = 0
-    for _, a, sign in table.entries():
+    for _, a, sign in entries(table):
         total += (sign if twisted else 1) * a ** (2 * n)
     return total
 
@@ -146,7 +202,7 @@ def moment_by_loop(table, n: int, twisted: bool = False) -> int:
 def interval_counts_by_loop(table, lo_sq, hi_sq) -> tuple[int, int, int, int]:
     """(N, M, H+, H-) over lambda with lo_sq <= (a_lambda / 2 sqrt(p))^2 <= hi_sq."""
     h_plus = h_minus = 0
-    for _, a, sign in table.entries():
+    for _, a, sign in entries(table):
         if lo_sq <= Fraction(a * a, 4 * table.p) <= hi_sq:
             if sign > 0:
                 h_plus += 1
@@ -157,7 +213,7 @@ def interval_counts_by_loop(table, lo_sq, hi_sq) -> tuple[int, int, int, int]:
 
 def a_value_by_loop(table) -> list[Fraction]:
     """A_lambda(p) = phi(-lambda) (a_lambda^2 - p) / p in lambda order."""
-    return [Fraction(sign * (a * a - table.p), table.p) for _, a, sign in table.entries()]
+    return [Fraction(sign * (a * a - table.p), table.p) for _, a, sign in entries(table)]
 
 
 def a_count_by_loop(table, lo, hi) -> int:
@@ -171,6 +227,55 @@ def histogram_by_loop(table, bins: int) -> list[int]:
         k = (value + 3) * bins // 6
         counts[min(k, bins - 1)] += 1
     return counts
+
+
+# Chebyshev values and coefficients by routes other than the library's
+# recurrence table and power sums.
+
+
+def chebyshev_closed(l: int, m: int) -> int:
+    """Closed form for the coefficient of x^(2l) in U_{2m}, 1 <= l <= m."""
+    if not 1 <= l <= m:
+        raise ValueError(f"need 1 <= l <= m, got l={l}, m={m}")
+    num = (-1) ** (m - l) * 2 ** (2 * l - 1) * factorial(l + m)
+    den = l * factorial(m - l) * factorial(2 * l - 1)
+    if num % den:
+        raise ArithmeticError(f"closed form not integral at (l={l}, m={m})")
+    return num // den
+
+
+def chebyshev_eval(m: int, x: float) -> float:
+    """U_m(x) by the numerically stable three-term recurrence."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    prev2, prev1 = 1.0, 2.0 * x
+    if m == 0:
+        return prev2
+    if m == 1:
+        return prev1
+    for _ in range(m - 1):
+        prev2, prev1 = prev1, 2.0 * x * prev1 - prev2
+    return prev1
+
+
+def even_chebyshev(m: int, x: int, n: int) -> int:
+    """sum_l U_{2m}[2l] x^l n^(m-l) over l = 0..m, exactly in integers.
+
+    U_{2m} has only even powers, so this is n^m U_{2m}(y) for any y with
+    y^2 = x/n: the Chebyshev value with its denominator n^m cleared.
+    """
+    coeffs = chebyshev_coeffs(2 * m)
+    total = 0
+    for l in range(m, -1, -1):  # Horner in x
+        total = total * x + coeffs[2 * l] * n ** (m - l)
+    return total
+
+
+def chebyshev_sum_by_loop(summary, m: int, twisted: bool = False) -> Fraction:
+    """sum_s w_s even_chebyshev(m, s^2, 4p) / (4p)^m, one term per |a| = s."""
+    q = 4 * summary.p
+    weights = summary.weights(twisted)
+    return Fraction(sum(w * even_chebyshev(m, s * s, q) for s, w in enumerate(weights)), q**m)
 
 
 # The class numbers the library reads, sliced from a dense table, and per-s
