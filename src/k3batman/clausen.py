@@ -70,7 +70,7 @@ class TraceSummary:
 
     Every statistic reads a trace only through a^2 and the sign, so these
     about 2 sqrt(p) pairs stand in for the p-2 entries. The counts are kept
-    as a read-only int64 copy.
+    as a read-only int64 copy; ValueError unless of shape (isqrt(4p) + 1, 2).
     """
 
     p: int
@@ -78,6 +78,9 @@ class TraceSummary:
 
     def __post_init__(self):
         counts = np.array(self.counts, dtype=np.int64)
+        shape = (math.isqrt(4 * self.p) + 1, 2)
+        if counts.shape != shape:
+            raise ValueError(f"summary counts at p={self.p} need shape {shape}, got {counts.shape}")
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
 
@@ -92,14 +95,15 @@ class TraceSummary:
         return (plus - minus if twisted else plus + minus).tolist()
 
     @cached_property
-    def numerators(self) -> np.ndarray:
-        """Read-only p A_lambda(p) of each cell: s^2 - p for phi(-lambda) = +1
-        and p - s^2 for -1."""
-        s = np.arange(len(self.counts), dtype=np.int64)
-        plus = s * s - self.p
-        num = np.stack((plus, -plus), axis=1)
-        num.setflags(write=False)
-        return num
+    def _prefix(self) -> tuple[np.ndarray, np.ndarray]:
+        squares = np.arange(len(self.counts), dtype=np.int64) ** 2
+        return squares, np.concatenate(([[0, 0]], self.counts.cumsum(axis=0)))
+
+    def below(self, square) -> np.ndarray:
+        """Per sign phi(-lambda) = +1, -1, the number of lambda with a^2 < square:
+        a row of two for an int, one such row per entry of an int array."""
+        squares, cumulative = self._prefix
+        return np.take(cumulative, np.searchsorted(squares, square), axis=0)  # a copy, not a view
 
     @cached_property
     def _power_sums(self) -> tuple[PowerSums, PowerSums]:

@@ -38,6 +38,9 @@ _AVALUE_BYTES_PER_P = 10
 # Peak bytes per bin of render_histogram and its output (about 385 measured
 # at 10^5 and 10^6 bins, p = 101), for refusing a --bins before binning.
 _SVG_BYTES_PER_BIN = 400
+# Peak bytes per --grid interval of verify distribution (1330 measured at p = 5;
+# 1900 with a CSV --out, 5070 with a JSON one), for refusing a --grid up front.
+_GRID_BYTES_PER_INTERVAL = 5200
 # Peak bytes per isqrt(p) of identity_table and the bracket identities beyond
 # the interpreter (2490, 2390 and 2340 measured at p = 10000019, 100000007 and
 # 1000000007, --mmax 1), for refusing a p before its class numbers are counted.
@@ -323,6 +326,7 @@ def _grids_for(which: str, k: int, seed: int | None):
 
 
 def cmd_verify_distribution(args) -> int:
+    _require_memory(f"grid={args.grid}", _GRID_BYTES_PER_INTERVAL * args.grid, "build the report")
     summary = _get_trace_table(args.p, args.cache_dir).multiplicities
     ok = True
     for which in stats.STATISTICS:

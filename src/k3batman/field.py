@@ -7,15 +7,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Deterministic Miller-Rabin witness set, valid for every n < 3.3e24 (so in
-# particular for all 64-bit inputs).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witness set: the primes up to 41 decide every n
+# below psi_13 = _MR_LIMIT, the least strong pseudoprime to all of them, and
+# miller_rabin_witness raises ValueError at or above it.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
 
 
 def miller_rabin_witness(n: int) -> int | None:
     """Return a witness proving ``n`` composite, or None when ``n`` is prime."""
     if n < 2:
         return n
+    if n >= _MR_LIMIT:
+        raise ValueError(f"n={n} is out of the certified primality range n < {_MR_LIMIT}")
     for small in _MR_WITNESSES:
         if n == small:
             return None

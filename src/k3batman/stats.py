@@ -25,11 +25,7 @@ def as_rational(x) -> Fraction:
     binary value."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
-    return Fraction(str(x))
+    return Fraction(x) if isinstance(x, (int, float)) else Fraction(str(x))
 
 
 @dataclass(frozen=True)
@@ -38,14 +34,6 @@ class IntervalCounts:
     m_signed: int
     h_plus: int
     h_minus: int
-
-
-def _count_squared(summary: TraceSummary, lo_sq: Fraction, hi_sq: Fraction) -> IntervalCounts:
-    p = summary.p
-    squares = summary.numerators[:, 0] + p  # s^2 from the + column's s^2 - p
-    inside = (squares >= math.ceil(4 * p * lo_sq)) & (squares <= math.floor(4 * p * hi_sq))
-    h_plus, h_minus = summary.counts[inside].sum(axis=0).tolist()
-    return IntervalCounts(h_plus + h_minus, h_plus - h_minus, h_plus, h_minus)
 
 
 def interval_counts_squared(summary: TraceSummary, lo_sq, hi_sq) -> IntervalCounts:
@@ -58,7 +46,10 @@ def interval_counts_squared(summary: TraceSummary, lo_sq, hi_sq) -> IntervalCoun
     lo_sq, hi_sq = as_rational(lo_sq), as_rational(hi_sq)
     if not 0 <= lo_sq < hi_sq <= 1:
         raise ValueError(f"need 0 <= lo^2 < hi^2 <= 1, got [{lo_sq}, {hi_sq}]")
-    return _count_squared(summary, lo_sq, hi_sq)
+    q = 4 * summary.p
+    start, end = summary.below([math.ceil(q * lo_sq), math.floor(q * hi_sq) + 1])
+    h_plus, h_minus = (end - start).tolist()
+    return IntervalCounts(h_plus + h_minus, h_plus - h_minus, h_plus, h_minus)
 
 
 def interval_counts(summary: TraceSummary, lo, hi) -> IntervalCounts:
@@ -67,22 +58,24 @@ def interval_counts(summary: TraceSummary, lo, hi) -> IntervalCounts:
     lo, hi = as_rational(lo), as_rational(hi)
     if not 0 <= lo < hi <= 1:
         raise ValueError(f"need 0 <= lo < hi <= 1, got [{lo}, {hi}]")
-    return _count_squared(summary, lo * lo, hi * hi)
+    return interval_counts_squared(summary, lo * lo, hi * hi)
 
 
 def empirical_A_count(summary: TraceSummary, lo, hi) -> int:
     """Number of mu with A_mu(p) in [lo, hi], decided on exact rationals.
 
     Counting over mu equals counting over lambda because the reindexing map
-    is a bijection of the parameter set.
+    is a bijection of the parameter set. As p A = phi(-lambda)(a^2 - p), it
+    counts a^2 in [p + ceil(p lo), p + floor(p hi)] for phi(-lambda) = +1
+    and in [p - floor(p hi), p - ceil(p lo)] for -1.
     """
     lo, hi = as_rational(lo), as_rational(hi)
     if not -3 <= lo < hi <= 3:
         raise ValueError(f"need -3 <= lo < hi <= 3, got [{lo}, {hi}]")
     p = summary.p
-    num = summary.numerators
-    inside = (num >= math.ceil(p * lo)) & (num <= math.floor(p * hi))
-    return int(summary.counts[inside].sum())
+    low, high = math.ceil(p * lo), math.floor(p * hi)
+    start, end = summary.below([[p + low, p - high], [p + high + 1, p - low + 1]])
+    return int(end[0, 0] - start[0, 0] + end[1, 1] - start[1, 1])  # +1 in window 0, -1 in 1
 
 
 @dataclass(frozen=True)
@@ -106,9 +99,8 @@ class DiscrepancyReport:
 
 
 def _batman_bound(lo: Fraction, hi: Fraction, scale: float) -> float:
-    if (lo > 0 and hi < 3) or (lo > -3 and hi < 0):
-        return _BOUND_BAT_SIGNED / scale
-    return _BOUND_BAT / scale
+    signed = (lo > 0 and hi < 3) or (lo > -3 and hi < 0)  # inside (0, 3) or (-3, 0)
+    return (_BOUND_BAT_SIGNED if signed else _BOUND_BAT) / scale
 
 
 def discrepancy_report(summary: TraceSummary, grid, which: str) -> DiscrepancyReport:
@@ -127,10 +119,8 @@ def discrepancy_report(summary: TraceSummary, grid, which: str) -> DiscrepancyRe
     for raw_lo, raw_hi in grid:
         lo, hi = as_rational(raw_lo), as_rational(raw_hi)
         if which == "batman":
-            count = empirical_A_count(summary, lo, hi)
-            target = mu_bat(float(lo), float(hi))
-            bound = _batman_bound(lo, hi, scale)
-            _append_row(rows, p, lo, hi, count, target, bound)
+            _append_row(rows, p, lo, hi, empirical_A_count(summary, lo, hi),
+                        mu_bat(float(lo), float(hi)), _batman_bound(lo, hi, scale))
             continue
         counts = interval_counts(summary, lo, hi)
         if which == "clausen_N":

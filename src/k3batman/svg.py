@@ -30,21 +30,20 @@ def histogram_counts(summary: TraceSummary, bins: int) -> list[int]:
     """Exact bin assignment of the p-2 A-values; the buckets are left-closed
     with the last one absorbing A = 3.
 
-    Each cell of the summary is one A-value, binned once and counted with
-    its multiplicity.
+    Bin k holds p A in [e_k, e_(k+1)), e_k = ceil(6pk / bins) - 3p, up to
+    e_bins = 3p + 1: as p A = +-(a^2 - p), a^2 in [p + e_k, p + e_(k+1)) for
+    phi(-lambda) = +1 and a^2 in [p + 1 - e_(k+1), p + 1 - e_k) for -1.
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
     p = summary.p
     if 6 * p * bins > np.iinfo(np.int64).max:
         raise ValueError(f"bins={bins} is too many for p={p}")
-    filled = summary.counts > 0
-    num = summary.numerators[filled]  # p * A_lambda
-    if np.abs(num).max(initial=0) > 3 * p:
-        raise ArithmeticError(f"an A-value escapes [-3, 3] at p={p}: Hasse bound violated")
-    counts = np.zeros(bins, dtype=np.int64)
-    np.add.at(counts, np.minimum((num + 3 * p) * bins // (6 * p), bins - 1), summary.counts[filled])
-    return counts.tolist()
+    edges = -(-6 * p * np.arange(bins + 1, dtype=np.int64) // bins) - 3 * p
+    edges[-1] = 3 * p + 1
+    plus = summary.below(p + edges)[:, 0]
+    minus = summary.below(p + 1 - edges)[:, 1]
+    return (np.diff(plus) - np.diff(minus)).tolist()
 
 
 def _fmt(x: float) -> str:
@@ -88,9 +87,7 @@ def render_histogram(summary: TraceSummary, spec: HistogramSpec) -> str:
         ts = np.linspace(-3.0, 3.0, 1201)
         pts = []
         for t in ts:
-            f = density_f(float(t)) / FOUR_PI
-            if math.isinf(f):
-                f = y_max
+            f = density_f(float(t)) / FOUR_PI  # y_pix puts the poles' inf at y_max
             pts.append(f"{_fmt(x_pix(float(t)))},{_fmt(y_pix(f))}")
         parts.append(
             f'<polyline points="{" ".join(pts)}" fill="none" stroke="#d04040" '

@@ -231,6 +231,19 @@ def test_composite_p_is_usage_error_everywhere(argv, capsys):
     assert captured.err == "error: p=100 is composite (Miller-Rabin witness 2)\n"
 
 
+@pytest.mark.parametrize("p, message", [
+    (318665857834031151167461, "is composite (Miller-Rabin witness 41)"),
+    (3317044064679887385961981, "is out of the certified primality range"),
+    (2**1279 - 1, "is out of the certified primality range"),
+], ids=["psi12", "psi13", "mersenne-1279"])
+def test_audit_constants_refuses_what_it_cannot_certify(p, message, capsys):
+    assert dispatch(["audit-constants", "--p", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
+
 @pytest.mark.parametrize(
     "argv",
     [["verify", "moments", "--p", "5", "--nmax", "0"],
@@ -376,13 +389,12 @@ def test_histogram_rejects_out_of_range_values():
     )
     with pytest.raises(ArithmeticError, match="Hasse"):
         histogram_counts(broken.multiplicities, 10)
-    # a summary with a row past isqrt(4p) reaches the histogram's own guard
+    # a summary with a row past isqrt(4p) is refused before it can be binned
     counts = np.zeros((10, 2), dtype=np.int64)
     counts[[0, 2, 9], [1, 1, 0]] = 1
-    with pytest.raises(ArithmeticError, match="Hasse"):
-        histogram_counts(TraceSummary(5, counts), 10)
-    counts[9, 0] = 0  # an empty cell past the bound is no A-value
-    assert histogram_counts(TraceSummary(5, counts), 6) == [0, 0, 0, 1, 1, 0]  # A = 1/5, 1
+    with pytest.raises(ValueError, match=r"shape \(5, 2\)"):
+        TraceSummary(5, counts)
+    assert histogram_counts(TraceSummary(5, counts[:5]), 6) == [0, 0, 0, 1, 1, 0]  # A = 1/5, 1
 
 
 def test_histogram_refuses_bins_past_int64():
@@ -852,10 +864,7 @@ def _int_table_columns(rows, constant_last):
     return mixed, non_negative, 7 if constant_last else -non_negative - 1  # negative only
 
 
-# Two entries: the cases of one row count run one after another, the
-# output and stdout cases of each last-column kind reading one entry.
-@functools.lru_cache(maxsize=2)
-def _emit_rows_oracle(fmt, rows, constant_last) -> bytes:
+def _emit_rows_text(fmt, rows, constant_last) -> bytes:
     """What ``_emit_rows`` writes for ``_int_table_columns(rows, constant_last)``."""
     from k3batman import cli
 
@@ -866,6 +875,35 @@ def _emit_rows_oracle(fmt, rows, constant_last) -> bytes:
     with contextlib.redirect_stdout(text):
         cli._emit_rows(None, fmt, "x,y,z", expected)
     return text.getvalue().encode()
+
+
+# One text per format and last-column kind, at the most rows any case reads.
+@functools.cache
+def _emit_rows_lines(fmt, constant_last) -> tuple[bytes, np.ndarray]:
+    """_emit_rows_text at max(_BLOCK_EDGES) rows, and the offset of each newline."""
+    text = _emit_rows_text(fmt, max(_BLOCK_EDGES), constant_last)
+    return text, np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord("\n"))
+
+
+def _emit_rows_oracle(fmt, rows, constant_last) -> bytes:
+    """_emit_rows_text(fmt, rows, constant_last), cut from the longest one at a
+    row boundary: np.resize makes the columns of fewer rows a prefix. After
+    the header, a CSV row is one line; after the "[", a JSON row is five
+    ("  {", one line per key, "  },") and the last one has no comma."""
+    text, newlines = _emit_rows_lines(fmt, constant_last)
+    if fmt == "csv":
+        return text[: newlines[rows] + 1]
+    return text[: newlines[5 * rows]].removesuffix(b",") + b"\n]\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("constant_last", [False, True], ids=["last-column", "last-int"])
+def test_emit_rows_oracle_cuts_at_row_boundaries(fmt, constant_last):
+    for rows in [0, 1, 2, 14] if fmt == "csv" else [1, 2, 14]:
+        assert _emit_rows_oracle(fmt, rows, constant_last) == _emit_rows_text(fmt, rows,
+                                                                              constant_last)
+    text, _ = _emit_rows_lines(fmt, constant_last)
+    assert _emit_rows_oracle(fmt, max(_BLOCK_EDGES), constant_last) == text
 
 
 def _assert_int_table_matches_emit_rows(tmp_path, capsys, fmt, rows, to_file, constant_last):
@@ -1154,6 +1192,27 @@ def test_memory_guard_refuses_hist_bins_before_binning(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_available_memory", lambda: 100 << 20)
     assert dispatch(["hist", "--p", "101", "--bins", "61"]) == 0  # 24 KB fits
     assert capsys.readouterr().out.startswith("<svg")
+
+
+def test_memory_guard_refuses_distribution_grid_before_building(monkeypatch, capsys):
+    from k3batman import cli, stats
+
+    def never(*args):
+        raise AssertionError("built past the memory guard")
+
+    monkeypatch.setattr(cli, "_available_memory", lambda: 100 << 20)
+    monkeypatch.setattr(cli, "_grids_for", never)
+    monkeypatch.setattr(stats, "discrepancy_report", never)
+    monkeypatch.setattr(cli, "build_trace_table", never)
+    assert dispatch(["verify", "distribution", "--p", "101", "--grid", "100000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: grid=100000 needs about 495 MB to build the report, "
+                            "but only 100 MB is available\n")
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "_available_memory", lambda: 100 << 20)
+    assert dispatch(["verify", "distribution", "--p", "101", "--grid", "40"]) == 0  # 203 KB fits
+    assert capsys.readouterr().out.startswith("clausen_N: 40 rows")
 
 
 def test_memory_guard_refuses_brackets_before_counting(monkeypatch, capsys):

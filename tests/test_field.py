@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3batman import is_prime, make_context, two_squares
-from k3batman.field import powers, primitive_root
+from k3batman.field import powers, primitive_root, require_prime
 from util import chi_euler, inverses, primes_up_to, two_squares_exhaustive
 
 PRIMES_10K = [p for p in primes_up_to(10_000) if p >= 5]
@@ -19,6 +19,24 @@ def test_chi_table_p5_matches_euler_oracle():
 def test_rejects_composite_with_witness():
     with pytest.raises(ValueError, match="witness"):
         make_context(4)
+
+
+# psi_12 and psi_13: the least strong pseudoprimes to every prime base up to
+# 37 and up to 41. The first passed the old 12 witnesses.
+PSI_12 = 399165290221 * 798330580441
+PSI_13 = 1287836182261 * 2575672364521
+
+
+def test_strong_pseudoprimes_are_never_certified():
+    assert PSI_12 == 318665857834031151167461 and not is_prime(PSI_12)
+    with pytest.raises(ValueError, match="witness 41"):
+        make_context(PSI_12)
+    for n in (PSI_13, PSI_13 + 2, 2**127 - 1):
+        for check in (is_prime, require_prime):
+            with pytest.raises(ValueError, match=f"n={n} is out of the certified primality "
+                                                 f"range n < {PSI_13}"):
+                check(n)
+    assert is_prime(2**61 - 1) and is_prime(2**64 - 59) and not is_prime(PSI_13 - 2)
 
 
 def test_rejects_small_prime():

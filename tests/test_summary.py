@@ -86,27 +86,37 @@ def test_multiplicities_built_once_and_read_only(table_1009):
 
 
 def test_summary_keeps_a_read_only_copy():
-    source = np.array([[0, 1], [0, 0], [1, 1]], dtype=np.int32)
+    source = np.array([[0, 1], [0, 0], [1, 1], [0, 0], [0, 0]], dtype=np.int32)  # isqrt(20) + 1 rows
     summary = TraceSummary(5, source)
     source[0, 0] = 7
-    assert summary.counts.dtype == np.int64 and summary.counts.tolist() == [[0, 1], [0, 0], [1, 1]]
+    assert summary.counts.dtype == np.int64
+    assert summary.counts.tolist() == [[0, 1], [0, 0], [1, 1], [0, 0], [0, 0]]
     assert not summary.counts.flags.writeable
-    assert summary == TraceSummary(5, [[0, 1], [0, 0], [1, 1]])
-    assert summary != TraceSummary(5, [[0, 1], [0, 0], [0, 2]])
-    assert summary != TraceSummary(7, summary.counts)
+    assert summary == TraceSummary(5, [[0, 1], [0, 0], [1, 1], [0, 0], [0, 0]])
+    assert summary != TraceSummary(5, [[0, 1], [0, 0], [0, 2], [0, 0], [0, 0]])
+    assert summary != TraceSummary(6, summary.counts)  # isqrt(24) = isqrt(20): only p differs
+    for rows in (4, 6, 10):
+        with pytest.raises(ValueError, match=r"shape \(5, 2\)"):
+            TraceSummary(5, np.zeros((rows, 2), dtype=np.int64))
+    with pytest.raises(ValueError, match="shape"):
+        TraceSummary(5, np.zeros(10, dtype=np.int64))
 
 
-def test_numerators_are_p_times_the_a_value(oracle_tables):
-    """Cell (s, sign) holds the A-values phi(-lambda) (s^2 - p) / p."""
+def test_below_counts_each_sign_under_a_square(oracle_tables):
+    """below(t) is, per sign, the number of lambda with a^2 < t."""
     for p, table in oracle_tables.items():
         summary = table.multiplicities
-        num = summary.numerators
-        assert num.shape == summary.counts.shape
-        found = Counter()
-        for (s, col), count in np.ndenumerate(summary.counts):
-            assert num[s, col] == (1 - 2 * col) * (s * s - p)
-            found[Fraction(int(num[s, col]), p)] += int(count)
-        assert +found == Counter(a_value_by_loop(table)), p
+        at = Counter((a * a, int(sign < 0)) for _, a, sign in entries(table))
+        thresholds = range(-1, 4 * p + 3)
+        expected, running = [], [0, 0]
+        for t in thresholds:
+            expected.append(running)
+            running = [running[0] + at[t, 0], running[1] + at[t, 1]]
+        found = [summary.below(t).tolist() for t in thresholds]
+        assert found == expected, p
+        assert summary.below(np.array(thresholds)).tolist() == expected, p
+        summary.below(4 * p + 1)[:] = -1  # a caller's copy: the kept count is untouched
+        assert summary.below(4 * p + 1).tolist() == expected[-1], p
 
 
 def test_moments_match_loop(oracle_tables):
