@@ -27,7 +27,7 @@ from k3batman import (
 from k3batman.cli import _positive_int, emit_report
 from k3batman.field import require_prime
 from k3batman.stats import STATISTICS
-from k3batman.svg import HistogramSpec, render_histogram
+from k3batman.svg import render_histogram
 
 
 def main() -> int:
@@ -77,9 +77,7 @@ def main() -> int:
         emit_report(out_dir / f"report_{args.p}_{which}.csv", "csv", report)
 
     svg_path = out_dir / f"hist_{args.p}.svg"
-    svg_path.write_text(
-        render_histogram(summary, HistogramSpec(args.p, args.bins, overlay=True))
-    )
+    svg_path.write_text(render_histogram(summary, args.bins, overlay=True))
     print(f"reports and histogram written under {out_dir}/")
     return 0 if ok else 1
 

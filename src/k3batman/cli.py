@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
@@ -21,13 +20,6 @@ from .field import make_context, require_inverse_range, require_prime
 _REPORT_HEADER = "lo,hi,empirical,target,gap,bound,pass"
 
 
-def _write_text(out: str | None, text: str) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
-
-
 # Peak bytes per p of make_context plus build_trace_table (88.4 measured at
 # p = 10000019), for refusing a p the machine cannot hold before allocating.
 _TRACE_BYTES_PER_P = 90
@@ -38,9 +30,11 @@ _AVALUE_BYTES_PER_P = 10
 # Peak bytes per bin of render_histogram and its output (about 385 measured
 # at 10^5 and 10^6 bins, p = 101), for refusing a --bins before binning.
 _SVG_BYTES_PER_BIN = 400
-# Peak bytes per --grid interval of verify distribution (1330 measured at p = 5;
-# 1900 with a CSV --out, 5070 with a JSON one), for refusing a --grid up front.
-_GRID_BYTES_PER_INTERVAL = 5200
+# Peak bytes per --grid interval of verify distribution above the loaded table
+# (567 measured at p = 5, --grid 100000; 626 with a CSV --out and 693 with a
+# JSON one), for refusing a --grid up front. A --out adds one block of report
+# rows, at most about 14 MB: 1248 bytes per interval at --grid 32500.
+_GRID_BYTES_PER_INTERVAL = 700
 # Peak bytes per isqrt(p) of identity_table and the bracket identities beyond
 # the interpreter (2490, 2390 and 2340 measured at p = 10000019, 100000007 and
 # 1000000007, --mmax 1), for refusing a p before its class numbers are counted.
@@ -103,25 +97,17 @@ def _get_trace_table(p: int, cache_dir: str | None) -> TraceTable:
     return table
 
 
-def _emit_rows(out, fmt, header: str, rows: list[list]) -> None:
-    keys = header.split(",")
-    if fmt == "json":
-        payload = [dict(zip(keys, row)) for row in rows]
-        _write_text(out, json.dumps(payload, indent=2) + "\n")
+def _write(out, byte_chunks) -> None:
+    """Write the chunks to the file ``out``, or to stdout when it is None."""
+    if out is None:
+        for data in byte_chunks:
+            sys.stdout.write(str(data, "ascii"))
         return
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
-    _write_text(out, "\n".join(lines) + "\n")
+    with open(out, "wb") as fh:
+        fh.writelines(byte_chunks)
 
 
-def _csv_cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    return repr(v) if isinstance(v, float) else str(v)
-
-
-# Rows formatted and written per step of _emit_int_table: its memory is
+# Rows formatted and written per step of _emit_table: its memory is
 # O(_BLOCK_ROWS), not one Python str per row of a p-row table. Not a power
 # of two: at 2^16 rows the cell rows and the digit temporaries of _csv_block
 # lie 64 KiB apart, and where numpy's huge pages back them they compete for
@@ -130,38 +116,48 @@ def _csv_cell(v) -> str:
 _BLOCK_ROWS = 65000
 
 
-def _emit_int_table(out, fmt, header: str, first, second, last) -> None:
-    """Three integer columns, written as ``_emit_rows`` writes them. ``first``
-    is a column or the number of the first row, counting up by one a row, and
-    ``last`` is a column or one int repeated on every row. A JSON row opens
-    with the ',' that follows the row before it, so the first row's ',' is
-    dropped."""
+def _emit_table(out, fmt, header: str, rows: int, render) -> None:
+    """A table of ``rows`` rows in the CSV or JSON layout of ``header``: the
+    bytes of a CSV of its cells, or, from one row up, of its row dicts dumped
+    as JSON with an indent of 2. ``render(start, stop, prefixes, tail)``
+    gives rows start to stop - 1, each as ``prefixes[0]``, its first cell,
+    ``prefixes[1]``, its second cell, and so on, and then ``tail``. A JSON
+    row opens with the ',' that follows the row before it, so the first
+    row's ',' is dropped."""
     if fmt == "json":
         first_key, *keys = header.split(",")
         prefixes = [f',\n  {{\n    "{first_key}": '] + [f',\n    "{key}": ' for key in keys]
         head, tail, end, skip = "[", "\n  }", "\n]\n", 1
     else:
-        prefixes, head, tail, end, skip = ["", ",", ","], header + "\n", "\n", "", 0
-    columns = [first, second, last]
-    if isinstance(last, int):  # a constant last column is literal text too
-        tail = f"{prefixes.pop()}{columns.pop()}{tail}"
+        prefixes = [""] + [","] * header.count(",")
+        head, tail, end, skip = header + "\n", "\n", "", 0
 
     def chunks():
         yield head.encode("ascii")
-        for i in range(0, len(second), _BLOCK_ROWS):
-            stop = min(i + _BLOCK_ROWS, len(second))
-            # a counting first column is made one block at a time
-            count = np.arange(first + i, first + stop) if isinstance(first, int) else first[i:stop]
-            data = _csv_block([count] + [column[i:stop] for column in columns[1:]], prefixes, tail)
-            yield data[skip:] if i == 0 else data
+        for i in range(0, rows, _BLOCK_ROWS):
+            # a view, not a copy, and no name keeps a block alive beside the next
+            start = skip if i == 0 else 0
+            yield memoryview(render(i, min(i + _BLOCK_ROWS, rows), prefixes, tail))[start:]
         yield end.encode("ascii")
 
-    if out is None:
-        for data in chunks():
-            sys.stdout.write(data.decode("ascii"))
-        return
-    with open(out, "wb") as fh:
-        fh.writelines(chunks())
+    _write(out, chunks())
+
+
+def _emit_int_table(out, fmt, header: str, first, second, last) -> None:
+    """Three integer columns. ``first`` is a column or the number of the
+    first row, counting up by one a row, and ``last`` is a column or one int
+    repeated on every row."""
+
+    def render(start, stop, prefixes, tail):
+        # a counting first column is made one block at a time
+        counting = isinstance(first, int)
+        count = np.arange(first + start, first + stop) if counting else first[start:stop]
+        if isinstance(last, int):  # a constant last column is literal text too
+            return _csv_block([count, second[start:stop]], prefixes[:2],
+                              f"{prefixes[2]}{last}{tail}")
+        return _csv_block([count, second[start:stop], last[start:stop]], prefixes, tail)
+
+    _emit_table(out, fmt, header, len(second), render)
 
 
 def _csv_block(columns, prefixes, tail: str) -> bytes:
@@ -220,8 +216,8 @@ def cmd_avalues(args) -> int:
 def cmd_hist(args) -> int:
     _require_memory(f"bins={args.bins}", _SVG_BYTES_PER_BIN * args.bins, "draw the histogram")
     table = _get_trace_table(args.p, args.cache_dir)
-    spec = svg.HistogramSpec(args.p, args.bins, overlay=args.overlay)
-    _write_text(args.out, svg.render_histogram(table.multiplicities, spec))
+    text = svg.render_histogram(table.multiplicities, args.bins, overlay=args.overlay)
+    _write(args.out, [text.encode("ascii")])
     return 0
 
 
@@ -330,24 +326,30 @@ def cmd_verify_distribution(args) -> int:
     summary = _get_trace_table(args.p, args.cache_dir).multiplicities
     ok = True
     for which in stats.STATISTICS:
-        grid = _grids_for(which, args.grid, args.seed)
-        report = stats.discrepancy_report(summary, grid, which)
+        report = stats.discrepancy_report(summary, _grids_for(which, args.grid, args.seed), which)
         ok &= report.all_pass
         print(f"{which}: {len(report.rows)} rows, max gap {report.max_gap:.6f}, "
               f"{'all pass' if report.all_pass else 'BOUND EXCEEDED'}")
         if args.out is not None:
             ext = "json" if args.format == "json" else "csv"
             emit_report(f"{args.out}.{which}.{ext}", args.format, report)
+        del report  # one report and its grid alive at a time, not two
     return 0 if ok else 1
 
 
 def emit_report(out, fmt, report: stats.DiscrepancyReport) -> None:
-    """One discrepancy report in the fixed row schema ``_REPORT_HEADER``."""
-    rows = [
-        [float(r.lo), float(r.hi), float(r.empirical), r.target, r.gap, r.bound, r.passed]
-        for r in report.rows
-    ]
-    _emit_rows(out, fmt, _REPORT_HEADER, rows)
+    """One discrepancy report in the fixed row schema ``_REPORT_HEADER``: the
+    six numbers as the repr of their floats, and pass as true or false."""
+
+    def render(start, stop, prefixes, tail):
+        text = bytearray()  # grown in place: no list of row strings beside it
+        for r in report.rows[start:stop]:
+            values = (r.lo, r.hi, r.empirical, r.target, r.gap, r.bound)
+            cells = [repr(float(v)) for v in values] + ["true" if r.passed else "false"]
+            text += ("".join(map(str.__add__, prefixes, cells)) + tail).encode("ascii")
+        return text
+
+    _emit_table(out, fmt, _REPORT_HEADER, len(report.rows), render)
 
 
 def cmd_audit_constants(args) -> int:

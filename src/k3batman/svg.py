@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -14,16 +12,6 @@ from .measures import density_f
 WIDTH, HEIGHT = 720, 440
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 56, 16, 16, 36
 FOUR_PI = 4.0 * math.pi
-
-
-@dataclass(frozen=True)
-class HistogramSpec:
-    """Histogram over the fixed support [-3, 3] with exact bin boundaries
-    6k/bins - 3 and density-normalized bar heights count/(p * binwidth)."""
-
-    p: int
-    bins: int
-    overlay: bool = False
 
 
 def histogram_counts(summary: TraceSummary, bins: int) -> list[int]:
@@ -50,13 +38,12 @@ def _fmt(x: float) -> str:
     return format(x, ".4f")
 
 
-def render_histogram(summary: TraceSummary, spec: HistogramSpec) -> str:
-    """Standalone SVG document; output is a pure function of the inputs.
-    Raises ValueError when ``spec`` is for another prime than ``summary``."""
-    if spec.p != summary.p:
-        raise ValueError(f"histogram spec for p={spec.p} given a summary for p={summary.p}")
-    counts = histogram_counts(summary, spec.bins)
-    p, bins = spec.p, spec.bins
+def render_histogram(summary: TraceSummary, bins: int, overlay: bool = False) -> str:
+    """Standalone SVG document of the histogram over the fixed support
+    [-3, 3], with bin boundaries 6k/bins - 3 and density-normalized bar
+    heights count/(p * binwidth); output is a pure function of the inputs."""
+    counts = histogram_counts(summary, bins)
+    p = summary.p
     bin_width = 6.0 / bins
     heights = [c / (p * bin_width) for c in counts]
 
@@ -76,14 +63,14 @@ def render_histogram(summary: TraceSummary, spec: HistogramSpec) -> str:
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
     for k, h in enumerate(heights):
-        lo = float(Fraction(6 * k, bins) - 3)
+        lo = (6 * k - 3 * bins) / bins  # int / int: the correctly rounded 6k/bins - 3
         x0, x1 = x_pix(lo), x_pix(lo + bin_width)
         y0 = y_pix(h)
         parts.append(
             f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(x1 - x0)}" '
             f'height="{_fmt(MARGIN_TOP + plot_h - y0)}" fill="#4878cf" stroke="none"/>'
         )
-    if spec.overlay:
+    if overlay:
         ts = np.linspace(-3.0, 3.0, 1201)
         pts = []
         for t in ts:

@@ -1,6 +1,4 @@
-import contextlib
 import functools
-import io
 import itertools
 import json
 import math
@@ -405,13 +403,11 @@ def test_histogram_refuses_bins_past_int64():
         histogram_counts(summary, (1 << 63) // 30 + 1)
 
 
-def test_histogram_refuses_a_spec_for_another_prime():
-    from k3batman.svg import HistogramSpec, render_histogram
+def test_render_histogram_takes_the_prime_from_the_summary():
+    from k3batman.svg import render_histogram
 
     summary = build_trace_table(make_context(101)).multiplicities
-    with pytest.raises(ValueError, match="p=103"):
-        render_histogram(summary, HistogramSpec(103, 10))
-    assert render_histogram(summary, HistogramSpec(101, 10)).startswith("<svg")
+    assert render_histogram(summary, 10).startswith("<svg")
 
 
 def test_trace_cache_round_trip(tmp_path):
@@ -864,17 +860,20 @@ def _int_table_columns(rows, constant_last):
     return mixed, non_negative, 7 if constant_last else -non_negative - 1  # negative only
 
 
-def _emit_rows_text(fmt, rows, constant_last) -> bytes:
-    """What ``_emit_rows`` writes for ``_int_table_columns(rows, constant_last)``."""
-    from k3batman import cli
+def _table_text(fmt, header, rows, cell=str) -> bytes:
+    """``rows`` as json.dumps writes the list of their dicts, or as CSV lines
+    of ``cell`` of each value under ``header``."""
+    keys = header.split(",")
+    if fmt == "json":
+        return (json.dumps([dict(zip(keys, row)) for row in rows], indent=2) + "\n").encode()
+    return "".join([header + "\n"] + [",".join(map(cell, row)) + "\n" for row in rows]).encode()
 
+
+def _emit_rows_text(fmt, rows, constant_last) -> bytes:
+    """The text of ``_int_table_columns(rows, constant_last)`` as a table."""
     mixed, non_negative, last = _int_table_columns(rows, constant_last)
     last_cells = [7] * rows if constant_last else last.tolist()
-    expected = [list(row) for row in zip(mixed.tolist(), non_negative.tolist(), last_cells)]
-    text = io.StringIO()
-    with contextlib.redirect_stdout(text):
-        cli._emit_rows(None, fmt, "x,y,z", expected)
-    return text.getvalue().encode()
+    return _table_text(fmt, "x,y,z", zip(mixed.tolist(), non_negative.tolist(), last_cells))
 
 
 # One text per format and last-column kind, at the most rows any case reads.
@@ -978,10 +977,42 @@ def test_int_table_counts_its_first_column(capsys, fmt):
     from k3batman import cli
 
     second = np.resize(np.array(_EDGE_VALUES, dtype=np.int64), _BLOCK_ROWS + 1)
-    cli._emit_rows(None, fmt, "x,y,z", [[i + 1, v, 7] for i, v in enumerate(second.tolist())])
-    expected = capsys.readouterr().out
+    expected = _table_text(fmt, "x,y,z", [(i + 1, v, 7) for i, v in enumerate(second.tolist())])
     cli._emit_int_table(None, fmt, "x,y,z", 1, second, 7)
-    _assert_same_text(capsys.readouterr().out.encode(), expected.encode())
+    _assert_same_text(capsys.readouterr().out.encode(), expected)
+
+
+@functools.cache
+def _report_rows() -> list:
+    """Seven batman rows at p = 101, every other one marked failing, so both
+    cells of pass are written."""
+    from dataclasses import replace
+
+    from k3batman import stats
+
+    summary = build_trace_table(make_context(101)).multiplicities
+    rows = stats.discrepancy_report(summary, stats.uniform_grid(-3, 3, 7), "batman").rows
+    return [replace(row, passed=i % 2 == 0) for i, row in enumerate(rows)]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+@pytest.mark.parametrize("rows", range(1, 8))
+def test_emit_report_matches_json_dumps_and_csv_across_blocks(monkeypatch, tmp_path, capsys,
+                                                               rows, to_file, fmt):
+    """Blocks of three rows: one block, a full one, and a partial last one."""
+    from k3batman import cli, stats
+
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 3)
+    report = stats.DiscrepancyReport(101, "batman", _report_rows()[:rows], 0.0, False)
+    out = tmp_path / "report.out" if to_file else None
+    cli.emit_report(out, fmt, report)
+    text = out.read_bytes() if to_file else capsys.readouterr().out.encode()
+    cells = [(float(r.lo), float(r.hi), float(r.empirical), r.target, r.gap, r.bound, r.passed)
+             for r in report.rows]
+    expected = _table_text(fmt, cli._REPORT_HEADER, cells,
+                           lambda v: ("true" if v else "false") if isinstance(v, bool) else repr(v))
+    _assert_same_text(text, expected)
 
 
 @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
@@ -1204,14 +1235,14 @@ def test_memory_guard_refuses_distribution_grid_before_building(monkeypatch, cap
     monkeypatch.setattr(cli, "_grids_for", never)
     monkeypatch.setattr(stats, "discrepancy_report", never)
     monkeypatch.setattr(cli, "build_trace_table", never)
-    assert dispatch(["verify", "distribution", "--p", "101", "--grid", "100000"]) == 2
+    assert dispatch(["verify", "distribution", "--p", "101", "--grid", "1000000"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: grid=100000 needs about 495 MB to build the report, "
+    assert captured.err == ("error: grid=1000000 needs about 667 MB to build the report, "
                             "but only 100 MB is available\n")
     monkeypatch.undo()
     monkeypatch.setattr(cli, "_available_memory", lambda: 100 << 20)
-    assert dispatch(["verify", "distribution", "--p", "101", "--grid", "40"]) == 0  # 203 KB fits
+    assert dispatch(["verify", "distribution", "--p", "101", "--grid", "40"]) == 0  # 27 KB fits
     assert capsys.readouterr().out.startswith("clausen_N: 40 rows")
 
 

@@ -38,12 +38,15 @@ def _cases(p: int) -> list[tuple[str, ...]]:
         ("verify", "brackets", "--p", str(p), "--mmax", "4"),
         ("verify", "distribution", "--p", str(p), "--grid", "40"),
         ("verify", "distribution", "--p", str(p), "--seed", "7", "--out", "{out}/report"),
+        ("verify", "distribution", "--p", str(p), "--seed", "7", "--out", "{out}/report",
+         "--format", "json"),
         ("audit-constants", "--p", str(p)),
     ]
 
 
 CASES = [case for p in PRIMES for case in _cases(p)] + [
     ("verify", "brackets", "--p", "101", "--mmax", "150"),  # bounds past the float range
+    ("hist", "--p", "101", "--bins", "606"),  # bins of width 1/p, one step of A
     ("ears", "--T", "10"),
     ("ears", "--T", "0.2"),
 ]
