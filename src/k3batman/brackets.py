@@ -45,16 +45,8 @@ def bracket_coeff(m: int, along: ClassNumbersAlong) -> Fraction:
     over all integers k. The k = 0 term is H*(n), and a square n / t ends the
     sum with H*(0) = -1/12 at k = +-sqrt(n / t).
     """
-    _root(along.t)
     total = _chebyshev_combination(m, along.t, along.n, along.power_sums(m))
     return Fraction(comb(2 * m, m) * total, 12 * 4**m)
-
-
-def _root(t: int) -> int:
-    """sqrt(t) for the two parabolas the identities read, t = 1 and t = 4."""
-    if t not in (1, 4):
-        raise ValueError(f"t must be 1 or 4, got {t}")
-    return isqrt(t)
 
 
 def _chebyshev_combination(m: int, t: int, n: int, sums: list[int]) -> int:
@@ -173,8 +165,12 @@ def class_sum(m: int, along: ClassNumbersAlong) -> Fraction:
     Along (1, p) this is the Chebyshev-weighted sum over 2 H*((4p - s^2)/4),
     and along (4, 4p) the one over H*(4p - s^2), for even 0 < s <= 2 sqrt(p):
     k and -k give the 2, and r = 2 halves the sum over k != 0.
+
+    For any class numbers it equals coeff_side(m, along, pihol_coeff(m, along)):
+    the bracket sums cancel, leaving mertens_coeff(t, m, n) = 2 r t^m, true for
+    odd prime p. Only the m = 1 vanishing and the bounds read the class numbers.
     """
-    r = _root(along.t)
+    r = isqrt(along.t)
     sums = along.power_sums(m)
     sums[0] -= along.twelve[0]
     n = along.n
@@ -186,10 +182,11 @@ def coeff_side(m: int, along: ClassNumbersAlong, coeff: Fraction) -> Fraction:
 
         4^m coeff / (C(2m, m) r n^m) - 1 / p^m - (-1)^m H*(n) / r
 
-    ``coeff`` is pihol_coeff(m, along). The H*(n) term is required for exact
-    equality; along (1, p) it vanishes exactly when p = 1 (mod 4).
+    ``coeff`` is pihol_coeff(m, along); the sides match for any class numbers
+    (see :func:`class_sum`). The H*(n) term is required for exact equality;
+    along (1, p) it vanishes exactly when p = 1 (mod 4).
     """
-    r = _root(along.t)
+    r = isqrt(along.t)
     n = along.n
     lead = Fraction(4**m, comb(2 * m, m) * r * n**m) * coeff
     return lead - Fraction(1, (n // along.t) ** m) - Fraction((-1) ** m * along.twelve[0], 12 * r)

@@ -20,16 +20,30 @@ from .field import FieldContext
 class TraceTable:
     """Traces a_lambda and twist signs phi(-lambda) for lambda = 1..p-2.
 
-    ``traces[i]`` and ``signs[i]`` belong to lambda = i+1; the singular
-    members lambda = 0 and lambda = -1 are excluded. ``build_trace_table``
-    and a cache load give int32 traces, since |a| <= 2 sqrt(p); any signed
-    integer array is accepted, and every reader that squares a trace widens
-    it to int64 first.
+    ``traces[i]`` and ``signs[i]`` belong to lambda = i+1 (lambda = 0 and -1
+    are singular). Traces of any signed integer type are accepted, int32 from
+    the library; a reader that squares one widens it to int64 first. Every
+    statistic rests on the checks made here, once: ValueError unless both
+    arrays have p - 2 entries, ArithmeticError unless the traces keep the
+    Hasse bound and the signs are +-1 summing to -1. Both arrays are then
+    made read-only in place.
     """
 
     p: int
     traces: np.ndarray  # int32 from the library, any signed integer type accepted
     signs: np.ndarray  # int8, values +-1
+
+    def __post_init__(self):
+        p, traces, signs = self.p, self.traces, self.signs
+        if traces.shape != (p - 2,) or signs.shape != (p - 2,):
+            raise ValueError(f"a trace table at p={p} needs {p - 2} traces and signs")
+        check_hasse(p, traces)
+        total = int(signs.sum())
+        if np.count_nonzero(signs) != p - 2 or signs.min() < -1 or signs.max() > 1 or total != -1:
+            raise ArithmeticError(f"trace signs at p={p} are not {p - 2} values +-1 "
+                                  f"summing to -1: they sum to {total}")
+        traces.setflags(write=False)
+        signs.setflags(write=False)
 
     def __len__(self) -> int:
         return self.p - 2
@@ -37,9 +51,7 @@ class TraceTable:
     @cached_property
     def multiplicities(self) -> TraceSummary:
         """The TraceSummary of this table, counted _BLOCK entries at a time,
-        so its scratch memory is O(_BLOCK); raises ArithmeticError when a
-        trace breaks the Hasse bound."""
-        check_hasse(self.p, self.traces)  # so every cell is a row of the summary
+        so its scratch memory is O(_BLOCK)."""
         cells = 2 * math.isqrt(4 * self.p) + 2
         counts = np.zeros(cells, dtype=np.int64)
         for i in range(0, len(self.traces), _BLOCK):
@@ -190,10 +202,7 @@ def build_trace_table(ctx: FieldContext) -> TraceTable:
     traces = rounded.astype(np.int32)
     np.negative(traces, out=traces)
     signs = ctx.chi_table[2:p][::-1].copy()  # signs[i] = chi(p - (i+1))
-    table = TraceTable(p, traces, signs)
-    table.traces.setflags(write=False)
-    table.signs.setflags(write=False)
-    return table
+    return TraceTable(p, traces, signs)
 
 
 # Entries per block of TraceTable.multiplicities and powers per block of
@@ -239,9 +248,7 @@ def a_numerators(table: TraceTable) -> np.ndarray:
     Every check runs before the result is returned, in this order; each
     raises ArithmeticError. A first pass over the powers of g marks each x
     and names the least x in 2..p-1 that g^1..g^(p-2) miss. The second pass
-    checks x * x^(-1) = 1 (mod p) in every block, across the two streams,
-    and that every numerator lies in [-3p, 3p], which also catches a trace
-    beyond the Hasse bound.
+    checks x * x^(-1) = 1 (mod p) in every block, across the two streams.
     """
     p = table.p
     g = field.primitive_root(p)
@@ -264,8 +271,6 @@ def a_numerators(table: TraceTable) -> np.ndarray:
         index = p - 1 - inv  # lambda - 1
         a = table.traces[index].astype(np.int64, copy=False)
         block = table.signs[index] * (a * a - p)
-        if int(np.abs(block).max()) > 3 * p:
-            raise ArithmeticError(f"an A-value escapes [-3, 3] at p={p}: Hasse bound violated")
         num[x - 2] = block.astype(num.dtype, copy=False)  # cast first: a faster scatter
     return num
 

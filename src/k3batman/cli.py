@@ -31,10 +31,11 @@ _AVALUE_BYTES_PER_P = 10
 # at 10^5 and 10^6 bins, p = 101), for refusing a --bins before binning.
 _SVG_BYTES_PER_BIN = 400
 # Peak bytes per --grid interval of verify distribution above the loaded table
-# (567 measured at p = 5, --grid 100000; 626 with a CSV --out and 693 with a
-# JSON one), for refusing a --grid up front. A --out adds one block of report
-# rows, at most about 14 MB: 1248 bytes per interval at --grid 32500.
+# (567 measured at p = 5, --grid 100000), and with a --out one block of report
+# rows on top (21 MB for JSON, 11 for CSV: 65000 rows at --grid 32500), for
+# refusing a --grid up front.
 _GRID_BYTES_PER_INTERVAL = 700
+_REPORT_BLOCK_BYTES = 22 << 20
 # Peak bytes per isqrt(p) of identity_table and the bracket identities beyond
 # the interpreter (2490, 2390 and 2340 measured at p = 10000019, 100000007 and
 # 1000000007, --mmax 1), for refusing a p before its class numbers are counted.
@@ -80,7 +81,7 @@ def _require_memory(what: str, need: int, purpose: str) -> None:
 def _get_trace_table(p: int, cache_dir: str | None) -> TraceTable:
     path = Path(cache_dir) / f"trace_p{p}.bin" if cache_dir else None
     if path is not None and path.exists():
-        try:  # the load raises ArithmeticError for a trace beyond the Hasse bound
+        try:  # a table that breaks its invariants raises ArithmeticError: no rebuild
             table = cache.load_trace_table(path)
             if table.p != p:
                 raise cache.CacheFormatError(f"it holds the table for p={table.p}")
@@ -322,7 +323,8 @@ def _grids_for(which: str, k: int, seed: int | None):
 
 
 def cmd_verify_distribution(args) -> int:
-    _require_memory(f"grid={args.grid}", _GRID_BYTES_PER_INTERVAL * args.grid, "build the report")
+    need = _GRID_BYTES_PER_INTERVAL * args.grid + (0 if args.out is None else _REPORT_BLOCK_BYTES)
+    _require_memory(f"grid={args.grid}", need, "build the report")
     summary = _get_trace_table(args.p, args.cache_dir).multiplicities
     ok = True
     for which in stats.STATISTICS:
@@ -378,7 +380,8 @@ def cmd_ears(args) -> int:
     print(f"T = {params.T}")
     print(f"delta = {params.delta!r} ({tag})")
     print(f"x = {params.x:.6e}")
-    print(f"p_min = {params.p_min:.6e}   [threshold formula (55.42/(x*delta))^4]")
+    print(f"p_min = {params.p_min:.6e}   "
+          f"[threshold formula ({measures._BOUND_BAT_SIGNED}/(x*delta))^4]")
     print(
         "note: the reference worked example for T=10 expects p >= 3.45e14, but "
         "the threshold formula evaluates to ~5.87e19 there (the window width x "

@@ -30,8 +30,8 @@ class ClassNumbersAlong:
     """twelve[k] = 12 H*(n - t k^2) as an int, for k = 0..isqrt(n // t).
 
     The identities at p read class numbers along two parabolas alone,
-    (t, n) = (1, p) and (4, 4p). When n / t is a square, the last value is
-    12 H*(0) = -1.
+    (t, n) = (1, p) and (4, 4p): ValueError for another t, or n < 1. When
+    n / t is a square, the last value is 12 H*(0) = -1.
     """
 
     t: int
@@ -39,11 +39,11 @@ class ClassNumbersAlong:
     twelve: tuple[int, ...]
 
     def __post_init__(self):
-        if self.t < 1 or self.n < 1:
-            raise ValueError(f"need t, n >= 1, got t={self.t}, n={self.n}")
-        if len(self.twelve) != math.isqrt(self.n // self.t) + 1:
-            raise ValueError(f"need {math.isqrt(self.n // self.t) + 1} values along "
-                             f"n - t k^2 for (t, n) = ({self.t}, {self.n}), got {len(self.twelve)}")
+        if self.t not in (1, 4):
+            raise ValueError(f"t must be 1 or 4, got {self.t}")
+        if self.n < 1 or len(self.twelve) != math.isqrt(self.n // self.t) + 1:
+            raise ValueError(f"need n >= 1 and a value per k = 0..isqrt(n / t) along n - t k^2 "
+                             f"for (t, n) = ({self.t}, {self.n}), got {len(self.twelve)} values")
 
     @cached_property
     def _power_sums(self) -> PowerSums:

@@ -7,6 +7,12 @@ from dataclasses import dataclass
 
 SQRT3_OVER_4PI = math.sqrt(3.0) / (4.0 * math.pi)
 
+# The theorem's constants C of its discrepancy bounds C / p^(1/4): on the
+# counts N, H+- and M, and on the A-values, the smaller inside (0, 3) or (-3, 0).
+# Those of N and M end the error chains of selberg; the signed one sets p_min.
+_BOUND_N, _BOUND_HPM, _BOUND_M = 26.52, 27.71, 28.89
+_BOUND_BAT, _BOUND_BAT_SIGNED = 110.84, 55.42
+
 
 def density_f(t: float) -> float:
     """Density (before the 1/4pi normalization) of the O(3) law on [-3, 3].
@@ -88,7 +94,7 @@ def optimal_delta(T: float) -> float:
 def ear_parameters(T: float, delta: float | None = None) -> EarParameters:
     """Window width x and prime threshold p_min for density > T near t = +-1.
 
-    x = 4 / (1 + 16 pi^2 (T+delta)^2) and p_min = (55.42 / (x delta))^4;
+    x = 4 / (1 + 16 pi^2 (T+delta)^2) and p_min = (_BOUND_BAT_SIGNED / (x delta))^4;
     delta defaults to the optimal choice for the given T. Raises ValueError
     unless delta, x and p_min are finite positive floats.
     """
@@ -98,7 +104,7 @@ def ear_parameters(T: float, delta: float | None = None) -> EarParameters:
         delta = optimal_delta(T)
     try:
         x = 4.0 / (1.0 + 16.0 * math.pi**2 * (T + delta) ** 2)
-        p_min = (55.42 / (x * delta)) ** 4
+        p_min = (_BOUND_BAT_SIGNED / (x * delta)) ** 4
     except (OverflowError, ZeroDivisionError):  # past the float range
         x = p_min = math.nan
     if not all(math.isfinite(v) and v > 0.0 for v in (delta, x, p_min)):

@@ -8,7 +8,7 @@ from math import isqrt
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
+from .measures import _BOUND_M, _BOUND_N
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,8 @@ def proof_bound_audit(p: int, twisted: bool = False) -> BoundAudit:
     """Evaluate the explicit error chain at M = floor(p^(1/4)).
 
     Untwisted the per-degree bracket is (4/3)(m-1) sqrt(p) + (2m+1) + 2/p^m
-    and the target constant is 26.52; twisted it is
-    2(m-1) sqrt(p) + (2m+1) + 3/p^m against 28.89.
+    against the constant _BOUND_N of N; twisted it is
+    2(m-1) sqrt(p) + (2m+1) + 3/p^m against the constant _BOUND_M of M.
     """
     if p < 5:
         raise ValueError("p must be >= 5")
@@ -110,7 +110,7 @@ def proof_bound_audit(p: int, twisted: bool = False) -> BoundAudit:
         else:
             term = 4.0 / 3.0 * (m - 1) * sqrt_p + (2 * m + 1) + 2.0 * float(p) ** -m
         lhs += 8.0 / m * term
-    constant = 28.89 if twisted else 26.52
+    constant = _BOUND_M if twisted else _BOUND_N
     rhs = constant * p**0.75
     return BoundAudit(p, twisted, lhs, rhs, lhs <= rhs)
 
@@ -127,5 +127,5 @@ def simplified_chain(p) -> float:
 
 def simplified_chain_bound(p) -> float:
     p = np.asarray(p, dtype=float)
-    value = 26.52 * p**0.75
+    value = _BOUND_N * p**0.75
     return value if value.ndim else float(value)

@@ -7,15 +7,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .clausen import TraceSummary
-from .measures import mu_bat, mu_st
+from .measures import _BOUND_BAT, _BOUND_BAT_SIGNED, _BOUND_HPM, _BOUND_M, _BOUND_N, mu_bat, mu_st
 
 STATISTICS = ("clausen_N", "clausen_Hpm", "clausen_M", "batman")
-
-_BOUND_N = 26.52
-_BOUND_HPM = 27.71
-_BOUND_M = 28.89
-_BOUND_BAT = 110.84
-_BOUND_BAT_SIGNED = 55.42
 
 _PASS_SLACK = 1e-12
 

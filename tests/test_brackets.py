@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -212,3 +213,19 @@ def test_shared_coefficients_match_recomputed(table2400):
 def test_corrected_identities_on_identity_table(m):
     for p in [p for p in primes_up_to(300) if p >= 5]:
         assert _corrected_identities_hold(m, *identity_table(p)), p
+
+
+@pytest.mark.parametrize("p", [1009, 1019])  # 1 and 3 (mod 4)
+def test_coefficient_identity_holds_for_any_class_numbers(p):
+    """class_sum = coeff_side reduces to mertens_coeff(t, m, n) = 2 sqrt(t) t^m,
+    so it holds on class numbers shifted at random; the m = 1 vanishing of
+    pihol_coeff, which reads them, fails there."""
+    rng = random.Random(p)
+    for along in identity_table(p):
+        shifted = ClassNumbersAlong(along.t, along.n,
+                                    tuple(x + rng.randint(-50, 50) for x in along.twelve))
+        assert shifted.twelve != along.twelve
+        assert pihol_coeff(1, along) == 0 and pihol_coeff(1, shifted) != 0
+        for m in range(1, 6):
+            assert mertens_coeff(along.t, m, along.n) == 2 * math.isqrt(along.t) * along.t**m
+            assert class_sum(m, shifted) == coeff_side(m, shifted, pihol_coeff(m, shifted))

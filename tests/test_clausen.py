@@ -168,10 +168,11 @@ def test_a_numerators_refuse_an_int32_extreme_trace(value):
 
 
 def _assert_a_numerators_refuse_trace(value):
+    """No table can hold the trace, so a_numerators never reads one."""
     table = build_trace_table(make_context(101))
     traces = table.traces.copy()
     traces[17] = value
-    with pytest.raises(ArithmeticError, match=r"escapes \[-3, 3\] at p=101"):
+    with pytest.raises(ArithmeticError, match=r"Hasse bound violated at p=101"):
         clausen.a_numerators(clausen.TraceTable(101, traces, table.signs))
 
 
@@ -183,6 +184,33 @@ def test_multiplicities_refuse_an_int32_trace_beyond_hasse(value):
     message = rf"Hasse bound violated at p=101: \|a\| = {abs(value)} > 20"
     with pytest.raises(ArithmeticError, match=message):
         clausen.TraceTable(101, traces, table.signs).multiplicities
+
+
+def test_trace_table_refuses_signs_off_the_invariant():
+    """A flipped sign breaks the sum -1; a +1 and a -1 set to 0, or two +1 set
+    to 3 and -1, keep it but are not p - 2 values +-1."""
+    table = build_trace_table(make_context(101))
+    plus, minus = np.flatnonzero(table.signs == 1), np.flatnonzero(table.signs == -1)
+    for at, values in (([plus[0]], [-1]), ([plus[0], minus[0]], [0, 0]), (plus[:2], [3, -1])):
+        signs = table.signs.copy()
+        signs[at] = values
+        with pytest.raises(ArithmeticError, match="trace signs at p=101 are not 99 values"):
+            clausen.TraceTable(101, table.traces, signs)
+
+
+def test_trace_table_refuses_a_wrong_length():
+    table = build_trace_table(make_context(101))
+    for traces, signs in ((table.traces[1:], table.signs), (table.traces, table.signs[:-1])):
+        with pytest.raises(ValueError, match="at p=101 needs 99 traces and signs"):
+            clausen.TraceTable(101, traces, signs)
+
+
+def test_trace_table_makes_its_arrays_read_only_in_place():
+    table = build_trace_table(make_context(101))
+    traces, signs = table.traces.astype(np.int64), table.signs.copy()
+    wide = clausen.TraceTable(101, traces, signs)
+    assert wide.traces is traces and wide.signs is signs  # no copy
+    assert not (traces.flags.writeable or signs.flags.writeable)
 
 
 @pytest.mark.parametrize("p", [5, 101, 25013])

@@ -382,11 +382,9 @@ def test_cache_round_trip_via_cli(tmp_path):
 def test_histogram_rejects_out_of_range_values():
     from k3batman.svg import histogram_counts
 
-    broken = TraceTable(
-        5, np.array([9, 0, 2], dtype=np.int64), np.array([1, -1, -1], dtype=np.int8)
-    )
-    with pytest.raises(ArithmeticError, match="Hasse"):
-        histogram_counts(broken.multiplicities, 10)
+    traces, signs = np.array([9, 0, 2], dtype=np.int64), np.array([1, -1, -1], dtype=np.int8)
+    with pytest.raises(ArithmeticError, match="Hasse"):  # no table can hold |a| = 9 at p = 5
+        histogram_counts(TraceTable(5, traces, signs).multiplicities, 10)
     # a summary with a row past isqrt(4p) is refused before it can be binned
     counts = np.zeros((10, 2), dtype=np.int64)
     counts[[0, 2, 9], [1, 1, 0]] = 1
@@ -594,9 +592,10 @@ def test_trace_cache_refuses_int64_traces_past_int32(tmp_path, value):
 
 
 def _assert_save_refuses_trace(tmp_path, value):
-    broken = TraceTable(5, np.array([value, 0, 2], dtype=np.int64), np.array([1, -1, -1], np.int8))
+    """No table can hold the trace, so no save can write one."""
+    traces, signs = np.array([value, 0, 2], dtype=np.int64), np.array([1, -1, -1], np.int8)
     with pytest.raises(ArithmeticError, match="Hasse"):
-        cache.save_trace_table(tmp_path / "t.bin", broken)
+        cache.save_trace_table(tmp_path / "t.bin", TraceTable(5, traces, signs))
     assert list(tmp_path.iterdir()) == []
 
 
@@ -639,7 +638,7 @@ def test_cached_summary_breaking_an_invariant_is_internal_error(tmp_path, capsys
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith(f"error: internal check failed: cached trace signs at p={p}")
+    assert lines[0].startswith(f"error: internal check failed: trace signs at p={p}")
 
 
 def test_cache_file_for_another_prime_is_rebuilt(tmp_path, capsys):
@@ -973,10 +972,12 @@ def test_csv_block_takes_any_signed_width(dtype):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_int_table_counts_its_first_column(capsys, fmt):
+def test_int_table_counts_its_first_column(monkeypatch, capsys, fmt):
+    """Blocks of five rows, so the count runs on across a block boundary."""
     from k3batman import cli
 
-    second = np.resize(np.array(_EDGE_VALUES, dtype=np.int64), _BLOCK_ROWS + 1)
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 5)
+    second = np.resize(np.array(_EDGE_VALUES, dtype=np.int64), 2 * cli._BLOCK_ROWS + 1)
     expected = _table_text(fmt, "x,y,z", [(i + 1, v, 7) for i, v in enumerate(second.tolist())])
     cli._emit_int_table(None, fmt, "x,y,z", 1, second, 7)
     _assert_same_text(capsys.readouterr().out.encode(), expected)
@@ -1244,6 +1245,31 @@ def test_memory_guard_refuses_distribution_grid_before_building(monkeypatch, cap
     monkeypatch.setattr(cli, "_available_memory", lambda: 100 << 20)
     assert dispatch(["verify", "distribution", "--p", "101", "--grid", "40"]) == 0  # 27 KB fits
     assert capsys.readouterr().out.startswith("clausen_N: 40 rows")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_memory_guard_charges_a_report_block_for_distribution_out(tmp_path, monkeypatch, capsys,
+                                                                  fmt):
+    """A --out is charged one block of report rows on top of the grid, so a
+    grid that fits without it is refused with it, before anything is built."""
+    from k3batman import cli
+
+    def never(*args):
+        raise AssertionError("built past the memory guard")
+
+    argv = ["verify", "distribution", "--p", "101", "--grid", "40"]
+    monkeypatch.setattr(cli, "_available_memory", lambda: 1 << 20)
+    assert dispatch(argv) == 0  # 27 KB fits
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "_grids_for", never)
+    monkeypatch.setattr(cli, "build_trace_table", never)
+    out = tmp_path / "r"
+    assert dispatch(argv + ["--out", str(out), "--format", fmt]) == 2
+    need = cli._GRID_BYTES_PER_INTERVAL * 40 + cli._REPORT_BLOCK_BYTES
+    captured = capsys.readouterr()
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+    assert captured.err == (f"error: grid=40 needs about {need >> 20} MB to build the report, "
+                            "but only 1 MB is available\n")
 
 
 def test_memory_guard_refuses_brackets_before_counting(monkeypatch, capsys):
