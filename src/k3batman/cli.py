@@ -27,14 +27,16 @@ _TRACE_BYTES_PER_P = 90
 # same refusal on a cache hit (9.25 measured at p = 1000003, 4.52 at 10000019:
 # the int32 result and a one-byte mask, plus block scratch of fixed size).
 _AVALUE_BYTES_PER_P = 10
-# Peak bytes per bin of render_histogram and its output (about 385 measured
-# at 10^5 and 10^6 bins, p = 101), for refusing a --bins before binning.
-_SVG_BYTES_PER_BIN = 400
-# Peak bytes per --grid interval of verify distribution above the loaded table
-# (567 measured at p = 5, --grid 100000), and with a --out one block of report
-# rows on top (21 MB for JSON, 11 for CSV: 65000 rows at --grid 32500), for
-# refusing a --grid up front.
-_GRID_BYTES_PER_INTERVAL = 700
+# Peak bytes per bin of render_histogram and its output (222 measured at
+# 10^6 bins, p = 101, and 209 at 2 * 10^6 bins, p = 1009: the document and
+# its bar blocks while they are joined), for refusing a --bins before binning.
+_SVG_BYTES_PER_BIN = 230
+# Peak bytes per --grid interval of verify distribution above the imports,
+# less 1.4 MB fixed (852-866 measured at p = 5, uniform --grid 32500-150000,
+# 752-765 with a --seed), and with a --out one block of report rows on top
+# (21 MB for JSON, 11 for CSV: 65000 rows at --grid 32500), for refusing a
+# --grid up front.
+_GRID_BYTES_PER_INTERVAL = 900
 _REPORT_BLOCK_BYTES = 22 << 20
 # Peak bytes per isqrt(p) of identity_table and the bracket identities beyond
 # the interpreter (2490, 2390 and 2340 measured at p = 10000019, 100000007 and
@@ -218,7 +220,9 @@ def cmd_hist(args) -> int:
     _require_memory(f"bins={args.bins}", _SVG_BYTES_PER_BIN * args.bins, "draw the histogram")
     table = _get_trace_table(args.p, args.cache_dir)
     text = svg.render_histogram(table.multiplicities, args.bins, overlay=args.overlay)
-    _write(args.out, [text.encode("ascii")])
+    # a slice at a time: no bytes copy of the whole document beside it
+    step = 1 << 20
+    _write(args.out, (text[i : i + step].encode("ascii") for i in range(0, len(text), step)))
     return 0
 
 

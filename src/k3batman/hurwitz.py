@@ -54,39 +54,69 @@ class ClassNumbersAlong:
         return self._power_sums.upto(lmax)
 
 
-def build_hurwitz_table(d_max: int) -> HurwitzTable:
-    """Batch-build 12 H*(D) for all D <= d_max in one reduced-form sweep.
+def _accumulator_dtype(d_max: int) -> type[np.signedinteger]:
+    """The integer type that holds every partial sum of build_hurwitz_table
+    up to d_max: int32 while its bound 24 (A + 1)^2, A = isqrt(d_max // 3),
+    is below 2^31, that is for d_max < 268418043, and int64 above."""
+    return np.int32 if 24 * (math.isqrt(d_max // 3) + 1) ** 2 < 1 << 31 else np.int64
 
-    Every reduced form (primitive or not) of discriminant -(4ac - b^2) is
-    visited once per (a, b) stratum as an arithmetic progression in c, so the
-    total work is O(d_max^{3/2}) with no per-D factoring. A form contributes
-    12 by default, 6 when it is a multiple of (1, 0, 1), 4 for a multiple of
-    (1, 1, 1); strata with 0 < b < a < c count twice for the +-b pair.
+
+def build_hurwitz_table(d_max: int) -> HurwitzTable:
+    """Batch-build 12 H*(D) for all D <= d_max in one pass per leading
+    coefficient a of the reduced forms.
+
+    A reduced form (a, b, c), primitive or not, with 0 <= b <= a <= c has
+    D = 4ac - b^2. With c = a it contributes 12, 6 when it is a multiple of
+    (1, 0, 1), 4 for a multiple of (1, 1, 1); with c > a it contributes 24
+    for the pair +-b when 0 < b < a, and 12 for b = 0 and b = a. For each
+    a <= A = isqrt(d_max // 3), with m = 4a, the stratum of b is the
+    progression D = m c - b^2, c > a, of step m:
+
+    - window, 3a^2 <= D < m(a + 1): the forms with c = a and the terms of
+      each stratum below m(a + 1) lie on the grid D = m(a + j) - b^2,
+      0 <= b <= a, 0 <= j <= ceil(a / 4). One ``np.add.at`` adds the grid
+      points below m(a + 1) and d_max + 1.
+    - rows, D >= m(a + 1): every stratum is live, and D = -b^2 (mod m) picks
+      it out. So the table from m(a + 1) on, as rows of width m, takes one
+      broadcast add of W_a, the histogram of -b^2 mod m weighted as above;
+      the last partial row takes the matching prefix of W_a.
+
+    The rows cost about d_max sqrt(d_max / 3) contiguous adds in all, with no
+    per-D factoring. Each a adds at most 24 (a + 1) to any D, so
+    |12 H*(D)| <= 24 (A + 1)^2: the sums are made in int32 while that bound
+    is below 2^31 (d_max < 268418043), in int64 above, and returned as a
+    read-only int64 table.
     """
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
-    twelve = np.zeros(d_max + 1, dtype=np.int64)
+    dtype = _accumulator_dtype(d_max)
+    twelve = np.zeros(d_max + 1, dtype=dtype)
     twelve[0] = -1
-    a = 1
-    while 3 * a * a <= d_max:
-        four_a = 4 * a
-        for b in range(a + 1):
-            d0 = four_a * a - b * b  # c = a
-            if d0 <= d_max:
-                if b == a:
-                    twelve[d0] += 4
-                elif b == 0:
-                    twelve[d0] += 6
-                else:
-                    twelve[d0] += 12
-            c_max = (d_max + b * b) // four_a
-            if c_max > a:
-                start = four_a * (a + 1) - b * b
-                stop = four_a * c_max - b * b + 1
-                weight = 24 if 0 < b < a else 12
-                twelve[start:stop:four_a] += weight
-        a += 1
-    table = HurwitzTable(d_max, twelve)
+    a_top = math.isqrt(d_max // 3)
+    square = np.arange(a_top + 1, dtype=np.int64) ** 2
+    for a in range(1, a_top + 1):
+        m = 4 * a
+        row0 = m * (a + 1)
+        b_sq = square[: a + 1]
+        grid = m * (a + np.arange(-(-a // 4) + 1)) - b_sq[:, None]  # row b, column j
+        weight = np.full(grid.shape, 24, dtype=dtype)  # row 0 (b = 0) is live at c = a alone
+        weight[:, 0] = 12
+        weight[0, 0], weight[a, 0] = 6, 4
+        weight[a, 1:] = 12
+        live = grid < min(row0, d_max + 1)
+        np.add.at(twelve, grid[live], weight[live])
+        if row0 > d_max:
+            continue
+        residue = -b_sq % m
+        row = 24 * np.bincount(residue, minlength=m)
+        row[0] -= 12
+        row[residue[a]] -= 12
+        row = row.astype(dtype)
+        rows = (d_max + 1 - row0) // m
+        tail = row0 + rows * m
+        twelve[row0:tail].reshape(rows, m)[...] += row
+        twelve[tail:] += row[: d_max + 1 - tail]
+    table = HurwitzTable(d_max, twelve.astype(np.int64))
     table.twelve_h.setflags(write=False)
     return table
 

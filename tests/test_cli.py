@@ -25,7 +25,7 @@ from k3batman import (
 )
 from k3batman import cache
 from k3batman.cli import _BLOCK_ROWS, dispatch
-from util import a_value, dense_identity_table, entries
+from util import a_value, dense_identity_table, entries, histogram_bars_by_loop
 
 P5_TRACES_CSV = "lambda,a,phi\n1,-2,1\n2,0,-1\n3,2,-1\n"
 P5_AVALUES_CSV = "mu,num,den\n1,5,5\n2,1,5\n3,-1,5\n"
@@ -399,6 +399,27 @@ def test_histogram_refuses_bins_past_int64():
     summary = build_trace_table(make_context(5)).multiplicities
     with pytest.raises(ValueError, match="too many"):
         histogram_counts(summary, (1 << 63) // 30 + 1)
+
+
+@pytest.mark.parametrize("bins", [1, 6, 7, 13, 61, 606])
+def test_render_histogram_bars_match_per_bin_strings_across_blocks(monkeypatch, bins):
+    from k3batman import svg
+
+    table = build_trace_table(make_context(101))
+    monkeypatch.setattr(svg, "_BAR_BLOCK", 6)  # 606 bins cross 101 block boundaries
+    lines = svg.render_histogram(table.multiplicities, bins).splitlines()
+    assert lines[2 : 2 + bins] == histogram_bars_by_loop(table, bins)
+    assert not lines[2 + bins].startswith("<rect")
+
+
+def test_ten_thousandths_round_as_format():
+    from k3batman.svg import _ten_thousandths
+
+    rng = np.random.default_rng(5)
+    ties = (np.arange(20000) + 0.5) / 1e4  # within an ulp of a half ten-thousandth
+    values = np.concatenate((rng.uniform(0, 720, 20000), ties, np.arange(64) / 32, [0.0, 719.99995]))
+    expected = [int(format(v, ".4f").replace(".", "")) for v in values.tolist()]
+    assert _ten_thousandths(values).tolist() == expected
 
 
 def test_render_histogram_takes_the_prime_from_the_summary():
@@ -1218,11 +1239,11 @@ def test_memory_guard_refuses_hist_bins_before_binning(monkeypatch, capsys):
     assert dispatch(["hist", "--p", "101", "--bins", "20000000"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: bins=20000000 needs about 7629 MB to draw the histogram, "
+    assert captured.err == ("error: bins=20000000 needs about 4386 MB to draw the histogram, "
                             "but only 100 MB is available\n")
     monkeypatch.undo()
     monkeypatch.setattr(cli, "_available_memory", lambda: 100 << 20)
-    assert dispatch(["hist", "--p", "101", "--bins", "61"]) == 0  # 24 KB fits
+    assert dispatch(["hist", "--p", "101", "--bins", "61"]) == 0  # 14 KB fits
     assert capsys.readouterr().out.startswith("<svg")
 
 
@@ -1239,11 +1260,11 @@ def test_memory_guard_refuses_distribution_grid_before_building(monkeypatch, cap
     assert dispatch(["verify", "distribution", "--p", "101", "--grid", "1000000"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: grid=1000000 needs about 667 MB to build the report, "
+    assert captured.err == ("error: grid=1000000 needs about 858 MB to build the report, "
                             "but only 100 MB is available\n")
     monkeypatch.undo()
     monkeypatch.setattr(cli, "_available_memory", lambda: 100 << 20)
-    assert dispatch(["verify", "distribution", "--p", "101", "--grid", "40"]) == 0  # 27 KB fits
+    assert dispatch(["verify", "distribution", "--p", "101", "--grid", "40"]) == 0  # 36 KB fits
     assert capsys.readouterr().out.startswith("clausen_N: 40 rows")
 
 
@@ -1259,7 +1280,7 @@ def test_memory_guard_charges_a_report_block_for_distribution_out(tmp_path, monk
 
     argv = ["verify", "distribution", "--p", "101", "--grid", "40"]
     monkeypatch.setattr(cli, "_available_memory", lambda: 1 << 20)
-    assert dispatch(argv) == 0  # 27 KB fits
+    assert dispatch(argv) == 0  # 36 KB fits
     capsys.readouterr()
     monkeypatch.setattr(cli, "_grids_for", never)
     monkeypatch.setattr(cli, "build_trace_table", never)

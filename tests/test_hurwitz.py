@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -8,12 +9,14 @@ from k3batman import (
     ClassNumbersAlong,
     build_hurwitz_table,
     build_trace_table,
+    cache,
     identity_table,
     make_context,
     moment,
     multiplicity_rhs,
     twelve_h_at,
 )
+from k3batman.hurwitz import _accumulator_dtype
 from util import (
     c_pm,
     class_number,
@@ -22,6 +25,7 @@ from util import (
     hurwitz_star_by_divisors,
     primes_up_to,
     star,
+    twelve_h_by_strata,
 )
 
 SPOT_VALUES = {
@@ -79,6 +83,48 @@ def test_table_matches_divisor_sum_oracle(hurwitz_4000):
     sample = rng.sample(range(hurwitz_4000.d_max + 1), 200)
     for d in sample:
         assert star(hurwitz_4000, d) == hurwitz_star_by_divisors(d, class_number)
+
+
+def test_dense_table_matches_strata_oracle_at_every_small_d_max():
+    # the oracle's 12 H*(D) does not depend on d_max: one build serves every prefix
+    oracle = twelve_h_by_strata(3000)
+    for d_max in range(3001):
+        assert np.array_equal(build_hurwitz_table(d_max).twelve_h, oracle[: d_max + 1]), d_max
+
+
+def test_dense_table_matches_strata_oracle_at_stratum_boundaries():
+    oracle = twelve_h_by_strata(4 * 40 * 41)
+    for a in range(1, 41):
+        for d_max in (3 * a * a - 1, 3 * a * a, 4 * a * a, 4 * a * (a + 1) - 1, 4 * a * (a + 1)):
+            assert np.array_equal(build_hurwitz_table(d_max).twelve_h, oracle[: d_max + 1]), d_max
+
+
+def test_dense_table_is_read_only_int64():
+    twelve = build_hurwitz_table(1000).twelve_h
+    assert twelve.dtype == np.int64
+    assert not twelve.flags.writeable
+
+
+def test_dense_table_matches_sparse_kernel_at_ladder_size():
+    d_max = 4 * 1000003
+    table = build_hurwitz_table(d_max)
+    d = np.random.default_rng(20).integers(0, d_max + 1, 2000)
+    assert np.array_equal(twelve_h_at(d), table.twelve_h[d])
+
+
+@pytest.mark.parametrize("d_max, dtype", [
+    (0, np.int32), (268418042, np.int32), (268418043, np.int64), (10**15, np.int64),
+])
+def test_accumulator_type_follows_the_bound(d_max, dtype):
+    # 24 (A + 1)^2 < 2^31 with A = isqrt(d_max // 3) holds up to A = 9458, d_max = 3 * 9459^2 - 1
+    assert _accumulator_dtype(d_max) is dtype
+
+
+def test_hurwitz_cache_file_bytes_are_unchanged(tmp_path):
+    path = tmp_path / "h.bin"
+    cache.save_hurwitz_table(path, build_hurwitz_table(404))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "6b7062ac82154f9ebe4c9a65e3e54f70b6dd42c76ed12a6eff06f6bb38d008b7"
 
 
 def test_c_pm_examples():

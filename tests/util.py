@@ -89,6 +89,41 @@ def class_number(d: int) -> tuple[int, int]:
     return h, omega
 
 
+def twelve_h_by_strata(d_max: int) -> np.ndarray:
+    """12 H*(D) for all D <= d_max by one strided add per (a, b) stratum.
+
+    Every reduced form (primitive or not) of discriminant -(4ac - b^2) is
+    visited once per (a, b) stratum as an arithmetic progression in c, so the
+    total work is O(d_max^{3/2}) with no per-D factoring. A form contributes
+    12 by default, 6 when it is a multiple of (1, 0, 1), 4 for a multiple of
+    (1, 1, 1); strata with 0 < b < a < c count twice for the +-b pair.
+    """
+    if d_max < 0:
+        raise ValueError("d_max must be >= 0")
+    twelve = np.zeros(d_max + 1, dtype=np.int64)
+    twelve[0] = -1
+    a = 1
+    while 3 * a * a <= d_max:
+        four_a = 4 * a
+        for b in range(a + 1):
+            d0 = four_a * a - b * b  # c = a
+            if d0 <= d_max:
+                if b == a:
+                    twelve[d0] += 4
+                elif b == 0:
+                    twelve[d0] += 6
+                else:
+                    twelve[d0] += 12
+            c_max = (d_max + b * b) // four_a
+            if c_max > a:
+                start = four_a * (a + 1) - b * b
+                stop = four_a * c_max - b * b + 1
+                weight = 24 if 0 < b < a else 12
+                twelve[start:stop:four_a] += weight
+        a += 1
+    return twelve
+
+
 def hurwitz_star_by_divisors(d: int, class_number) -> Fraction:
     """H*(D) recomputed from the f^2-divisor sum over primitive class numbers."""
     if d == 0:
@@ -227,6 +262,27 @@ def histogram_by_loop(table, bins: int) -> list[int]:
         k = (value + 3) * bins // 6
         counts[min(k, bins - 1)] += 1
     return counts
+
+
+def histogram_bars_by_loop(table, bins: int) -> list[str]:
+    """The bar elements of the SVG histogram of a trace table, one f-string
+    of four format(x, ".4f") values per bin, as the bars were first written."""
+    from k3batman.svg import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, WIDTH
+
+    bin_width = 6.0 / bins
+    heights = [c / (table.p * bin_width) for c in histogram_by_loop(table, bins)]
+    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+    plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+    y_max = max(max(heights), 0.5) * 1.08
+    bars = []
+    for k, h in enumerate(heights):
+        lo = (6 * k - 3 * bins) / bins
+        x0 = MARGIN_LEFT + (lo + 3.0) / 6.0 * plot_w
+        x1 = MARGIN_LEFT + (lo + bin_width + 3.0) / 6.0 * plot_w
+        y0 = MARGIN_TOP + plot_h * (1.0 - min(h, y_max) / y_max)
+        bars.append(f'<rect x="{x0:.4f}" y="{y0:.4f}" width="{x1 - x0:.4f}" '
+                    f'height="{MARGIN_TOP + plot_h - y0:.4f}" fill="#4878cf" stroke="none"/>')
+    return bars
 
 
 # Chebyshev values and coefficients by routes other than the library's
