@@ -77,7 +77,7 @@ def main() -> int:
         emit_report(out_dir / f"report_{args.p}_{which}.csv", "csv", report)
 
     svg_path = out_dir / f"hist_{args.p}.svg"
-    svg_path.write_text(render_histogram(summary, args.bins, overlay=True))
+    svg_path.write_text("".join(render_histogram(summary, args.bins, overlay=True)))
     print(f"reports and histogram written under {out_dir}/")
     return 0 if ok else 1
 

@@ -27,10 +27,12 @@ _TRACE_BYTES_PER_P = 90
 # same refusal on a cache hit (9.25 measured at p = 1000003, 4.52 at 10000019:
 # the int32 result and a one-byte mask, plus block scratch of fixed size).
 _AVALUE_BYTES_PER_P = 10
-# Peak bytes per bin of render_histogram and its output (222 measured at
-# 10^6 bins, p = 101, and 209 at 2 * 10^6 bins, p = 1009: the document and
-# its bar blocks while they are joined), for refusing a --bins before binning.
-_SVG_BYTES_PER_BIN = 230
+# Peak bytes of hist above the imports, for refusing a --bins before binning:
+# per bin, the temporaries of histogram_counts (53 measured from 2 * 10^6 to
+# 4 * 10^6 bins at p = 101), and on top one block of bars on its way to
+# stdout, as f-strings, joined, encoded and decoded (35 MB at 65000 bins).
+_SVG_BYTES_PER_BIN = 60
+_BAR_BLOCK_BYTES = 40 << 20
 # Peak bytes per --grid interval of verify distribution above the imports,
 # less 1.4 MB fixed (852-866 measured at p = 5, uniform --grid 32500-150000,
 # 752-765 with a --seed), and with a --out one block of report rows on top
@@ -217,12 +219,11 @@ def cmd_avalues(args) -> int:
 
 
 def cmd_hist(args) -> int:
-    _require_memory(f"bins={args.bins}", _SVG_BYTES_PER_BIN * args.bins, "draw the histogram")
+    need = _SVG_BYTES_PER_BIN * args.bins + _BAR_BLOCK_BYTES
+    _require_memory(f"bins={args.bins}", need, "draw the histogram")
     table = _get_trace_table(args.p, args.cache_dir)
-    text = svg.render_histogram(table.multiplicities, args.bins, overlay=args.overlay)
-    # a slice at a time: no bytes copy of the whole document beside it
-    step = 1 << 20
-    _write(args.out, (text[i : i + step].encode("ascii") for i in range(0, len(text), step)))
+    pieces = svg.render_histogram(table.multiplicities, args.bins, overlay=args.overlay)
+    _write(args.out, (piece.encode("ascii") for piece in pieces))
     return 0
 
 

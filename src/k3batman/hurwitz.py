@@ -54,11 +54,14 @@ class ClassNumbersAlong:
         return self._power_sums.upto(lmax)
 
 
-def _accumulator_dtype(d_max: int) -> type[np.signedinteger]:
-    """The integer type that holds every partial sum of build_hurwitz_table
-    up to d_max: int32 while its bound 24 (A + 1)^2, A = isqrt(d_max // 3),
-    is below 2^31, that is for d_max < 268418043, and int64 above."""
-    return np.int32 if 24 * (math.isqrt(d_max // 3) + 1) ** 2 < 1 << 31 else np.int64
+# The largest d_max at which build_hurwitz_table sums in int32: its bound
+# 24 (A + 1)^2, A = isqrt(d_max // 3), stays below 2^31 up to A = 9458.
+_INT32_D_MAX = 3 * 9459**2 - 1
+# int32 sums widened to int64 per step of build_hurwitz_table.
+_WIDEN_STEP = 1 << 18
+# Values of b per window grid of build_hurwitz_table: its scratch is
+# O(_WINDOW_ROWS * sqrt(d_max)), not O(d_max) at the largest a.
+_WINDOW_ROWS = 128
 
 
 def build_hurwitz_table(d_max: int) -> HurwitzTable:
@@ -74,8 +77,9 @@ def build_hurwitz_table(d_max: int) -> HurwitzTable:
 
     - window, 3a^2 <= D < m(a + 1): the forms with c = a and the terms of
       each stratum below m(a + 1) lie on the grid D = m(a + j) - b^2,
-      0 <= b <= a, 0 <= j <= ceil(a / 4). One ``np.add.at`` adds the grid
-      points below m(a + 1) and d_max + 1.
+      0 <= b <= a, 0 <= j <= ceil(b^2 / m). One ``np.add.at`` per
+      _WINDOW_ROWS values of b adds the grid points below m(a + 1) and
+      d_max + 1.
     - rows, D >= m(a + 1): every stratum is live, and D = -b^2 (mod m) picks
       it out. So the table from m(a + 1) on, as rows of width m, takes one
       broadcast add of W_a, the histogram of -b^2 mod m weighted as above;
@@ -83,42 +87,53 @@ def build_hurwitz_table(d_max: int) -> HurwitzTable:
 
     The rows cost about d_max sqrt(d_max / 3) contiguous adds in all, with no
     per-D factoring. Each a adds at most 24 (a + 1) to any D, so
-    |12 H*(D)| <= 24 (A + 1)^2: the sums are made in int32 while that bound
-    is below 2^31 (d_max < 268418043), in int64 above, and returned as a
-    read-only int64 table.
+    |12 H*(D)| <= 24 (A + 1)^2. While that is below 2^31 (d_max up to
+    _INT32_D_MAX = 268418042) the sums are made in int32, which halves the
+    bytes each row add moves, in the upper half of the int64 result's
+    buffer; they are then widened into it from the front, and the int32
+    each step overwrites are read already. Above, they are made in the
+    result itself. Either way the build holds 8 bytes per D, and the table
+    it returns is read-only int64.
     """
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
-    dtype = _accumulator_dtype(d_max)
-    twelve = np.zeros(d_max + 1, dtype=dtype)
+    n = d_max + 1
+    result = np.zeros(n, dtype=np.int64)
+    twelve = result.view(np.int32)[n:] if d_max <= _INT32_D_MAX else result
     twelve[0] = -1
     a_top = math.isqrt(d_max // 3)
     square = np.arange(a_top + 1, dtype=np.int64) ** 2
     for a in range(1, a_top + 1):
         m = 4 * a
         row0 = m * (a + 1)
-        b_sq = square[: a + 1]
-        grid = m * (a + np.arange(-(-a // 4) + 1)) - b_sq[:, None]  # row b, column j
-        weight = np.full(grid.shape, 24, dtype=dtype)  # row 0 (b = 0) is live at c = a alone
-        weight[:, 0] = 12
-        weight[0, 0], weight[a, 0] = 6, 4
-        weight[a, 1:] = 12
-        live = grid < min(row0, d_max + 1)
-        np.add.at(twelve, grid[live], weight[live])
+        for b0 in range(0, a + 1, _WINDOW_ROWS):
+            b_sq = square[b0 : min(b0 + _WINDOW_ROWS, a + 1)]  # rows b of the grid
+            grid = m * (a + np.arange(-(-int(b_sq[-1]) // m) + 1)) - b_sq[:, None]  # column j
+            weight = np.full(grid.shape, 24, dtype=twelve.dtype)  # b = 0 is live at c = a alone
+            weight[:, 0] = 12
+            if b0 == 0:
+                weight[0, 0] = 6
+            if b0 + len(b_sq) > a:  # the row of b = a
+                weight[-1, 0] = 4
+                weight[-1, 1:] = 12
+            live = grid < min(row0, n)
+            np.add.at(twelve, grid[live], weight[live])
         if row0 > d_max:
             continue
-        residue = -b_sq % m
+        residue = -square[: a + 1] % m
         row = 24 * np.bincount(residue, minlength=m)
         row[0] -= 12
         row[residue[a]] -= 12
-        row = row.astype(dtype)
-        rows = (d_max + 1 - row0) // m
+        row = row.astype(twelve.dtype)
+        rows = (n - row0) // m
         tail = row0 + rows * m
         twelve[row0:tail].reshape(rows, m)[...] += row
-        twelve[tail:] += row[: d_max + 1 - tail]
-    table = HurwitzTable(d_max, twelve.astype(np.int64))
-    table.twelve_h.setflags(write=False)
-    return table
+        twelve[tail:] += row[: n - tail]
+    if twelve is not result:
+        for start in range(0, n, _WIDEN_STEP):
+            result[start : start + _WIDEN_STEP] = twelve[start : start + _WIDEN_STEP]
+    result.setflags(write=False)
+    return HurwitzTable(d_max, result)
 
 
 # Leading coefficients a handled per vectorised pass over the window pairs of

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -38,87 +39,51 @@ def _fmt(x: float) -> str:
     return format(x, ".4f")
 
 
-# Bars formatted per step of render_histogram: its scratch is O(_BAR_BLOCK),
-# not one Python str per bin.
+# Bars formatted and joined per piece of render_histogram: its text is
+# O(_BAR_BLOCK) at a time, not one document of all the bins.
 _BAR_BLOCK = 65000
-_BAR_PREFIXES = ('<rect x="', '" y="', '" width="', '" height="')
-_BAR_TAIL = '" fill="#4878cf" stroke="none"/>\n'
 
 
-def _ten_thousandths(values: np.ndarray) -> np.ndarray:
-    """round(v * 10^4) for floats 0 <= v < 2^49, to even on the exact binary
-    value, as format(v, ".4f") rounds. The product v * 10^4 is off by at
-    most 2^-53 of itself; only within that of a half can rint round the
-    other way, and those few values are rounded by format itself."""
-    scaled = values * 1e4
-    rounded = np.rint(scaled).astype(np.int64)
-    near = np.abs(scaled - np.floor(scaled) - 0.5) <= scaled * 2.0**-52
-    rounded[near] = [int(_fmt(v).replace(".", "")) for v in values[near].tolist()]
-    return rounded
-
-
-def _fixed_block(columns, prefixes, tail: str) -> bytes:
-    """Rows of equal-length float columns, each value 0 <= v < 2^49 written
-    as format(v, ".4f"): ``prefixes[0]``, the first value, ``prefixes[1]``,
-    the second, and so on, and then ``tail``. As in the CLI's integer
-    tables, ``cells[c, i]`` is character cell c of row i, each number takes
-    the width of its column's widest, and a mask drops the leading zeros of
-    the integer part; reading the kept cells row by row gives the text."""
-    scaled = [_ten_thousandths(values) for values in columns]
-    spans = [len(prefix) + len(str(int(q.max()) // 10000)) + 5 for q, prefix in zip(scaled, prefixes)]
-    cells = np.empty((sum(spans) + len(tail), len(columns[0])), dtype=np.uint8)
-    keep = np.ones(cells.shape, dtype=bool)
-    stop = 0
-    for rest, span, prefix in zip(scaled, spans, prefixes):
-        cells[stop : stop + len(prefix)] = np.frombuffer(prefix.encode("ascii"), np.uint8)[:, None]
-        start, stop = stop + len(prefix), stop + span
-        cells[stop - 5] = ord(".")
-        for cell in (*range(stop - 1, stop - 5, -1), *range(stop - 6, start - 1, -1)):
-            higher = rest // 10
-            if cell < stop - 6:  # an integer digit left of the units is kept when the number reaches it
-                keep[cell] = rest > 0
-            cells[cell] = rest - 10 * higher + ord("0")
-            rest = higher
-    cells[stop:] = np.frombuffer(tail.encode("ascii"), np.uint8)[:, None]
-    return cells.T[keep.T].tobytes()
-
-
-def render_histogram(summary: TraceSummary, bins: int, overlay: bool = False) -> str:
+def render_histogram(summary: TraceSummary, bins: int, overlay: bool = False) -> Iterator[str]:
     """Standalone SVG document of the histogram over the fixed support
     [-3, 3], with bin boundaries 6k/bins - 3 and density-normalized bar
     heights count/(p * binwidth); output is a pure function of the inputs.
 
-    The bars are written in blocks of _BAR_BLOCK by numpy digit cells, with
-    the float arithmetic of x_pix and y_pix done in the same order, so each
-    bar reads as the f-string of its four _fmt values would."""
+    The bins are counted here, so a bad ``bins`` raises before any text;
+    the document is returned as an iterator of its pieces in order: the
+    head, the bars in blocks of _BAR_BLOCK, and the axes."""
     counts = histogram_counts(summary, bins)
-    p = summary.p
-    bin_width = 6.0 / bins
+    return _document(summary.p, bins, counts, overlay)
 
+
+def _document(p: int, bins: int, counts: list[int], overlay: bool) -> Iterator[str]:
+    bin_width = 6.0 / bins
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
     y_max = max(max(counts) / (p * bin_width), 0.5) * 1.08  # the largest height c / (p * binwidth)
 
-    def x_pix(t):
+    def x_pix(t: float) -> float:
         return MARGIN_LEFT + (t + 3.0) / 6.0 * plot_w
 
-    def y_pix(v):
-        return MARGIN_TOP + plot_h * (1.0 - np.minimum(v, y_max) / y_max)
+    def y_pix(v: float) -> float:
+        return MARGIN_TOP + plot_h * (1.0 - min(v, y_max) / y_max)
 
-    head = (
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">\n'
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>\n'
     )
-    bars = []
     for k0 in range(0, bins, _BAR_BLOCK):
-        k = np.arange(k0, min(k0 + _BAR_BLOCK, bins), dtype=np.int64)
-        lo = (6 * k - 3 * bins) / bins  # exact integers, so the correctly rounded 6k/bins - 3
-        x0, x1 = x_pix(lo), x_pix(lo + bin_width)
-        y0 = y_pix(np.array(counts[k0 : k0 + len(k)], dtype=np.int64) / (p * bin_width))
-        bars.append(str(_fixed_block([x0, y0, x1 - x0, MARGIN_TOP + plot_h - y0],
-                                     _BAR_PREFIXES, _BAR_TAIL), "ascii"))
-    del counts  # the per-bin ints are not kept beside the joined document
+        bars = []
+        for k in range(k0, min(k0 + _BAR_BLOCK, bins)):
+            lo = (6 * k - 3 * bins) / bins  # int / int: the correctly rounded 6k/bins - 3
+            x0, x1 = x_pix(lo), x_pix(lo + bin_width)
+            y0 = y_pix(counts[k] / (p * bin_width))
+            bars.append(
+                f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(x1 - x0)}" '
+                f'height="{_fmt(MARGIN_TOP + plot_h - y0)}" fill="#4878cf" stroke="none"/>\n'
+            )
+        yield "".join(bars)
     parts = []
     if overlay:
         ts = np.linspace(-3.0, 3.0, 1201)
@@ -157,4 +122,4 @@ def render_histogram(summary: TraceSummary, bins: int, overlay: bool = False) ->
             f'font-family="sans-serif" text-anchor="end">{_fmt(v)}</text>'
         )
     parts.append("</svg>")
-    return "".join([head, *bars, "\n".join(parts), "\n"])
+    yield "\n".join(parts) + "\n"

@@ -25,7 +25,7 @@ from k3batman import (
 )
 from k3batman import cache
 from k3batman.cli import _BLOCK_ROWS, dispatch
-from util import a_value, dense_identity_table, entries, histogram_bars_by_loop
+from util import a_value, dense_identity_table, entries
 
 P5_TRACES_CSV = "lambda,a,phi\n1,-2,1\n2,0,-1\n3,2,-1\n"
 P5_AVALUES_CSV = "mu,num,den\n1,5,5\n2,1,5\n3,-1,5\n"
@@ -402,31 +402,31 @@ def test_histogram_refuses_bins_past_int64():
 
 
 @pytest.mark.parametrize("bins", [1, 6, 7, 13, 61, 606])
-def test_render_histogram_bars_match_per_bin_strings_across_blocks(monkeypatch, bins):
+def test_render_histogram_pieces_join_to_the_same_document_in_any_blocks(monkeypatch, bins):
     from k3batman import svg
 
-    table = build_trace_table(make_context(101))
+    summary = build_trace_table(make_context(101)).multiplicities
+    whole = "".join(svg.render_histogram(summary, bins, overlay=True))
     monkeypatch.setattr(svg, "_BAR_BLOCK", 6)  # 606 bins cross 101 block boundaries
-    lines = svg.render_histogram(table.multiplicities, bins).splitlines()
-    assert lines[2 : 2 + bins] == histogram_bars_by_loop(table, bins)
-    assert not lines[2 + bins].startswith("<rect")
+    pieces = list(svg.render_histogram(summary, bins, overlay=True))
+    assert len(pieces) == 2 + -(-bins // 6)  # the head, the bar blocks, the axes
+    assert "".join(pieces) == whole
+    assert whole.count("<rect") == 1 + bins
 
 
-def test_ten_thousandths_round_as_format():
-    from k3batman.svg import _ten_thousandths
+def test_render_histogram_counts_before_the_first_piece():
+    from k3batman.svg import render_histogram
 
-    rng = np.random.default_rng(5)
-    ties = (np.arange(20000) + 0.5) / 1e4  # within an ulp of a half ten-thousandth
-    values = np.concatenate((rng.uniform(0, 720, 20000), ties, np.arange(64) / 32, [0.0, 719.99995]))
-    expected = [int(format(v, ".4f").replace(".", "")) for v in values.tolist()]
-    assert _ten_thousandths(values).tolist() == expected
+    summary = build_trace_table(make_context(101)).multiplicities
+    with pytest.raises(ValueError, match="bins must be >= 1"):
+        render_histogram(summary, 0)
 
 
 def test_render_histogram_takes_the_prime_from_the_summary():
     from k3batman.svg import render_histogram
 
     summary = build_trace_table(make_context(101)).multiplicities
-    assert render_histogram(summary, 10).startswith("<svg")
+    assert "".join(render_histogram(summary, 10)).startswith("<svg")
 
 
 def test_trace_cache_round_trip(tmp_path):
@@ -1239,11 +1239,15 @@ def test_memory_guard_refuses_hist_bins_before_binning(monkeypatch, capsys):
     assert dispatch(["hist", "--p", "101", "--bins", "20000000"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: bins=20000000 needs about 4386 MB to draw the histogram, "
+    assert captured.err == ("error: bins=20000000 needs about 1184 MB to draw the histogram, "
                             "but only 100 MB is available\n")
+    monkeypatch.setattr(cli, "_available_memory", lambda: 39 << 20)
+    assert dispatch(["hist", "--p", "101", "--bins", "1"]) == 2  # one bar block is charged
+    assert capsys.readouterr().err == ("error: bins=1 needs about 40 MB to draw the histogram, "
+                                       "but only 39 MB is available\n")
     monkeypatch.undo()
     monkeypatch.setattr(cli, "_available_memory", lambda: 100 << 20)
-    assert dispatch(["hist", "--p", "101", "--bins", "61"]) == 0  # 14 KB fits
+    assert dispatch(["hist", "--p", "101", "--bins", "61"]) == 0  # 40 MB fits
     assert capsys.readouterr().out.startswith("<svg")
 
 

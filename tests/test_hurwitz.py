@@ -1,5 +1,7 @@
 import hashlib
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,13 +12,13 @@ from k3batman import (
     build_hurwitz_table,
     build_trace_table,
     cache,
+    hurwitz,
     identity_table,
     make_context,
     moment,
     multiplicity_rhs,
     twelve_h_at,
 )
-from k3batman.hurwitz import _accumulator_dtype
 from util import (
     c_pm,
     class_number,
@@ -112,12 +114,37 @@ def test_dense_table_matches_sparse_kernel_at_ladder_size():
     assert np.array_equal(twelve_h_at(d), table.twelve_h[d])
 
 
-@pytest.mark.parametrize("d_max, dtype", [
-    (0, np.int32), (268418042, np.int32), (268418043, np.int64), (10**15, np.int64),
-])
-def test_accumulator_type_follows_the_bound(d_max, dtype):
-    # 24 (A + 1)^2 < 2^31 with A = isqrt(d_max // 3) holds up to A = 9458, d_max = 3 * 9459^2 - 1
-    assert _accumulator_dtype(d_max) is dtype
+def test_int32_bound_is_the_last_d_max_it_holds():
+    def bound(d_max):  # 24 (A + 1)^2, A = isqrt(d_max // 3): no table is made
+        return 24 * (math.isqrt(d_max // 3) + 1) ** 2
+
+    assert bound(hurwitz._INT32_D_MAX) < 1 << 31 <= bound(hurwitz._INT32_D_MAX + 1)
+
+
+@pytest.mark.parametrize("int32_d_max", [-1, 10**9], ids=["int64-sums", "int32-sums"])
+def test_dense_table_is_the_same_from_either_accumulator(monkeypatch, int32_d_max):
+    monkeypatch.setattr(hurwitz, "_INT32_D_MAX", int32_d_max)
+    monkeypatch.setattr(hurwitz, "_WIDEN_STEP", 7)  # many widening steps, the last one partial
+    monkeypatch.setattr(hurwitz, "_WINDOW_ROWS", 3)  # many window grids for each a > 2
+    oracle = twelve_h_by_strata(2000)
+    for d_max in (0, 1, 6, 7, 13, 14, 300, 1999, 2000):
+        assert np.array_equal(build_hurwitz_table(d_max).twelve_h, oracle[: d_max + 1]), d_max
+
+
+@pytest.mark.parametrize("int32_d_max", [-1, 10**9], ids=["int64-sums", "int32-sums"])
+def test_dense_table_build_holds_eight_bytes_per_entry(monkeypatch, int32_d_max):
+    monkeypatch.setattr(hurwitz, "_INT32_D_MAX", int32_d_max)
+    monkeypatch.setattr(hurwitz, "_WIDEN_STEP", 1 << 14)
+    d_max = 1 << 20
+    tracemalloc.start()
+    try:
+        build_hurwitz_table(d_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the int64 result and O(sqrt(d_max)) scratch: a window grid for all b at
+    # the largest a, about d_max / 12 points, would take 2 MB more
+    assert peak < 8 * (d_max + 1) + (1 << 20)
 
 
 def test_hurwitz_cache_file_bytes_are_unchanged(tmp_path):

@@ -264,27 +264,6 @@ def histogram_by_loop(table, bins: int) -> list[int]:
     return counts
 
 
-def histogram_bars_by_loop(table, bins: int) -> list[str]:
-    """The bar elements of the SVG histogram of a trace table, one f-string
-    of four format(x, ".4f") values per bin, as the bars were first written."""
-    from k3batman.svg import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, WIDTH
-
-    bin_width = 6.0 / bins
-    heights = [c / (table.p * bin_width) for c in histogram_by_loop(table, bins)]
-    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
-    plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
-    y_max = max(max(heights), 0.5) * 1.08
-    bars = []
-    for k, h in enumerate(heights):
-        lo = (6 * k - 3 * bins) / bins
-        x0 = MARGIN_LEFT + (lo + 3.0) / 6.0 * plot_w
-        x1 = MARGIN_LEFT + (lo + bin_width + 3.0) / 6.0 * plot_w
-        y0 = MARGIN_TOP + plot_h * (1.0 - min(h, y_max) / y_max)
-        bars.append(f'<rect x="{x0:.4f}" y="{y0:.4f}" width="{x1 - x0:.4f}" '
-                    f'height="{MARGIN_TOP + plot_h - y0:.4f}" fill="#4878cf" stroke="none"/>')
-    return bars
-
-
 # Chebyshev values and coefficients by routes other than the library's
 # recurrence table and power sums.
 
