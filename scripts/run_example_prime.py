@@ -1,33 +1,25 @@
 #!/usr/bin/env python3
-"""Full verification run at a single prime.
+"""Full verification run at a single prime, through the k3batman CLI.
 
-Builds the trace table, checks the exact moment identities, evaluates all
-four discrepancy statistics on a uniform grid, and writes the reports plus a
-histogram SVG next to each other. The default prime is the 93283 showcase.
+Runs `verify moments`, `verify distribution` and `hist --overlay` at one
+prime, all against one temporary cache directory, so the trace table is built
+once. Writes report_<p>.<statistic>.csv for the four statistics and
+hist_<p>.svg under --out-dir. The default prime is the 93283 showcase.
+Exit codes are the CLI's; the run stops at the first usage or read/write
+error (2) or internal check failure (3).
 
 Usage:
     python scripts/run_example_prime.py [--p 93283] [--grid 60] [--bins 61]
-                                        [--out-dir out]
+                                        [--nmax 3] [--out-dir out]
 """
 
 import argparse
 import sys
-import time
+import tempfile
 from pathlib import Path
 
-from k3batman import (
-    build_trace_table,
-    discrepancy_report,
-    identity_table,
-    make_context,
-    moment,
-    multiplicity_rhs,
-    uniform_grid,
-)
-from k3batman.cli import _positive_int, emit_report
+from k3batman.cli import _positive_int, dispatch
 from k3batman.field import require_prime
-from k3batman.stats import STATISTICS
-from k3batman.svg import render_histogram
 
 
 def main() -> int:
@@ -49,37 +41,19 @@ def main() -> int:
     except OSError as exc:
         parser.error(f"--out-dir: {exc}")
 
-    t0 = time.time()
-    ctx = make_context(args.p)
-    table = build_trace_table(ctx)
-    print(f"trace table for p={args.p}: {len(table)} entries "
-          f"in {time.time() - t0:.1f} s")
-
-    t0 = time.time()
-    summary = table.multiplicities
-    expected = multiplicity_rhs(*identity_table(args.p))
-    ok = True
-    for n in range(1, args.nmax + 1):
-        for twisted in (False, True):
-            good = moment(summary, n, twisted) == moment(expected, n, twisted)
-            ok &= good
-            kind = "twisted" if twisted else "untwisted"
-            print(f"moment n={n} {kind}: {'exact match' if good else 'MISMATCH'}")
-    print(f"moment identities checked in {time.time() - t0:.1f} s")
-
-    for which in STATISTICS:
-        span = (-3, 3) if which == "batman" else (0, 1)
-        report = discrepancy_report(summary, uniform_grid(*span, args.grid), which)
-        ok &= report.all_pass
-        print(f"{which}: max_gap {report.max_gap:.5f} vs bound "
-              f"{report.rows[0].bound:.4f} -> "
-              f"{'all pass' if report.all_pass else 'BOUND EXCEEDED'}")
-        emit_report(out_dir / f"report_{args.p}_{which}.csv", "csv", report)
-
-    svg_path = out_dir / f"hist_{args.p}.svg"
-    svg_path.write_text("".join(render_histogram(summary, args.bins, overlay=True)))
-    print(f"reports and histogram written under {out_dir}/")
-    return 0 if ok else 1
+    p = str(args.p)
+    commands = [
+        ["verify", "moments", "--nmax", str(args.nmax)],
+        ["verify", "distribution", "--grid", str(args.grid), "--out", str(out_dir / f"report_{p}")],
+        ["hist", "--bins", str(args.bins), "--overlay", "--out", str(out_dir / f"hist_{p}.svg")],
+    ]
+    code = 0
+    with tempfile.TemporaryDirectory() as cache_dir:
+        for command in commands:
+            code = max(code, dispatch([*command, "--p", p, "--cache-dir", cache_dir]))
+            if code >= 2:  # an error, not a failed check: the next command would meet it too
+                break
+    return code
 
 
 if __name__ == "__main__":

@@ -338,8 +338,7 @@ def cmd_verify_distribution(args) -> int:
         print(f"{which}: {len(report.rows)} rows, max gap {report.max_gap:.6f}, "
               f"{'all pass' if report.all_pass else 'BOUND EXCEEDED'}")
         if args.out is not None:
-            ext = "json" if args.format == "json" else "csv"
-            emit_report(f"{args.out}.{which}.{ext}", args.format, report)
+            emit_report(f"{args.out}.{which}.{args.format}", args.format, report)
         del report  # one report and its grid alive at a time, not two
     return 0 if ok else 1
 

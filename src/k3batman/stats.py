@@ -16,9 +16,12 @@ _PASS_SLACK = 1e-12
 
 def as_rational(x) -> Fraction:
     """Snap an endpoint to an exact rational; floats map to their exact
-    binary value."""
+    binary value. A non-finite float raises ValueError, as any bad endpoint
+    does."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"need a finite endpoint, got {x}")
     return Fraction(x) if isinstance(x, (int, float)) else Fraction(str(x))
 
 

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import k3batman
+from k3batman import cli
+from k3batman.stats import STATISTICS
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -21,13 +23,32 @@ def _run(script: str, *args: str) -> subprocess.CompletedProcess:
 
 
 def test_run_example_prime(tmp_path):
+    out_dir, cli_dir = tmp_path / "out", tmp_path / "cli"
     result = _run("run_example_prime.py", "--p", "1009", "--grid", "10", "--bins", "11",
-                  "--out-dir", str(tmp_path))
+                  "--out-dir", str(out_dir))
     assert result.returncode == 0, result.stderr
-    assert result.stdout.count("exact match") == 6 and "MISMATCH" not in result.stdout
-    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(
-        [f"report_1009_{which}.csv" for which in k3batman.stats.STATISTICS] + ["hist_1009.svg"]
-    )
+    lines = result.stdout.splitlines()
+    assert "all identities hold" in lines
+    assert [line.split(":")[0] for line in lines if line.endswith(", all pass")] == list(STATISTICS)
+    names = [f"report_1009.{which}.csv" for which in STATISTICS] + ["hist_1009.svg"]
+    assert sorted(f.name for f in out_dir.iterdir()) == sorted(names)
+    cli_dir.mkdir()
+    assert cli.dispatch(["verify", "distribution", "--p", "1009", "--grid", "10",
+                         "--out", str(cli_dir / "report_1009")]) == 0
+    assert cli.dispatch(["hist", "--p", "1009", "--bins", "11", "--overlay",
+                         "--out", str(cli_dir / "hist_1009.svg")]) == 0
+    for name in names:
+        assert (out_dir / name).read_bytes() == (cli_dir / name).read_bytes(), name
+
+
+@pytest.mark.skipif(cli._available_memory() is None, reason="available memory cannot be read")
+def test_run_example_prime_refuses_a_prime_too_large_to_build(tmp_path):
+    result = _run("run_example_prime.py", "--p", "1000000000000037", "--out-dir", str(tmp_path))
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    errors = result.stderr.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error: p=1000000000000037 needs about")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_constant_audit():

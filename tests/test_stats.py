@@ -101,6 +101,21 @@ def test_uniform_grid_exact():
         assert hi - lo == Fraction(1, 10)
 
 
+@pytest.mark.parametrize("end", [float("inf"), float("-inf"), float("nan")],
+                         ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("call", [
+    lambda s, end: interval_counts(s, 0, end),
+    lambda s, end: interval_counts_squared(s, 0, end),
+    lambda s, end: empirical_A_count(s, -3, end),
+    lambda s, end: discrepancy_report(s, [(0, end)], "clausen_N"),
+    lambda s, end: uniform_grid(0, end, 3),
+], ids=["interval_counts", "interval_counts_squared", "empirical_A_count",
+        "discrepancy_report", "uniform_grid"])
+def test_non_finite_endpoint_is_a_value_error(summary5, call, end):
+    with pytest.raises(ValueError, match="need a finite endpoint"):
+        call(summary5, end)
+
+
 def test_discrepancy_report_p5_batman(summary5):
     report = discrepancy_report(summary5, uniform_grid(-3, 3, 10), "batman")
     assert report.all_pass  # the bound exceeds any probability gap at p=5
