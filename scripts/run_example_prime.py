@@ -6,7 +6,8 @@ prime, all against one temporary cache directory, so the trace table is built
 once. Writes report_<p>.<statistic>.csv for the four statistics and
 hist_<p>.svg under --out-dir. The default prime is the 93283 showcase.
 Exit codes are the CLI's; the run stops at the first usage or read/write
-error (2) or internal check failure (3).
+error (2) or internal check failure (3). A run that writes nothing, such as
+one the memory guard refuses, removes the directories it made for --out-dir.
 
 Usage:
     python scripts/run_example_prime.py [--p 93283] [--grid 60] [--bins 61]
@@ -36,6 +37,7 @@ def main() -> int:
         parser.error(str(exc))
 
     out_dir = Path(args.out_dir)
+    missing = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -53,6 +55,11 @@ def main() -> int:
             code = max(code, dispatch([*command, "--p", p, "--cache-dir", cache_dir]))
             if code >= 2:  # an error, not a failed check: the next command would meet it too
                 break
+    for made in missing:  # a run that wrote nothing leaves no directory it made
+        try:
+            made.rmdir()
+        except OSError:  # not empty
+            break
     return code
 
 

@@ -57,11 +57,33 @@ class ClassNumbersAlong:
 # The largest d_max at which build_hurwitz_table sums in int32: its bound
 # 24 (A + 1)^2, A = isqrt(d_max // 3), stays below 2^31 up to A = 9458.
 _INT32_D_MAX = 3 * 9459**2 - 1
-# int32 sums widened to int64 per step of build_hurwitz_table.
-_WIDEN_STEP = 1 << 18
-# Values of b per window grid of build_hurwitz_table: its scratch is
-# O(_WINDOW_ROWS * sqrt(d_max)), not O(d_max) at the largest a.
-_WINDOW_ROWS = 128
+# The residues D mod 16 that build_hurwitz_table counts, in the order of its
+# compressed array: entry 6q + r holds 12 H*(16q + _COUNTED[r]).
+_COUNTED = np.array([3, 4, 7, 8, 11, 15])
+# _COUNTED_SLOT[D % 16] is that r for a counted D, -1 for the others.
+_COUNTED_SLOT = np.full(16, -1, dtype=np.int64)
+_COUNTED_SLOT[_COUNTED] = np.arange(len(_COUNTED))
+# Entries per row of a broadcast add at least: rows of 6a entries alone would
+# leave the adds for small a bound by their loop.
+_MIN_ROW = 1 << 14
+# Window points per np.add.at of build_hurwitz_table, about: its scratch is
+# O(_WINDOW_POINTS + sqrt(d_max)), not O(d_max) at the largest a.
+_WINDOW_POINTS = 1 << 14
+# Values of D expanded from the compressed array per step, rounded up to
+# whole rows of 16.
+_EXPAND_STEP = 1 << 16
+# Values of N // 4 per step of the index-4 pass.
+_DERIVE_STEP = 1 << 12
+
+
+def _stratum_weights(residue: np.ndarray, m: int) -> np.ndarray:
+    """What the strata with c > a add at each D mod m = 4a, given
+    ``residue`` = -b^2 mod m for b = 0..a: 24 per b with -b^2 = D (mod m),
+    for the pair +-b, less 12 at b = 0 and b = a, which have no pair."""
+    weight = 24 * np.bincount(residue, minlength=m)
+    weight[residue[0]] -= 12
+    weight[residue[-1]] -= 12
+    return weight
 
 
 def build_hurwitz_table(d_max: int) -> HurwitzTable:
@@ -71,67 +93,120 @@ def build_hurwitz_table(d_max: int) -> HurwitzTable:
     A reduced form (a, b, c), primitive or not, with 0 <= b <= a <= c has
     D = 4ac - b^2. With c = a it contributes 12, 6 when it is a multiple of
     (1, 0, 1), 4 for a multiple of (1, 1, 1); with c > a it contributes 24
-    for the pair +-b when 0 < b < a, and 12 for b = 0 and b = a. For each
-    a <= A = isqrt(d_max // 3), with m = 4a, the stratum of b is the
-    progression D = m c - b^2, c > a, of step m:
+    for the pair +-b when 0 < b < a, and 12 for b = 0 and b = a.
 
-    - window, 3a^2 <= D < m(a + 1): the forms with c = a and the terms of
-      each stratum below m(a + 1) lie on the grid D = m(a + j) - b^2,
-      0 <= b <= a, 0 <= j <= ceil(b^2 / m). One ``np.add.at`` per
-      _WINDOW_ROWS values of b adds the grid points below m(a + 1) and
-      d_max + 1.
-    - rows, D >= m(a + 1): every stratum is live, and D = -b^2 (mod m) picks
-      it out. So the table from m(a + 1) on, as rows of width m, takes one
-      broadcast add of W_a, the histogram of -b^2 mod m weighted as above;
-      the last partial row takes the matching prefix of W_a.
+    The forms are counted at 6 of every 16 D alone: D = 3 (mod 4), the forms
+    of odd b, and D = 4, 8 (mod 16), the forms of even b with
+    D/4 = 1, 2 (mod 4), which need a != 0 (mod 4). Their sums are kept in
+    one compressed array, entry 6q + r for D = 16q + (3, 4, 7, 8, 11, 15)[r].
+    For each a <= A = isqrt(d_max // 3), with m = 4a, the stratum of b is
+    the progression D = m c - b^2, c > a, of step m; every stratum is live
+    from D0, the first multiple of 16 at or above m(a + 1):
 
-    The rows cost about d_max sqrt(d_max / 3) contiguous adds in all, with no
-    per-D factoring. Each a adds at most 24 (a + 1) to any D, so
+    - window, 3a^2 <= D < D0: for each b, the form (a, b, a) and the terms
+      of its stratum below D0, split by c mod 4 into progressions of step
+      16a in D and 6a in the compressed array, each counted throughout or
+      not at all. One ``np.add.at`` per about _WINDOW_POINTS points adds
+      them.
+    - rows, D >= D0: D = -b^2 (mod m) picks out the strata. Their weights by
+      D mod m (see _stratum_weights) repeat every 16a values of D, 6a
+      compressed entries, so the compressed array from D0 on takes one
+      broadcast add of that pattern, tiled to at least _MIN_ROW entries; the
+      last partial row takes its matching prefix.
+
+    The rows cost about (3/8) d_max sqrt(d_max / 3) contiguous adds in all,
+    with no per-D factoring. Each a adds at most 24 (a + 1) to any D, so
     |12 H*(D)| <= 24 (A + 1)^2. While that is below 2^31 (d_max up to
     _INT32_D_MAX = 268418042) the sums are made in int32, which halves the
-    bytes each row add moves, in the upper half of the int64 result's
-    buffer; they are then widened into it from the front, and the int32
-    each step overwrites are read already. Above, they are made in the
-    result itself. Either way the build holds 8 bytes per D, and the table
-    it returns is read-only int64.
+    bytes each row add moves, and above in int64; either way at the front
+    of the int64 result's buffer. The compressed array is then expanded
+    from the top down, _EXPAND_STEP values of D at a time: entry x lands at
+    D >= 8x/3, above the bytes it occupies at either width, so a step
+    overwrites only entries read already. D = 1, 2 (mod 4) are left 0.
+    Last, one ascending pass derives each D = 0, 12 (mod 16), that is D = 4N
+    with N = 0, 3 (mod 4), from 12 H*(N) and 12 H*(N/4) by the index-4
+    relation of _twelve_h_four_times, and raises ArithmeticError unless the
+    value is positive. So the build holds 8 bytes per D, and the table it
+    returns is read-only int64.
     """
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
     n = d_max + 1
     result = np.zeros(n, dtype=np.int64)
-    twelve = result.view(np.int32)[n:] if d_max <= _INT32_D_MAX else result
-    twelve[0] = -1
+    # the counted D <= d_max: 6 per whole row of 16, and those of the partial row
+    size = 6 * (n // 16) + int(np.searchsorted(_COUNTED, n % 16))
+    twelve = (result.view(np.int32) if d_max <= _INT32_D_MAX else result)[:size]
     a_top = math.isqrt(d_max // 3)
     square = np.arange(a_top + 1, dtype=np.int64) ** 2
+    # window weights by b and c - a = 0..4: the form (a, b, a) counts 6 at
+    # b = 0, 12, and 4 at b = a; a stratum term 12 at b = 0, 24, and 12 at b = a
+    weights = np.full((a_top + 1, 5), 24, dtype=twelve.dtype)
+    weights[:, 0] = 12
+    weights[0] = 6, 12, 12, 12, 12
+    weights_b_is_a = np.array([[4, 12, 12, 12, 12]], dtype=twelve.dtype)
     for a in range(1, a_top + 1):
         m = 4 * a
-        row0 = m * (a + 1)
-        for b0 in range(0, a + 1, _WINDOW_ROWS):
-            b_sq = square[b0 : min(b0 + _WINDOW_ROWS, a + 1)]  # rows b of the grid
-            grid = m * (a + np.arange(-(-int(b_sq[-1]) // m) + 1)) - b_sq[:, None]  # column j
-            weight = np.full(grid.shape, 24, dtype=twelve.dtype)  # b = 0 is live at c = a alone
-            weight[:, 0] = 12
-            if b0 == 0:
-                weight[0, 0] = 6
-            if b0 + len(b_sq) > a:  # the row of b = a
-                weight[-1, 0] = 4
-                weight[-1, 1:] = 12
-            live = grid < min(row0, n)
-            np.add.at(twelve, grid[live], weight[live])
-        if row0 > d_max:
+        d0 = -(-m * (a + 1) // 16) * 16
+        # For each b: the form (a, b, a) once, then the terms of its stratum
+        # below D0 at c = a + s + 4k for s = 1..4, progressions of step 16a in
+        # D and 6a in the compressed array, each counted throughout or not at all
+        first = m * (a + np.arange(5)) - square[: a + 1, None]
+        slot = _COUNTED_SLOT[first & 15]
+        count = np.maximum(min(d0, n) + 16 * a - 1 - first, 0) // (16 * a)
+        count[:, 0] = np.minimum(count[:, 0], 1)
+        count[slot < 0] = 0
+        live = count > 0
+        entry, count = 6 * (first[live] >> 4) + slot[live], count[live]
+        weight = np.concatenate((weights[:a], weights_b_is_a))[live]
+        end = np.cumsum(count)
+        total = int(end[-1]) if end.size else 0
+        cuts = np.searchsorted(end, range(_WINDOW_POINTS, total, _WINDOW_POINTS), "right").tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, len(end)]):
+            if lo < hi:
+                c = count[lo:hi]
+                skip = end[lo:hi] - c  # points of the window before each progression
+                points = np.repeat(entry[lo:hi] - 6 * a * skip, c)
+                points += np.arange(6 * a * skip[0], 6 * a * end[hi - 1], 6 * a)
+                np.add.at(twelve, points, np.repeat(weight[lo:hi], c))
+        start = 6 * (d0 // 16)
+        if start >= size:
             continue
-        residue = -square[: a + 1] % m
-        row = 24 * np.bincount(residue, minlength=m)
-        row[0] -= 12
-        row[residue[a]] -= 12
-        row = row.astype(twelve.dtype)
-        rows = (n - row0) // m
-        tail = row0 + rows * m
-        twelve[row0:tail].reshape(rows, m)[...] += row
-        twelve[tail:] += row[: n - tail]
-    if twelve is not result:
-        for start in range(0, n, _WIDEN_STEP):
-            result[start : start + _WIDEN_STEP] = twelve[start : start + _WIDEN_STEP]
+        by_residue = _stratum_weights(-square[: a + 1] % m, m)
+        pattern = by_residue[(d0 + 16 * np.arange(a)[:, None] + _COUNTED) % m].ravel()
+        pattern = np.tile(pattern.astype(twelve.dtype), -(-min(_MIN_ROW, size - start) // len(pattern)))
+        rows = (size - start) // len(pattern)
+        tail = start + rows * len(pattern)
+        twelve[start:tail].reshape(rows, len(pattern))[...] += pattern
+        twelve[tail:] += pattern[: size - tail]
+    # expand from the top down, the partial row of 16 first
+    step = -(-_EXPAND_STEP // 16)  # rows of 16 per step
+    whole = n // 16
+    top = twelve[6 * whole :].copy()
+    result[16 * whole :] = 0
+    result[16 * whole + _COUNTED[: len(top)]] = top
+    for q1 in range(whole, 0, -step):
+        q0 = max(q1 - step, 0)
+        counted = twelve[6 * q0 : 6 * q1].copy()
+        block = result[16 * q0 : 16 * q1].reshape(-1, 16)
+        block[...] = 0
+        block[:, _COUNTED] = counted.reshape(-1, 6)
+    result[0] = -1
+    n_top = d_max // 4
+    k0 = 0
+    while 4 * k0 <= n_top:
+        # N = 4k and 4k + 3 for k0 <= k < k1 <= 4 k0. The entries read, at N
+        # and N/4, are final: a derived one, at 4M, came from the step of
+        # k = M // 4 < k0.
+        k1 = min(max(4 * k0, 1), k0 + _DERIVE_STEP)
+        big_n = (4 * np.arange(k0, k1)[:, None] + (0, 3)).ravel()
+        big_n = big_n[(big_n > 0) & (big_n <= n_top)]
+        quarter = np.where(big_n % 4 == 0, result[big_n >> 2], 0)
+        derived = _twelve_h_four_times(big_n, result[big_n], quarter)
+        bad = np.flatnonzero(derived <= 0)
+        if bad.size:
+            raise ArithmeticError(f"index-4 relation gave 12 H*({4 * int(big_n[bad[0]])}) <= 0")
+        result[4 * big_n] = derived
+        k0 = k1
     result.setflags(write=False)
     return HurwitzTable(d_max, result)
 
@@ -167,15 +242,10 @@ def _count_reduced_forms(d: np.ndarray) -> np.ndarray:
             a.tolist(), (stop - size).tolist(), stop.tolist(), bulk.tolist(), key_base.tolist()
         ):
             res = neg_sq[: ai + 1] % (4 * ai)  # -b^2 mod 4a for b = 0..a
-            counts = np.bincount(res, minlength=4 * ai)
-            if tail < n:
-                # c > a for every b: 24 for the pair +-b, 12 for b = 0 and b = a
-                weight = 24 * counts
-                weight[0] -= 12
-                weight[res[ai]] -= 12
-                twelve[tail:] += weight[d[tail:] % (4 * ai)]
+            if tail < n:  # c > a for every b
+                twelve[tail:] += _stratum_weights(res, 4 * ai)[d[tail:] % (4 * ai)]
             if lo < hi:
-                group_size[lo:hi] = counts[residue[lo:hi]]
+                group_size[lo:hi] = np.bincount(res, minlength=4 * ai)[residue[lo:hi]]
                 keys.append(np.sort(res * (ai + 1) + b[: ai + 1]) + base)
         # Only window pairs with some b of the right residue have forms.
         hit = group_size > 0

@@ -114,6 +114,39 @@ def test_dense_table_matches_sparse_kernel_at_ladder_size():
     assert np.array_equal(twelve_h_at(d), table.twelve_h[d])
 
 
+@pytest.mark.parametrize("int32_d_max", [-1, 10**9], ids=["int64-sums", "int32-sums"])
+def test_dense_table_matches_strata_oracle_at_row_starts_and_partial_rows(monkeypatch, int32_d_max):
+    # D0 = the first multiple of 16 at or above 4a(a + 1), where the row adds of
+    # a start; d_max = 16q + r for every r leaves 0..6 counted entries in the
+    # partial top row of the compressed array
+    monkeypatch.setattr(hurwitz, "_INT32_D_MAX", int32_d_max)
+    oracle = twelve_h_by_strata(4 * 40 * 41 + 16)
+    for a in range(1, 41):
+        d0 = -(-4 * a * (a + 1) // 16) * 16
+        for d_max in range(d0 - 1, d0 + 16):
+            assert np.array_equal(build_hurwitz_table(d_max).twelve_h, oracle[: d_max + 1]), d_max
+
+
+def test_index_4_relation_matches_strata_oracle():
+    twelve = twelve_h_by_strata(40000)
+    n = np.arange(1, 10001)
+    n = n[(n % 4 == 0) | (n % 4 == 3)]
+    quarter = np.where(n % 4 == 0, twelve[n // 4], 0)
+    assert np.array_equal(hurwitz._twelve_h_four_times(n, twelve[n], quarter), twelve[4 * n])
+
+
+def test_dense_table_guards_the_derived_entries(monkeypatch):
+    relation = hurwitz._twelve_h_four_times
+
+    def broken(n, twelve_n, twelve_quarter):  # 0 from N = 7 on, so 12 H*(28) first
+        return np.where(n >= 7, 0, relation(n, twelve_n, twelve_quarter))
+
+    monkeypatch.setattr(hurwitz, "_twelve_h_four_times", broken)
+    build_hurwitz_table(27)
+    with pytest.raises(ArithmeticError, match=r"12 H\*\(28\) <= 0"):
+        build_hurwitz_table(1000)
+
+
 def test_int32_bound_is_the_last_d_max_it_holds():
     def bound(d_max):  # 24 (A + 1)^2, A = isqrt(d_max // 3): no table is made
         return 24 * (math.isqrt(d_max // 3) + 1) ** 2
@@ -124,8 +157,8 @@ def test_int32_bound_is_the_last_d_max_it_holds():
 @pytest.mark.parametrize("int32_d_max", [-1, 10**9], ids=["int64-sums", "int32-sums"])
 def test_dense_table_is_the_same_from_either_accumulator(monkeypatch, int32_d_max):
     monkeypatch.setattr(hurwitz, "_INT32_D_MAX", int32_d_max)
-    monkeypatch.setattr(hurwitz, "_WIDEN_STEP", 7)  # many widening steps, the last one partial
-    monkeypatch.setattr(hurwitz, "_WINDOW_ROWS", 3)  # many window grids for each a > 2
+    monkeypatch.setattr(hurwitz, "_EXPAND_STEP", 7)  # one row of 16 per step, below a partial row
+    monkeypatch.setattr(hurwitz, "_WINDOW_POINTS", 3)  # many window adds for each a > 2
     oracle = twelve_h_by_strata(2000)
     for d_max in (0, 1, 6, 7, 13, 14, 300, 1999, 2000):
         assert np.array_equal(build_hurwitz_table(d_max).twelve_h, oracle[: d_max + 1]), d_max
@@ -134,7 +167,7 @@ def test_dense_table_is_the_same_from_either_accumulator(monkeypatch, int32_d_ma
 @pytest.mark.parametrize("int32_d_max", [-1, 10**9], ids=["int64-sums", "int32-sums"])
 def test_dense_table_build_holds_eight_bytes_per_entry(monkeypatch, int32_d_max):
     monkeypatch.setattr(hurwitz, "_INT32_D_MAX", int32_d_max)
-    monkeypatch.setattr(hurwitz, "_WIDEN_STEP", 1 << 14)
+    monkeypatch.setattr(hurwitz, "_EXPAND_STEP", 1 << 14)
     d_max = 1 << 20
     tracemalloc.start()
     try:
@@ -142,8 +175,7 @@ def test_dense_table_build_holds_eight_bytes_per_entry(monkeypatch, int32_d_max)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the int64 result and O(sqrt(d_max)) scratch: a window grid for all b at
-    # the largest a, about d_max / 12 points, would take 2 MB more
+    # the int64 result, holding the compressed sums, and O(sqrt(d_max)) scratch
     assert peak < 8 * (d_max + 1) + (1 << 20)
 
 

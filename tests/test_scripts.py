@@ -51,6 +51,14 @@ def test_run_example_prime_refuses_a_prime_too_large_to_build(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.skipif(cli._available_memory() is None, reason="available memory cannot be read")
+def test_run_example_prime_refused_leaves_no_out_dir(tmp_path):
+    out_dir = tmp_path / "out" / "nested"
+    result = _run("run_example_prime.py", "--p", "1000000000000037", "--out-dir", str(out_dir))
+    assert result.returncode == 2, result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_constant_audit():
     result = _run("sweep_constant_audit.py", "--pmax", "2000")
     assert result.returncode == 0, result.stderr
