@@ -11,6 +11,7 @@ from .clausen import (
     TraceSummary,
     TraceTable,
     a_numerators,
+    a_value_cells,
     build_trace_table,
     chebyshev_sum,
     clausen_trace,
@@ -50,6 +51,7 @@ __all__ = [
     "TraceTable",
     "TrigPolynomial",
     "a_numerators",
+    "a_value_cells",
     "bracket_coeff",
     "build_hurwitz_table",
     "build_trace_table",

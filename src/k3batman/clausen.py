@@ -206,8 +206,11 @@ def build_trace_table(ctx: FieldContext) -> TraceTable:
 
 
 # Entries per block of TraceTable.multiplicities and powers per block of
-# a_numerators: the scratch memory of each is O(_BLOCK), on top of its result.
-_BLOCK = 1 << 16
+# a_value_cells: the scratch memory of each is O(_BLOCK), on top of its result.
+_BLOCK = 1 << 15
+# The largest cell a_value_cells keeps in uint16; its sentinel 2^16 - 1 lies
+# above it. Cells reach 2 isqrt(4p) + 1, which passes this once 4p >= 32767^2.
+_UINT16_TOP = (1 << 16) - 2
 
 
 def _mulmod(a: np.ndarray, b, p: int) -> np.ndarray:
@@ -232,47 +235,73 @@ def _power_blocks(g: int, p: int) -> Iterator[np.ndarray]:
         yield block[1:] if k0 == 0 else block
 
 
-def a_numerators(table: TraceTable) -> np.ndarray:
-    """p A_mu(p) = phi(-lambda) (a_lambda^2 - p) for mu = 1..p-2, in mu order,
-    with lambda = -(mu+1)^(-1): ``a_numerators(table)[i]`` belongs to mu = i+1.
+def a_value_cells(table: TraceTable) -> np.ndarray:
+    """The TraceSummary cell 2|a_lambda| + (phi(-lambda) < 0) of
+    lambda = -(mu+1)^(-1), for mu = 1..p-2 in mu order: ``a_value_cells(table)[i]``
+    belongs to mu = i+1. An A-value depends on its trace only through this
+    cell; ``cell_numerators`` maps it to p A.
 
     With g the least primitive root, x = mu + 1 = g^k has inverse g^(-k).
-    Two streams of blocks give them: the powers of g, and the powers of
-    g^(-1), each a base table of _BLOCK powers times g^k0 (or g^(-k0)) per
-    block, so no p-length power or inverse table is made. Each block's traces
-    and signs are gathered at lambda - 1 = p - 1 - x^(-1), widened to int64
-    before squaring, and scattered to x - 2. The result is int32 when
-    3p < 2^31, else int64; it and a one-byte mask over x are the only
-    p-length arrays. Needs p^2 < 2^63.
+    One pass over two streams of blocks gives them: the powers of g, and the
+    powers of g^(-1), each a base table of _BLOCK powers times g^k0 (or
+    g^(-k0)) per block, so no p-length power or inverse table is made. Each
+    block's traces and signs are gathered at lambda - 1 = p - 1 - x^(-1) and
+    its cells written to entry x of an array over x = 0..p-1, uint16 while
+    every cell is at most _UINT16_TOP, else int32, and filled with the
+    type's largest value as a sentinel first. The result is that array from
+    x = 2 on, a view: 2 bytes per p, and no other p-length array.
+    Needs p^2 < 2^63.
 
     Every check runs before the result is returned, in this order; each
-    raises ArithmeticError. A first pass over the powers of g marks each x
-    and names the least x in 2..p-1 that g^1..g^(p-2) miss. The second pass
-    checks x * x^(-1) = 1 (mod p) in every block, across the two streams.
+    raises ArithmeticError. The p - 2 powers make p - 2 writes, so a
+    sentinel left at no x in 2..p-1 makes x -> cell a bijection; else the
+    least such x is named. Then x * x^(-1) = 1 (mod p) is checked in every
+    block, across the two streams, and the first failure is named.
     """
     p = table.p
     g = field.primitive_root(p)
-    reached = np.zeros(p, dtype=bool)
-    for x in _power_blocks(g, p):
-        reached[x] = True  # p - 2 powers; all of 2..p-1 leaves none for 0 or 1
-    least = 2 + int(np.argmin(reached[2:]))  # the least x missed, if any
-    if not reached[least]:
+    dtype = np.uint16 if 2 * math.isqrt(4 * p) + 1 <= _UINT16_TOP else np.int32
+    sentinel = np.iinfo(dtype).max
+    cells = np.full(p, sentinel, dtype=dtype)
+    unpaired = None  # the first x whose two streams disagree, with its inverse
+    for x, inv in zip(_power_blocks(g, p), _power_blocks(pow(g, -1, p), p)):
+        if unpaired is None:
+            bad = np.flatnonzero(_mulmod(x, inv, p) != 1)
+            if bad.size:
+                unpaired = int(x[bad[0]]), int(inv[bad[0]])
+        # lambda - 1, past the table only where x = 1 or the streams disagree:
+        # clipped, since x = 1 writes outside the result and the rest raise below
+        index = np.subtract(p - 1, inv, out=inv)
+        cell = table.traces.take(index, mode="clip").astype(np.int32, copy=False)
+        np.abs(cell, out=cell)  # exact: the table keeps the Hasse bound
+        cell *= 2
+        cell += table.signs.take(index, mode="clip") < 0
+        cells[x] = cell.astype(dtype, copy=False)  # cast first: a faster scatter
+    if cells[2:].max() == sentinel:  # no p-byte mask unless some x was missed
+        least = 2 + int(np.argmax(cells[2:] == sentinel))
         raise ArithmeticError(
             f"modular inverse check failed at p={p}: x={least} is no power of g={g}"
         )
-    del reached
-    num = np.empty(p - 2, dtype=np.int32 if 3 * p < 1 << 31 else np.int64)
-    for x, inv in zip(_power_blocks(g, p), _power_blocks(pow(g, -1, p), p)):
-        bad = np.flatnonzero(_mulmod(x, inv, p) != 1)
-        if bad.size:
-            i = int(bad[0])
-            raise ArithmeticError(f"modular inverse check failed at p={p}: "
-                                  f"x={int(x[i])}, inverse {int(inv[i])}")
-        index = p - 1 - inv  # lambda - 1
-        a = table.traces[index].astype(np.int64, copy=False)
-        block = table.signs[index] * (a * a - p)
-        num[x - 2] = block.astype(num.dtype, copy=False)  # cast first: a faster scatter
-    return num
+    if unpaired is not None:
+        raise ArithmeticError("modular inverse check failed at p={}: x={}, inverse {}"
+                              .format(p, *unpaired))
+    return cells[2:]
+
+
+def cell_numerators(p: int) -> np.ndarray:
+    """p A for each TraceSummary cell: s^2 - p at cell 2s (phi(-lambda) = +1)
+    and p - s^2 at cell 2s + 1, for 0 <= s <= isqrt(4p). int32 when
+    3p < 2^31, else int64; every |p A| <= 3p by the Hasse bound."""
+    s = np.arange(math.isqrt(4 * p) + 1, dtype=np.int64)
+    plus = s * s - p
+    return np.stack((plus, -plus), axis=1).ravel().astype(np.int32 if 3 * p < 1 << 31 else np.int64)
+
+
+def a_numerators(table: TraceTable) -> np.ndarray:
+    """p A_mu(p) = phi(-lambda) (a_lambda^2 - p) for mu = 1..p-2, in mu order,
+    with lambda = -(mu+1)^(-1): ``a_numerators(table)[i]`` belongs to mu = i+1.
+    The numerators of ``a_value_cells``, in the dtype of ``cell_numerators``."""
+    return cell_numerators(table.p)[a_value_cells(table)]
 
 
 def moment(summary: TraceSummary, n: int, twisted: bool = False) -> int:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import brackets, cache, hurwitz, measures, selberg, stats, svg
-from .clausen import TraceTable, a_numerators, build_trace_table, moment
+from .clausen import TraceTable, a_value_cells, build_trace_table, cell_numerators, moment
 from .field import make_context, require_inverse_range, require_prime
 
 _REPORT_HEADER = "lo,hi,empirical,target,gap,bound,pass"
@@ -23,14 +23,15 @@ _REPORT_HEADER = "lo,hi,empirical,target,gap,bound,pass"
 # Peak bytes per p of make_context plus build_trace_table (88.4 measured at
 # p = 10000019), for refusing a p the machine cannot hold before allocating.
 _TRACE_BYTES_PER_P = 90
-# Peak bytes per p of a_numerators beyond the trace table it reads, for the
-# same refusal on a cache hit (9.25 measured at p = 1000003, 4.52 at 10000019:
-# the int32 result and a one-byte mask, plus block scratch of fixed size).
-_AVALUE_BYTES_PER_P = 10
+# Peak bytes per p of avalues beyond the trace table it reads, for the same
+# refusal on a cache hit (ru_maxrss from the guard on, fresh process: 4.92
+# at p = 1000003, 2.29 at 10000019; the 2-byte cells, plus block scratch of
+# fixed size while they are placed and while the text is written).
+_AVALUE_BYTES_PER_P = 5
 # Peak bytes of hist above the imports, for refusing a --bins before binning:
 # per bin, the temporaries of histogram_counts (53 measured from 2 * 10^6 to
-# 4 * 10^6 bins at p = 101), and on top one block of bars on its way to
-# stdout, as f-strings, joined, encoded and decoded (35 MB at 65000 bins).
+# 4 * 10^6 bins at p = 101), and on top one block of bars on its way out, as
+# f-strings, joined and encoded (24 MB at 65000 bins, to stdout or --out).
 _SVG_BYTES_PER_BIN = 60
 _BAR_BLOCK_BYTES = 40 << 20
 # Peak bytes per --grid interval of verify distribution above the imports,
@@ -103,10 +104,17 @@ def _get_trace_table(p: int, cache_dir: str | None) -> TraceTable:
 
 
 def _write(out, byte_chunks) -> None:
-    """Write the chunks to the file ``out``, or to stdout when it is None."""
+    """Write the chunks to the file ``out``, or to stdout when it is None:
+    as bytes to its binary buffer, after the text printed before them, or
+    decoded, to a text-only stream such as an io.StringIO."""
     if out is None:
-        for data in byte_chunks:
-            sys.stdout.write(str(data, "ascii"))
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is None:
+            for data in byte_chunks:
+                sys.stdout.write(str(data, "ascii"))
+        else:
+            sys.stdout.flush()  # the text layer's pending text goes first
+            buffer.writelines(byte_chunks)
         return
     with open(out, "wb") as fh:
         fh.writelines(byte_chunks)
@@ -148,56 +156,69 @@ def _emit_table(out, fmt, header: str, rows: int, render) -> None:
     _write(out, chunks())
 
 
-def _emit_int_table(out, fmt, header: str, first, second, last) -> None:
+def _emit_int_table(out, fmt, header: str, first, second, last, lookup=None) -> None:
     """Three integer columns. ``first`` is a column or the number of the
     first row, counting up by one a row, and ``last`` is a column or one int
-    repeated on every row."""
+    repeated on every row. With a ``lookup`` array, ``second`` holds indices
+    into it, and row i shows ``lookup[second[i]]``."""
 
     def render(start, stop, prefixes, tail):
-        # a counting first column is made one block at a time
-        counting = isinstance(first, int)
-        count = np.arange(first + start, first + stop) if counting else first[start:stop]
+        # a counting first column and a looked-up second are made one block at a time
+        if isinstance(first, int):
+            count = np.arange(first + start, first + stop,
+                              dtype=np.int32 if first + stop <= 1 << 31 else np.int64)
+        else:
+            count = first[start:stop]
+        middle = second[start:stop] if lookup is None else lookup[second[start:stop]]
         if isinstance(last, int):  # a constant last column is literal text too
-            return _csv_block([count, second[start:stop]], prefixes[:2],
-                              f"{prefixes[2]}{last}{tail}")
-        return _csv_block([count, second[start:stop], last[start:stop]], prefixes, tail)
+            return _csv_block([count, middle], prefixes[:2], f"{prefixes[2]}{last}{tail}")
+        return _csv_block([count, middle, last[start:stop]], prefixes, tail)
 
     _emit_table(out, fmt, header, len(second), render)
 
 
-def _csv_block(columns, prefixes, tail: str) -> bytes:
+def _csv_block(columns, prefixes, tail: str) -> np.ndarray:
     """Rows of equal-length signed integer columns of any width, by numpy
     digit arithmetic: each row is ``prefixes[0]``, the first number,
-    ``prefixes[1]``, the second number, and so on, and then ``tail``.
+    ``prefixes[1]``, the second number, and so on, and then ``tail``. The
+    text comes as a uint8 array, written out as it is, with no bytes copy.
 
     Each column takes a fixed span of character cells: its prefix, a sign
     cell, and the number right-aligned in the width of the column's widest
     value. ``cells[c, i]`` is cell c of row i, and a mask keeps each
     number's own cells, its '-' just before the first digit included;
-    reading the kept cells row by row gives the text. The digits are
-    worked out in uint32 when a column's magnitudes allow it, else uint64.
+    reading the kept cells row by row gives the text.
     """
-    # |value| in the unsigned type of the same width: exact at the type's minimum too
-    magnitudes = [np.abs(values).view(f"u{values.itemsize}") for values in columns]
-    tops = [int(magnitude.max()) for magnitude in magnitudes]
+    # the largest |value| from Python ints: no temporary, exact at the type's minimum too
+    tops = [max(int(values.max()), -int(values.min())) for values in columns]
     spans = [len(prefix) + len(str(top)) + 1 for top, prefix in zip(tops, prefixes)]
     cells = np.empty((sum(spans) + len(tail), len(columns[0])), dtype=np.uint8)
     keep = np.ones(cells.shape, dtype=bool)
     stop = 0
-    for values, magnitude, top, span, prefix in zip(columns, magnitudes, tops, spans, prefixes):
+    for values, top, span, prefix in zip(columns, tops, spans, prefixes):
         cells[stop : stop + len(prefix)] = np.frombuffer(prefix.encode("ascii"), np.uint8)[:, None]
         start, stop = stop + len(prefix), stop + span
-        negative = values < 0
-        rest = magnitude.astype(np.uint32 if top < 1 << 32 else np.uint64, copy=False)
-        higher = rest // 10
-        cells[stop - 1] = rest - 10 * higher + ord("0")  # the units digit is always kept
-        for cell in range(stop - 2, start - 1, -1):
-            shown = higher > 0  # the number has a digit in this cell
-            keep[cell] = shown | (negative & (rest > 0))
-            rest, higher = higher, higher // 10
-            cells[cell] = np.where(shown, rest - 10 * higher + ord("0"), ord("-"))
+        _number_cells(cells[start:stop], keep[start:stop], values, top)
     cells[stop:] = np.frombuffer(tail.encode("ascii"), np.uint8)[:, None]
-    return cells.T[keep.T].tobytes()
+    return cells.T[keep.T]
+
+
+def _number_cells(cells, keep, values, top: int) -> None:
+    """Write ``values`` right-aligned into the rows of ``cells``, the first
+    for the sign, and mark in ``keep`` the cells each number shows. The
+    digits are worked out in uint32 when ``top`` allows it, else uint64;
+    their scratch lives only in this call."""
+    negative = values < 0
+    # |value| in the unsigned type of the same width: exact at the type's minimum too
+    rest = np.abs(values).view(f"u{values.itemsize}")
+    rest = rest.astype(np.uint32 if top < 1 << 32 else np.uint64, copy=False)
+    higher = rest // 10
+    cells[-1] = rest - 10 * higher + ord("0")  # the units digit is always kept
+    for cell in range(len(cells) - 2, -1, -1):
+        shown = higher > 0  # the number has a digit in this cell
+        keep[cell] = shown | (negative & (rest > 0))
+        rest, higher = higher, higher // 10
+        cells[cell] = np.where(shown, rest - 10 * higher + ord("0"), ord("-"))
 
 
 def cmd_traces(args) -> int:
@@ -212,9 +233,9 @@ def cmd_avalues(args) -> int:
     table = _get_trace_table(p, args.cache_dir)
     # a cache hit skips the guard of _get_trace_table, but not this one
     _require_memory(f"p={p}", _AVALUE_BYTES_PER_P * p, "place the A-values")
-    num = a_numerators(table)
-    del table  # only the numerators stay alive while the text is written
-    _emit_int_table(args.out, args.format, "mu,num,den", 1, num, p)
+    cells = a_value_cells(table)
+    del table  # only the 2-byte cells stay alive while the text is written
+    _emit_int_table(args.out, args.format, "mu,num,den", 1, cells, p, cell_numerators(p))
     return 0
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -140,21 +141,64 @@ def test_a_value_range():
             assert -3 <= a_value(ctx, mu).value <= 3
 
 
-# 196613 = 1 and 200003 = 3 (mod 4), both past 3 blocks of powers, so the
-# walk takes 4 blocks and the last one is partial. At 65537, p - 1 = _BLOCK:
-# one whole block, and the base table is every power.
+# 196613 = 1 and 200003 = 3 (mod 4), both past 6 blocks of powers, so the
+# walk takes 7 blocks and the last one is partial. At 65537, p - 1 = 2 _BLOCK:
+# two whole blocks, and the first leaves out k = 0.
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 1009, 25013, 65537, 196613, 200003])
 def test_a_numerators_match_pow_inverses(p):
+    """The cells and their numerators, against inverses by pow."""
     table = build_trace_table(make_context(p))
+    cells = clausen.a_value_cells(table)
     num = clausen.a_numerators(table)
-    assert num.dtype == np.int32
+    assert cells.dtype == np.uint16 and num.dtype == np.int32
     traces, signs = table.traces.tolist(), table.signs.tolist()
-    expected = []
+    expected_cells, expected = [], []
     for mu in range(1, p - 1):
         lam = p - pow(mu + 1, -1, p)
-        a = traces[lam - 1]
-        expected.append(signs[lam - 1] * (a * a - p))
+        a, sign = traces[lam - 1], signs[lam - 1]
+        expected_cells.append(2 * abs(a) + (sign < 0))
+        expected.append(sign * (a * a - p))
+    assert cells.tolist() == expected_cells
     assert num.tolist() == expected
+
+
+def test_a_value_cells_hold_two_bytes_per_p(monkeypatch):
+    """Beyond the table they read, the cells hold 2 bytes per p and block
+    scratch: no p-length mask, power or inverse table."""
+    monkeypatch.setattr(clausen, "_BLOCK", 1 << 10)
+    p = 100003
+    table = build_trace_table(make_context(p))
+    tracemalloc.start()
+    try:
+        clausen.a_value_cells(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one more byte per p, such as a reached-x mask, is past this bound
+    assert peak < 2 * p + 96 * clausen._BLOCK
+
+
+def test_a_value_cells_name_a_missed_x_for_a_non_generator(monkeypatch):
+    """10^4 = 1 (mod 101): both streams reach x = 1 with inverse 1, which
+    agree, and its gather lies past the table. It is clipped, and the x no
+    power reaches is named, not an IndexError."""
+    from k3batman import field
+
+    table = build_trace_table(make_context(101))
+    monkeypatch.setattr(field, "primitive_root", lambda p: 10)
+    with pytest.raises(ArithmeticError, match="at p=101: x=2 is no power of g=10$"):
+        clausen.a_value_cells(table)
+
+
+def test_cell_numerators_keep_the_dtype_rule():
+    """s^2 - p at cell 2s, p - s^2 at 2s + 1; int32 while 3p < 2^31."""
+    for p, dtype in ((101, np.int32), (715827881, np.int32), (715827883, np.int64)):
+        num = clausen.cell_numerators(p)
+        assert num.dtype == dtype
+        s = math.isqrt(4 * p)
+        assert len(num) == 2 * s + 2
+        assert num[:4].tolist() == [-p, p, 1 - p, p - 1]
+        assert num[-2:].tolist() == [s * s - p, p - s * s]
 
 
 def test_a_numerators_refuse_a_trace_beyond_hasse():

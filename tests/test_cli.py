@@ -1,4 +1,6 @@
+import contextlib
 import functools
+import io
 import itertools
 import json
 import math
@@ -834,9 +836,40 @@ def test_avalues_tracemalloc_peak_from_a_warm_cache(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 5 bytes per p hold the loaded table and 4 the numerators: 14.5 in all;
-    # with int64 traces and power table it was 23.9, with an inverse table 57.5
-    assert peak <= 20 * p
+    # 5 bytes per p hold the loaded table and 2 the cells: 9.2 in all; with
+    # int32 numerators and a reached-x mask it was 14.5, with int64 traces and
+    # power table 23.9, with an inverse table 57.5
+    assert peak <= 11 * p
+
+
+def test_avalues_int32_cells_write_the_same_bytes(tmp_path, monkeypatch, capsys):
+    """Past the uint16 limit the cells are int32: the same text, and a
+    leftover sentinel still names the x that no power reaches."""
+    from k3batman import clausen, field
+
+    p = 1009
+    texts = {}
+    for top in (clausen._UINT16_TOP, 2 * math.isqrt(4 * p)):  # the largest cell no longer fits
+        monkeypatch.setattr(clausen, "_UINT16_TOP", top)
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"a{top}.{fmt}"
+            assert dispatch(["avalues", "--p", str(p), "--format", fmt, "--out", str(out)]) == 0
+            texts[top, fmt] = out.read_bytes()
+    assert clausen.a_value_cells(build_trace_table(make_context(p))).dtype == np.int32
+    for fmt in ("csv", "json"):
+        assert texts[clausen._UINT16_TOP, fmt] == texts[2 * math.isqrt(4 * p), fmt]
+
+    powers = field.powers
+
+    def off_by_one(*args):
+        result = powers(*args)
+        result[result == 42] += 1
+        return result
+
+    monkeypatch.setattr(field, "powers", off_by_one)
+    assert dispatch(["avalues", "--p", "101"]) == 3
+    assert capsys.readouterr().err == ("error: internal check failed: modular inverse check "
+                                       "failed at p=101: x=42 is no power of g=2\n")
 
 
 def test_avalues_refuses_p_beyond_int64_inverses(capsys):
@@ -976,7 +1009,7 @@ def test_csv_block_digits_at_the_narrow_and_wide_widths(top):
     columns = [values, np.abs(values), -np.abs(values)]
     text = cli._csv_block(columns, ["", ",", ";"], "|\n")
     rows = zip(*(column.tolist() for column in columns))
-    assert text.decode() == "".join(f"{a},{b};{c}|\n" for a, b, c in rows)
+    assert text.tobytes().decode() == "".join(f"{a},{b};{c}|\n" for a, b, c in rows)
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
@@ -989,7 +1022,7 @@ def test_csv_block_takes_any_signed_width(dtype):
     values = np.array([info.min, info.max, -1, 0, 1, info.min + 1, 9, -10], dtype=dtype)
     text = cli._csv_block([values, values[::-1], np.zeros_like(values)], ["", ",", ","], "\n")
     rows = zip(values.tolist(), values[::-1].tolist())
-    assert text.decode() == "".join(f"{a},{b},0\n" for a, b in rows)
+    assert text.tobytes().decode() == "".join(f"{a},{b},0\n" for a, b in rows)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -1198,7 +1231,7 @@ def test_memory_guard_refuses_avalues_before_its_inverses(monkeypatch, capsys):
         raise AssertionError("allocated past the memory guard")
 
     monkeypatch.setattr(cli, "_available_memory", lambda: 1 << 20)
-    monkeypatch.setattr(cli, "a_numerators", never)
+    monkeypatch.setattr(cli, "a_value_cells", never)
     monkeypatch.setattr(cli, "make_context", never)
     assert dispatch(["avalues", "--p", "1000003"]) == 2
     captured = capsys.readouterr()
@@ -1216,7 +1249,7 @@ def test_memory_guard_refuses_avalues_on_a_cache_hit(tmp_path, monkeypatch, caps
     p = 1009
     cache.save_trace_table(tmp_path / f"trace_p{p}.bin", build_trace_table(make_context(p)))
     monkeypatch.setattr(cli, "_available_memory", lambda: 1 << 10)
-    monkeypatch.setattr(cli, "a_numerators", never)
+    monkeypatch.setattr(cli, "a_value_cells", never)
     monkeypatch.setattr(cli, "build_trace_table", never)  # the table is read from the cache
     assert dispatch(["avalues", "--p", str(p), "--cache-dir", str(tmp_path)]) == 2
     captured = capsys.readouterr()
@@ -1362,12 +1395,7 @@ def test_cache_dir_that_is_a_file_fails_before_the_build(tmp_path, capsys, monke
 def test_reader_gone_is_exit_2_with_one_line(tmp_path, argv, error):
     """``traces | head -1``: the pipe breaks, and neither a traceback nor the
     interpreter's message about its last flush follows the one error line."""
-    import k3batman
-
-    env = dict(os.environ)
-    src = str(Path(k3batman.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe is block-buffered by default
+    env = _subprocess_env()
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before the first byte is written
     try:
@@ -1379,6 +1407,53 @@ def test_reader_gone_is_exit_2_with_one_line(tmp_path, argv, error):
     err = result.stderr.decode()
     assert result.returncode == 2, err
     assert err.count("\n") == 1 and err.startswith(error), err
+
+
+def _subprocess_env() -> dict:
+    """The environment of a child Python that imports this k3batman, with
+    stdout to a pipe block-buffered, as by default."""
+    import k3batman
+
+    env = dict(os.environ)
+    src = str(Path(k3batman.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+_WRITE_BETWEEN_PRINTS = ("from k3batman import cli\n"
+                         "print('before')\n"
+                         "cli._write(None, [b'one\\n', memoryview(b'two\\n')])\n"
+                         "print('after')\n")
+
+
+def test_write_to_stdout_keeps_the_order_of_text_printed_around_it():
+    """A stdout with a binary buffer takes the bytes after the text printed
+    before them; a text-only stream takes them decoded."""
+    expected = b"before\none\ntwo\nafter\n"
+    result = subprocess.run([sys.executable, "-c", _WRITE_BETWEEN_PRINTS], capture_output=True,
+                            env=_subprocess_env(), timeout=60)
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout == expected
+    with contextlib.redirect_stdout(io.StringIO()) as stream:
+        exec(_WRITE_BETWEEN_PRINTS, {})
+    assert stream.getvalue().encode() == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["avalues", "--p", "1009", "--format", "json"],
+    ["traces", "--p", "1009"],
+    ["hist", "--p", "1009", "--bins", "7", "--overlay"],
+], ids=["avalues-json", "traces-csv", "hist"])
+def test_stdout_bytes_are_the_same_through_a_pipe_a_stringio_and_out(tmp_path, argv):
+    piped = subprocess.run([sys.executable, "-m", "k3batman.cli", *argv], capture_output=True,
+                           env=_subprocess_env(), timeout=60)
+    assert piped.returncode == 0, piped.stderr.decode()
+    with contextlib.redirect_stdout(io.StringIO()) as stream:
+        assert dispatch(argv) == 0
+    out = tmp_path / "out"
+    assert dispatch([*argv, "--out", str(out)]) == 0
+    assert piped.stdout == stream.getvalue().encode() == out.read_bytes()
 
 
 def test_available_memory_reads_the_machine():

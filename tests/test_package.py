@@ -21,4 +21,6 @@ def test_ci_runs_the_tier1_command():
     tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (root / "ROADMAP.md").read_text())
     workflow = (root / ".github" / "workflows" / "tier1.yml").read_text().splitlines()
     runs = [line.strip().removeprefix("- run: ") for line in workflow if "-m pytest" in line]
+    # a --durations report of the slowest tests may ride along: it changes no result
+    runs = [re.sub(r" --durations=\d+$", "", run) for run in runs]
     assert tier1 is not None and runs == [tier1.group(1)]
