@@ -24,20 +24,24 @@ _REPORT_HEADER = "lo,hi,empirical,target,gap,bound,pass"
 # p = 10000019), for refusing a p the machine cannot hold before allocating.
 _TRACE_BYTES_PER_P = 90
 # Peak bytes per p of avalues beyond the trace table it reads, for the same
-# refusal on a cache hit (ru_maxrss from the guard on, fresh process: 4.92
-# at p = 1000003, 2.29 at 10000019; the 2-byte cells, plus block scratch of
-# fixed size while they are placed and while the text is written).
-_AVALUE_BYTES_PER_P = 5
+# refusal on a cache hit (ru_maxrss from the guard on, fresh process, three
+# runs: 4.99-5.06 for CSV and 7.52 for JSON at p = 1000003, 2.31-2.32 for
+# either at 10000019; the 2-byte cells, plus block scratch of fixed size
+# while they are placed and while the text is written).
+_AVALUE_BYTES_PER_P = 8
 # Peak bytes of hist above the imports, for refusing a --bins before binning:
 # per bin, the temporaries of histogram_counts (53 measured from 2 * 10^6 to
 # 4 * 10^6 bins at p = 101), and on top one block of bars on its way out, as
-# f-strings, joined and encoded (24 MB at 65000 bins, to stdout or --out).
+# f-strings, joined and encoded: the whole peak at 65000 bins, one full block,
+# is charged for it (23.7-23.9 MB, ru_maxrss, fresh process, three runs each
+# to stdout and to --out), so the per-bin charge there is headroom.
 _SVG_BYTES_PER_BIN = 60
-_BAR_BLOCK_BYTES = 40 << 20
+_BAR_BLOCK_BYTES = 24 << 20
 # Peak bytes per --grid interval of verify distribution above the imports,
 # less 1.4 MB fixed (852-866 measured at p = 5, uniform --grid 32500-150000,
-# 752-765 with a --seed), and with a --out one block of report rows on top
-# (21 MB for JSON, 11 for CSV: 65000 rows at --grid 32500), for refusing a
+# 752-765 with a --seed; 771 at uniform --grid 100000 once its intervals
+# share their ends), and with a --out one block of report rows on top (21
+# MB for JSON, 11 for CSV: 65000 rows at --grid 32500), for refusing a
 # --grid up front.
 _GRID_BYTES_PER_INTERVAL = 900
 _REPORT_BLOCK_BYTES = 22 << 20
@@ -120,12 +124,11 @@ def _write(out, byte_chunks) -> None:
         fh.writelines(byte_chunks)
 
 
-# Rows formatted and written per step of _emit_table: its memory is
-# O(_BLOCK_ROWS), not one Python str per row of a p-row table. Not a power
-# of two: at 2^16 rows the cell rows and the digit temporaries of _csv_block
-# lie 64 KiB apart, and where numpy's huge pages back them they compete for
-# the same cache sets. In the benchmark's warm pass that made every avalues
-# block about 20 ms instead of 7.
+# Rows formatted and written per step of _emit_table and
+# _emit_numbered_table: their memory is O(_BLOCK_ROWS), not one Python str
+# per row of a p-row table. Not a power of two: at 2^16 rows the arrays of
+# one block can lie 64 KiB apart, and where numpy's huge pages back them
+# they compete for the same cache sets.
 _BLOCK_ROWS = 65000
 
 
@@ -156,74 +159,107 @@ def _emit_table(out, fmt, header: str, rows: int, render) -> None:
     _write(out, chunks())
 
 
-def _emit_int_table(out, fmt, header: str, first, second, last, lookup=None) -> None:
-    """Three integer columns. ``first`` is a column or the number of the
-    first row, counting up by one a row, and ``last`` is a column or one int
-    repeated on every row. With a ``lookup`` array, ``second`` holds indices
-    into it, and row i shows ``lookup[second[i]]``."""
+def _emit_numbered_table(out, fmt, header: str, rows: int, columns, index) -> None:
+    """A table of ``rows`` rows numbered from 1, in the layout of
+    _emit_table: row i shows i + 1, then entry ``index(start, stop)[i - start]``
+    of the integer ``columns``, for each block of rows start to stop - 1.
 
-    def render(start, stop, prefixes, tail):
-        # a counting first column and a looked-up second are made one block at a time
-        if isinstance(first, int):
-            count = np.arange(first + start, first + stop,
-                              dtype=np.int32 if first + stop <= 1 << 31 else np.int64)
-        else:
-            count = first[start:stop]
-        middle = second[start:stop] if lookup is None else lookup[second[start:stop]]
-        if isinstance(last, int):  # a constant last column is literal text too
-            return _csv_block([count, middle], prefixes[:2], f"{prefixes[2]}{last}{tail}")
-        return _csv_block([count, middle, last[start:stop]], prefixes, tail)
+    The text of each entry is made once: its cells with their literal text,
+    the row's tail, and the opening of the next row up to its number. So a
+    block is one gather of entry texts and the digits of its row numbers,
+    and no literal text is written per row. The last row opens no next
+    one: that opening is cut off."""
+    if fmt == "json":
+        first_key, *keys = header.split(",")
+        opening = f',\n  {{\n    "{first_key}": '  # a row's ',', then the next row up to its number
+        prefixes = [f',\n    "{key}": ' for key in keys]
+        head, tail, end = "[" + opening[1:], "\n  }", "\n]\n"
+    else:
+        opening, prefixes = "", [","] * header.count(",")
+        head, tail, end = header + "\n", "\n", ""
+    texts = _entry_texts(len(str(rows)), columns, prefixes, tail + opening)
 
-    _emit_table(out, fmt, header, len(second), render)
+    def chunks():
+        yield head.encode("ascii")
+        for start in range(0, rows, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, rows)
+            # no name keeps a block alive beside the next
+            yield _numbered_block(start + 1, stop + 1, texts, index(start, stop),
+                                  len(opening) if stop == rows else 0)
+        yield end.encode("ascii")
 
-
-def _csv_block(columns, prefixes, tail: str) -> np.ndarray:
-    """Rows of equal-length signed integer columns of any width, by numpy
-    digit arithmetic: each row is ``prefixes[0]``, the first number,
-    ``prefixes[1]``, the second number, and so on, and then ``tail``. The
-    text comes as a uint8 array, written out as it is, with no bytes copy.
-
-    Each column takes a fixed span of character cells: its prefix, a sign
-    cell, and the number right-aligned in the width of the column's widest
-    value. ``cells[c, i]`` is cell c of row i, and a mask keeps each
-    number's own cells, its '-' just before the first digit included;
-    reading the kept cells row by row gives the text.
-    """
-    # the largest |value| from Python ints: no temporary, exact at the type's minimum too
-    tops = [max(int(values.max()), -int(values.min())) for values in columns]
-    spans = [len(prefix) + len(str(top)) + 1 for top, prefix in zip(tops, prefixes)]
-    cells = np.empty((sum(spans) + len(tail), len(columns[0])), dtype=np.uint8)
-    keep = np.ones(cells.shape, dtype=bool)
-    stop = 0
-    for values, top, span, prefix in zip(columns, tops, spans, prefixes):
-        cells[stop : stop + len(prefix)] = np.frombuffer(prefix.encode("ascii"), np.uint8)[:, None]
-        start, stop = stop + len(prefix), stop + span
-        _number_cells(cells[start:stop], keep[start:stop], values, top)
-    cells[stop:] = np.frombuffer(tail.encode("ascii"), np.uint8)[:, None]
-    return cells.T[keep.T]
+    _write(out, chunks())
 
 
-def _number_cells(cells, keep, values, top: int) -> None:
-    """Write ``values`` right-aligned into the rows of ``cells``, the first
-    for the sign, and mark in ``keep`` the cells each number shows. The
-    digits are worked out in uint32 when ``top`` allows it, else uint64;
-    their scratch lives only in this call."""
-    negative = values < 0
-    # |value| in the unsigned type of the same width: exact at the type's minimum too
-    rest = np.abs(values).view(f"u{values.itemsize}")
-    rest = rest.astype(np.uint32 if top < 1 << 32 else np.uint64, copy=False)
-    higher = rest // 10
-    cells[-1] = rest - 10 * higher + ord("0")  # the units digit is always kept
-    for cell in range(len(cells) - 2, -1, -1):
-        shown = higher > 0  # the number has a digit in this cell
-        keep[cell] = shown | (negative & (rest > 0))
-        rest, higher = higher, higher // 10
-        cells[cell] = np.where(shown, rest - 10 * higher + ord("0"), ord("-"))
+def _entry_texts(lead: int, columns, prefixes, tail: str) -> np.ndarray:
+    """Row k holds ``lead`` NULs, room for a row number, then the ASCII of
+    ``prefixes[0]``, ``columns[0][k]``, ``prefixes[1]``, ``columns[1][k]``,
+    and so on, and ``tail``, in a uint8 matrix: each number in the width of
+    its column's longest, padded with NULs after it."""
+    rows = len(columns[0])
+    parts = [np.zeros((rows, lead), dtype=np.uint8)]
+    for prefix, values in zip(prefixes, columns):
+        # the widest text from Python ints: astype cuts a number wider than its dtype
+        width = max(len(str(int(values.max()))), len(str(int(values.min()))))
+        numbers = values.astype(f"S{width}").view(np.uint8).reshape(rows, width)
+        parts += [_literal(prefix, rows), numbers]
+    parts.append(_literal(tail, rows))
+    return np.concatenate(parts, axis=1)
+
+
+def _literal(text: str, rows: int) -> np.ndarray:
+    """``text`` as ASCII on each of ``rows`` rows: a broadcast view."""
+    return np.broadcast_to(np.frombuffer(text.encode("ascii"), np.uint8), (rows, len(text)))
+
+
+def _numbered_block(first: int, stop: int, texts: np.ndarray, index, cut: int = 0) -> bytearray:
+    """The text of rows numbered ``first`` to ``stop - 1``, row i as its
+    number's digits and then ``texts[index[i]]``, less its last ``cut`` bytes.
+
+    One gather puts the texts in a row-major matrix, and each number's
+    digits overwrite the first of the NULs that lead its text. They are
+    worked out per run of numbers of one length (runs split at powers of
+    ten), in uint32 below 2^32, else uint64. The matrix read row by row
+    without its NULs is the text: the text is printable ASCII, so it holds
+    no NUL of its own."""
+    padded = bytearray(len(index) * texts.shape[1])
+    block = np.frombuffer(padded, dtype=np.uint8).reshape(len(index), texts.shape[1])
+    # clip, not raise, gathers straight into the block: every index is a
+    # checked table's, so none is out of range
+    np.take(texts, index, axis=0, out=block, mode="clip")
+    number = first
+    while number < stop:
+        digits = len(str(number))
+        run_stop = min(stop, 10**digits)
+        run = block[number - first : run_stop - first]
+        rest = np.arange(number, run_stop, dtype=np.uint32 if run_stop <= 1 << 32 else np.uint64)
+        for cell in range(digits - 1, -1, -1):
+            higher = rest // 10
+            rest -= 10 * higher
+            rest += ord("0")
+            run[:, cell] = rest
+            rest = higher
+        number = run_stop
+    text = padded.translate(None, b"\0")
+    del text[len(text) - cut :]
+    return text
 
 
 def cmd_traces(args) -> int:
     table = _get_trace_table(args.p, args.cache_dir)
-    _emit_int_table(args.out, args.format, "lambda,a,phi", 1, table.traces, table.signs)
+    top = isqrt(4 * args.p)
+    # entry 2 (a + top) + (phi < 0) for each trace a and sign phi
+    traces = np.arange(-top, top + 1).repeat(2)
+    signs = np.tile([1, -1], 2 * top + 1)
+
+    def index(start, stop):
+        entry = table.traces[start:stop].astype(np.intp)
+        entry += top
+        entry *= 2
+        entry += table.signs[start:stop] < 0
+        return entry
+
+    _emit_numbered_table(args.out, args.format, "lambda,a,phi", len(table), [traces, signs], index)
     return 0
 
 
@@ -235,7 +271,10 @@ def cmd_avalues(args) -> int:
     _require_memory(f"p={p}", _AVALUE_BYTES_PER_P * p, "place the A-values")
     cells = a_value_cells(table)
     del table  # only the 2-byte cells stay alive while the text is written
-    _emit_int_table(args.out, args.format, "mu,num,den", 1, cells, p, cell_numerators(p))
+    numerators = cell_numerators(p)
+    _emit_numbered_table(args.out, args.format, "mu,num,den", len(cells),
+                         [numerators, np.full_like(numerators, p)],
+                         lambda start, stop: cells[start:stop])
     return 0
 
 

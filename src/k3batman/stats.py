@@ -41,21 +41,29 @@ def interval_counts_squared(summary: TraceSummary, lo_sq, hi_sq) -> IntervalCoun
     endpoints like sqrt(1+a)/2 whose squares are rational.
     """
     lo_sq, hi_sq = as_rational(lo_sq), as_rational(hi_sq)
-    if not 0 <= lo_sq < hi_sq <= 1:
+    (lo_n, lo_d), (hi_n, hi_d) = lo_sq.as_integer_ratio(), hi_sq.as_integer_ratio()
+    if not (0 <= lo_n and lo_n * hi_d < hi_n * lo_d and hi_n <= hi_d):
         raise ValueError(f"need 0 <= lo^2 < hi^2 <= 1, got [{lo_sq}, {hi_sq}]")
-    q = 4 * summary.p
-    start, end = summary.below([math.ceil(q * lo_sq), math.floor(q * hi_sq) + 1])
-    h_plus, h_minus = (end - start).tolist()
-    return IntervalCounts(h_plus + h_minus, h_plus - h_minus, h_plus, h_minus)
+    return _square_window(summary, lo_n, lo_d, hi_n, hi_d)
 
 
 def interval_counts(summary: TraceSummary, lo, hi) -> IntervalCounts:
     """Counts of lambda with |a_lambda| / 2 sqrt(p) in [lo, hi] in [0, 1]:
     total N, character-signed M, and the per-sign counts H+-."""
     lo, hi = as_rational(lo), as_rational(hi)
-    if not 0 <= lo < hi <= 1:
+    (lo_n, lo_d), (hi_n, hi_d) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    if not (0 <= lo_n and lo_n * hi_d < hi_n * lo_d and hi_n <= hi_d):
         raise ValueError(f"need 0 <= lo < hi <= 1, got [{lo}, {hi}]")
-    return interval_counts_squared(summary, lo * lo, hi * hi)
+    return _square_window(summary, lo_n * lo_n, lo_d * lo_d, hi_n * hi_n, hi_d * hi_d)
+
+
+def _square_window(summary: TraceSummary, lo_n, lo_d, hi_n, hi_d) -> IntervalCounts:
+    """Counts of a^2 in [ceil(4p lo_n / lo_d), floor(4p hi_n / hi_d)], in
+    integers: denominators are positive."""
+    q = 4 * summary.p
+    start, end = summary.below([-(-q * lo_n // lo_d), q * hi_n // hi_d + 1])
+    h_plus, h_minus = (end - start).tolist()
+    return IntervalCounts(h_plus + h_minus, h_plus - h_minus, h_plus, h_minus)
 
 
 def empirical_A_count(summary: TraceSummary, lo, hi) -> int:
@@ -67,10 +75,11 @@ def empirical_A_count(summary: TraceSummary, lo, hi) -> int:
     and in [p - floor(p hi), p - ceil(p lo)] for -1.
     """
     lo, hi = as_rational(lo), as_rational(hi)
-    if not -3 <= lo < hi <= 3:
+    (lo_n, lo_d), (hi_n, hi_d) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    if not (-3 * lo_d <= lo_n and lo_n * hi_d < hi_n * lo_d and hi_n <= 3 * hi_d):
         raise ValueError(f"need -3 <= lo < hi <= 3, got [{lo}, {hi}]")
     p = summary.p
-    low, high = math.ceil(p * lo), math.floor(p * hi)
+    low, high = -(-p * lo_n // lo_d), p * hi_n // hi_d
     start, end = summary.below([[p + low, p - high], [p + high + 1, p - low + 1]])
     return int(end[0, 0] - start[0, 0] + end[1, 1] - start[1, 1])  # +1 in window 0, -1 in 1
 
@@ -96,7 +105,9 @@ class DiscrepancyReport:
 
 
 def _batman_bound(lo: Fraction, hi: Fraction, scale: float) -> float:
-    signed = (lo > 0 and hi < 3) or (lo > -3 and hi < 0)  # inside (0, 3) or (-3, 0)
+    (lo_n, lo_d), (hi_n, hi_d) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    # inside (0, 3) or (-3, 0), compared in integers: denominators are positive
+    signed = (lo_n > 0 and hi_n < 3 * hi_d) or (lo_n > -3 * lo_d and hi_n < 0)
     return (_BOUND_BAT_SIGNED if signed else _BOUND_BAT) / scale
 
 
@@ -135,7 +146,7 @@ def discrepancy_report(summary: TraceSummary, grid, which: str) -> DiscrepancyRe
 
 def _append_row(rows, p, lo, hi, count, target, bound):
     empirical = Fraction(count, p)
-    gap = abs(float(empirical) - target)
+    gap = abs(count / p - target)  # float(empirical): both round count / p once
     rows.append(ReportRow(lo, hi, empirical, target, gap, bound, gap <= bound + _PASS_SLACK))
 
 
@@ -144,5 +155,8 @@ def uniform_grid(lo, hi, k: int) -> list[tuple[Fraction, Fraction]]:
     if k < 1:
         raise ValueError("need at least one interval")
     lo, hi = as_rational(lo), as_rational(hi)
-    step = (hi - lo) / k
-    return [(lo + i * step, lo + (i + 1) * step) for i in range(k)]
+    (lo_n, lo_d), (hi_n, hi_d) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    # lo + i (hi - lo) / k over the common denominator lo_d hi_d k
+    start, step, den = lo_n * hi_d * k, hi_n * lo_d - lo_n * hi_d, lo_d * hi_d * k
+    ends = [Fraction(start + i * step, den) for i in range(k + 1)]
+    return list(zip(ends, ends[1:]))

@@ -367,7 +367,7 @@ def test_traces_output_matches_oracle(tmp_path):
     out = tmp_path / "t.csv"
     assert dispatch(["traces", "--p", str(p), "--out", str(out)]) == 0
     rows = [f"{lam},{clausen_trace(ctx, lam)},{ctx.chi(p - lam)}" for lam in range(1, p - 1)]
-    assert out.read_text() == "lambda,a,phi\n" + "\n".join(rows) + "\n"
+    _assert_same_text(out.read_bytes(), ("lambda,a,phi\n" + "\n".join(rows) + "\n").encode())
 
 
 def test_cache_round_trip_via_cli(tmp_path):
@@ -907,10 +907,16 @@ _EDGE_VALUES = [0, 1, -1, 9, -9, 10, -10, 99, -99, 100, -100, 123456789, -100000
 _BLOCK_EDGES = [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1]
 
 
-def _int_table_columns(rows, constant_last):
-    mixed = np.resize(np.array(_EDGE_VALUES, dtype=np.int64), rows)
-    non_negative = np.abs(mixed)
-    return mixed, non_negative, 7 if constant_last else -non_negative - 1  # negative only
+def _edge_columns(constant_last):
+    """The entry columns of the test tables: the edge values, then negative
+    values only, or one int on every entry."""
+    values = np.array(_EDGE_VALUES, dtype=np.int64)
+    return [values, np.full_like(values, 7) if constant_last else -np.abs(values) - 1]
+
+
+def _edge_index(start, stop):
+    """Row i of a test table shows entry i mod len(_EDGE_VALUES)."""
+    return np.arange(start, stop) % len(_EDGE_VALUES)
 
 
 def _table_text(fmt, header, rows, cell=str) -> bytes:
@@ -923,10 +929,10 @@ def _table_text(fmt, header, rows, cell=str) -> bytes:
 
 
 def _emit_rows_text(fmt, rows, constant_last) -> bytes:
-    """The text of ``_int_table_columns(rows, constant_last)`` as a table."""
-    mixed, non_negative, last = _int_table_columns(rows, constant_last)
-    last_cells = [7] * rows if constant_last else last.tolist()
-    return _table_text(fmt, "x,y,z", zip(mixed.tolist(), non_negative.tolist(), last_cells))
+    """The test table of ``rows`` rows: each row's number, then its entry."""
+    entries = list(zip(*(column.tolist() for column in _edge_columns(constant_last))))
+    numbered = [(i + 1, *entries[j]) for i, j in enumerate(_edge_index(0, rows).tolist())]
+    return _table_text(fmt, "x,y,z", numbered)
 
 
 # One text per format and last-column kind, at the most rows any case reads.
@@ -939,9 +945,9 @@ def _emit_rows_lines(fmt, constant_last) -> tuple[bytes, np.ndarray]:
 
 def _emit_rows_oracle(fmt, rows, constant_last) -> bytes:
     """_emit_rows_text(fmt, rows, constant_last), cut from the longest one at a
-    row boundary: np.resize makes the columns of fewer rows a prefix. After
-    the header, a CSV row is one line; after the "[", a JSON row is five
-    ("  {", one line per key, "  },") and the last one has no comma."""
+    row boundary: the rows of a shorter table are a prefix. After the
+    header, a CSV row is one line; after the "[", a JSON row is five ("  {",
+    one line per key, "  },") and the last one has no comma."""
     text, newlines = _emit_rows_lines(fmt, constant_last)
     if fmt == "csv":
         return text[: newlines[rows] + 1]
@@ -958,15 +964,18 @@ def test_emit_rows_oracle_cuts_at_row_boundaries(fmt, constant_last):
     assert _emit_rows_oracle(fmt, max(_BLOCK_EDGES), constant_last) == text
 
 
-def _assert_int_table_matches_emit_rows(tmp_path, capsys, fmt, rows, to_file, constant_last):
+def _emit_edge_table(out, fmt, rows, constant_last) -> None:
     from k3batman import cli
 
-    columns = _int_table_columns(rows, constant_last)
+    cli._emit_numbered_table(out, fmt, "x,y,z", rows, _edge_columns(constant_last), _edge_index)
+
+
+def _assert_int_table_matches_emit_rows(tmp_path, capsys, fmt, rows, to_file, constant_last):
     if to_file:
-        cli._emit_int_table(str(tmp_path / "t.out"), fmt, "x,y,z", *columns)
+        _emit_edge_table(str(tmp_path / "t.out"), fmt, rows, constant_last)
         text = (tmp_path / "t.out").read_bytes()
     else:
-        cli._emit_int_table(None, fmt, "x,y,z", *columns)
+        _emit_edge_table(None, fmt, rows, constant_last)
         text = capsys.readouterr().out.encode()
     _assert_same_text(text, _emit_rows_oracle(fmt, rows, constant_last))
     return text
@@ -1000,29 +1009,57 @@ def test_int_table_json_matches_emit_rows(tmp_path, capsys, rows, to_file, const
     assert len(json.loads(text)) == rows
 
 
-@pytest.mark.parametrize("top", [1, 999_999_999, 10**9, (1 << 32) - 1, 1 << 32, 1 << 62])
-def test_csv_block_digits_at_the_narrow_and_wide_widths(top):
-    """uint32 digits up to 2^32 - 1, uint64 from 2^32: the text is str's."""
+def _block_text(first, columns, prefixes, tail) -> str:
+    """_numbered_block of one row per entry of ``columns``, numbered from
+    ``first``, as text."""
     from k3batman import cli
 
+    rows = len(columns[0])
+    texts = cli._entry_texts(len(str(first + rows - 1)), columns, prefixes, tail)
+    return cli._numbered_block(first, first + rows, texts, np.arange(rows)).decode()
+
+
+@pytest.mark.parametrize("top", [1, 999_999_999, 10**9, (1 << 32) - 1, 1 << 32, 1 << 62])
+def test_csv_block_digits_at_the_narrow_and_wide_widths(top):
+    """Row numbers on both sides of ``top``: uint32 digits up to 2^32 - 1,
+    uint64 from 2^32, and a new digit from 10^9. Entries of that size: the
+    text is str's."""
     values = np.array([0, 1, -1, top, -top, top - 1, 1 - top, 7], dtype=np.int64)
     columns = [values, np.abs(values), -np.abs(values)]
-    text = cli._csv_block(columns, ["", ",", ";"], "|\n")
+    first = max(1, top - 3)
+    text = _block_text(first, columns, [",", ",", ";"], "|\n")
     rows = zip(*(column.tolist() for column in columns))
-    assert text.tobytes().decode() == "".join(f"{a},{b};{c}|\n" for a, b, c in rows)
+    assert text == "".join(f"{first + i},{a},{b};{c}|\n" for i, (a, b, c) in enumerate(rows))
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
 def test_csv_block_takes_any_signed_width(dtype):
-    """The int8 signs and int32 numerators are written as they come, the
-    least value of the type included."""
-    from k3batman import cli
-
+    """Entry columns are written as they come, the least value of the type
+    included."""
     info = np.iinfo(dtype)
     values = np.array([info.min, info.max, -1, 0, 1, info.min + 1, 9, -10], dtype=dtype)
-    text = cli._csv_block([values, values[::-1], np.zeros_like(values)], ["", ",", ","], "\n")
+    text = _block_text(1, [values, values[::-1], np.zeros_like(values)], [","] * 3, "\n")
     rows = zip(values.tolist(), values[::-1].tolist())
-    assert text.tobytes().decode() == "".join(f"{a},{b},0\n" for a, b in rows)
+    assert text == "".join(f"{i},{a},{b},0\n" for i, (a, b) in enumerate(rows, 1))
+
+
+def test_numbered_block_crosses_a_power_of_ten_inside_the_block():
+    """Rows 99990 to 100010 in one block: a run of five-digit numbers, then
+    one of six."""
+    first, stop = 99990, 100011
+    values = np.resize(np.array(_EDGE_VALUES, dtype=np.int64), stop - first)
+    text = _block_text(first, [values], [","], "\n")
+    assert text == "".join(f"{first + i},{v}\n" for i, v in enumerate(values.tolist()))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_numbered_table_crosses_a_power_of_ten_at_a_block_boundary(monkeypatch, capsys, fmt):
+    """Blocks of nine rows: rows 10 and 100 each open a block."""
+    from k3batman import cli
+
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 9)
+    _emit_edge_table(None, fmt, 110, constant_last=False)
+    _assert_same_text(capsys.readouterr().out.encode(), _emit_rows_oracle(fmt, 110, False))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -1031,10 +1068,48 @@ def test_int_table_counts_its_first_column(monkeypatch, capsys, fmt):
     from k3batman import cli
 
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 5)
-    second = np.resize(np.array(_EDGE_VALUES, dtype=np.int64), 2 * cli._BLOCK_ROWS + 1)
+    rows = 2 * cli._BLOCK_ROWS + 1
+    second = np.resize(np.array(_EDGE_VALUES, dtype=np.int64), rows)
     expected = _table_text(fmt, "x,y,z", [(i + 1, v, 7) for i, v in enumerate(second.tolist())])
-    cli._emit_int_table(None, fmt, "x,y,z", 1, second, 7)
+    _emit_edge_table(None, fmt, rows, constant_last=True)
     _assert_same_text(capsys.readouterr().out.encode(), expected)
+
+
+def _hasse_edge_table():
+    """A valid trace table at p = 7 with a = +-isqrt(28) = +-5 under both
+    signs: its entries are the first and last two of the traces writer,
+    and the largest A-value cell, 11, is phi = -1 at |a| = 5."""
+    traces = np.array([5, 5, -5, -5, 0], dtype=np.int32)
+    return TraceTable(7, traces, np.array([1, -1, 1, -1, -1], dtype=np.int8))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_traces_rows_at_the_hasse_bound_under_both_signs(monkeypatch, capsys, fmt):
+    from k3batman import cli
+
+    table = _hasse_edge_table()
+    monkeypatch.setattr(cli, "_get_trace_table", lambda p, cache_dir: table)
+    assert dispatch(["traces", "--p", "7", "--format", fmt]) == 0
+    rows = list(entries(table))
+    assert rows == [(1, 5, 1), (2, 5, -1), (3, -5, 1), (4, -5, -1), (5, 0, -1)]
+    _assert_same_text(capsys.readouterr().out.encode(), _table_text(fmt, "lambda,a,phi", rows))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_avalues_cell_at_the_largest_index(monkeypatch, capsys, fmt):
+    from k3batman import cli, clausen
+
+    table = _hasse_edge_table()
+    assert clausen.a_value_cells(table).max() == 2 * math.isqrt(4 * 7) + 1
+    monkeypatch.setattr(cli, "_get_trace_table", lambda p, cache_dir: table)
+    assert dispatch(["avalues", "--p", "7", "--format", fmt]) == 0
+    rows = []
+    for mu in range(1, 6):  # lambda = -(mu+1)^(-1): p A = phi(-lambda) (a_lambda^2 - p)
+        lam = -pow(mu + 1, -1, 7) % 7
+        a, phi = int(table.traces[lam - 1]), int(table.signs[lam - 1])
+        rows.append((mu, phi * (a * a - 7), 7))
+    assert [num for _, num, _ in rows] == [18, -18, 7, -18, 18]  # cell 11 at mu = 2 and 4
+    _assert_same_text(capsys.readouterr().out.encode(), _table_text(fmt, "mu,num,den", rows))
 
 
 @functools.cache
@@ -1272,15 +1347,15 @@ def test_memory_guard_refuses_hist_bins_before_binning(monkeypatch, capsys):
     assert dispatch(["hist", "--p", "101", "--bins", "20000000"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: bins=20000000 needs about 1184 MB to draw the histogram, "
+    assert captured.err == ("error: bins=20000000 needs about 1168 MB to draw the histogram, "
                             "but only 100 MB is available\n")
-    monkeypatch.setattr(cli, "_available_memory", lambda: 39 << 20)
+    monkeypatch.setattr(cli, "_available_memory", lambda: 23 << 20)
     assert dispatch(["hist", "--p", "101", "--bins", "1"]) == 2  # one bar block is charged
-    assert capsys.readouterr().err == ("error: bins=1 needs about 40 MB to draw the histogram, "
-                                       "but only 39 MB is available\n")
+    assert capsys.readouterr().err == ("error: bins=1 needs about 24 MB to draw the histogram, "
+                                       "but only 23 MB is available\n")
     monkeypatch.undo()
     monkeypatch.setattr(cli, "_available_memory", lambda: 100 << 20)
-    assert dispatch(["hist", "--p", "101", "--bins", "61"]) == 0  # 40 MB fits
+    assert dispatch(["hist", "--p", "101", "--bins", "61"]) == 0  # 24 MB fits
     assert capsys.readouterr().out.startswith("<svg")
 
 
