@@ -1,16 +1,18 @@
 """Binary cache files for trace and class-number tables.
 
-Layout: 8-byte magic ``BATMANv4``, one kind byte (1 = trace table,
+Layout: 8-byte magic ``BATMANv5``, one kind byte (1 = trace table,
 2 = class-number table), the prime or d_max as a little-endian u64, the
 payload arrays one after another, and a trailing CRC32 (little-endian u32)
 over everything before it.
 
-- Kind 1: the p-2 traces (``<i4``: |a| <= 2 sqrt(p)), then the p-2 signs
-  phi(-lambda) (``i1``).
+- Kind 1: the p-2 traces, then the p-2 signs phi(-lambda) (``i1``). The
+  traces are ``<i2`` while ``clausen.narrow_width(p)`` holds (isqrt(4p) <=
+  32766, p below about 2.7e8), else ``<i4``: |a| <= 2 sqrt(p) either way.
+  The header holds no width; it follows from p.
 - Kind 2: ``12 H*(D)`` for D = 0..d_max (``<i8``).
 
-A file of another version fails the magic check like any other unreadable
-file.
+A file of another version, such as a v4 file with ``<i4`` traces at
+every p, fails the magic check like any other unreadable file.
 
 A load reads each array straight into its numpy buffer and folds the CRC
 over it as it goes, so the file is read once and copied nowhere else. A
@@ -27,10 +29,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .clausen import TraceTable
+from .clausen import TraceTable, narrow_width
 from .hurwitz import HurwitzTable
 
-MAGIC = b"BATMANv4"
+MAGIC = b"BATMANv5"
 KIND_TRACE = 1
 KIND_HURWITZ = 2
 
@@ -45,7 +47,7 @@ class CacheFormatError(ValueError):
 def _trace_layout(p: int) -> list[tuple[str, tuple[int, ...]]]:
     if p < 5:
         raise CacheFormatError(f"bad prime {p} in a trace-table header")
-    return [("<i4", (p - 2,)), ("i1", (p - 2,))]
+    return [("<i2" if narrow_width(p) else "<i4", (p - 2,)), ("i1", (p - 2,))]
 
 
 def _hurwitz_layout(d_max: int) -> list[tuple[str, tuple[int, ...]]]:
@@ -113,10 +115,11 @@ def _read(path, kind: int, layout) -> tuple[int, list[np.ndarray]]:
 
 
 def save_trace_table(path, table: TraceTable) -> None:
-    """Save ``table`` with its signs, the traces narrowed to int32: a table
-    keeps the Hasse bound, so no trace can wrap."""
-    arrays = [np.ascontiguousarray(table.traces, dtype="<i4"),
-              np.ascontiguousarray(table.signs, dtype="i1")]
+    """Save ``table`` with its signs, the traces narrowed to the width of
+    ``_trace_layout``: a table has passed ``check_hasse``, so no trace can wrap."""
+    (traces, _), (signs, _) = _trace_layout(table.p)
+    arrays = [np.ascontiguousarray(table.traces, dtype=traces),
+              np.ascontiguousarray(table.signs, dtype=signs)]
     _write_atomic(path, KIND_TRACE, table.p, arrays)
 
 

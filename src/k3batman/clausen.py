@@ -21,16 +21,17 @@ class TraceTable:
     """Traces a_lambda and twist signs phi(-lambda) for lambda = 1..p-2.
 
     ``traces[i]`` and ``signs[i]`` belong to lambda = i+1 (lambda = 0 and -1
-    are singular). Traces of any signed integer type are accepted, int32 from
-    the library; a reader that squares one widens it to int64 first. Every
-    statistic rests on the checks made here, once: ValueError unless both
-    arrays have p - 2 entries, ArithmeticError unless the traces keep the
-    Hasse bound and the signs are +-1 summing to -1. Both arrays are then
-    made read-only in place.
+    are singular). Traces of any signed integer type are accepted; the
+    library makes them int16, or int32 past the ``narrow_width`` rule, so a
+    table holds 3 bytes per lambda. A reader that squares one widens it to
+    int64 first. Every statistic rests on the checks made here, once:
+    ValueError unless both arrays have p - 2 entries, ArithmeticError unless
+    the traces keep the Hasse bound and the signs are +-1 summing to -1.
+    Both arrays are then made read-only in place.
     """
 
     p: int
-    traces: np.ndarray  # int32 from the library, any signed integer type accepted
+    traces: np.ndarray  # int16 or int32 from the library, any signed integer type accepted
     signs: np.ndarray  # int8, values +-1
 
     def __post_init__(self):
@@ -54,11 +55,10 @@ class TraceTable:
         so its scratch memory is O(_BLOCK)."""
         cells = 2 * math.isqrt(4 * self.p) + 2
         counts = np.zeros(cells, dtype=np.int64)
-        for i in range(0, len(self.traces), _BLOCK):
-            cell = np.abs(self.traces[i : i + _BLOCK], dtype=np.int64)
-            cell *= 2
-            cell += self.signs[i : i + _BLOCK] < 0
-            counts += np.bincount(cell, minlength=cells)
+        scratch = np.empty(min(_BLOCK, len(self)), dtype=_cell_dtype(self.p))
+        for i in range(0, len(self), _BLOCK):
+            block = _cells(self, i, scratch[: len(self) - i])
+            counts += np.bincount(block, minlength=cells)
         return TraceSummary(self.p, counts.reshape(-1, 2))
 
 
@@ -129,18 +129,29 @@ class TraceSummary:
 def clausen_trace(ctx: FieldContext, lam: int) -> int:
     """Trace p+1-#E for the curve with parameter lambda (not 0 or -1).
 
-    One direct character sum over x; this is the single-lambda path and the
-    reference that the table kernel is tested against.
+    One direct character sum, with x and -x taken together, since they share
+    x^2 + lambda:
+
+        a_lambda = -[chi(-1) chi(lambda)
+                     + sum_{x=1}^{(p-1)/2} chi(x^2 + lambda) (chi(x - 1) + chi(-x - 1))]
+
+    This is the single-lambda path and the reference that the table kernel
+    is tested against. x^2 + lambda < p^2 / 4 + p must fit int64.
     """
     p = ctx.p
-    if lam % p in (0, p - 1):
+    lam %= p
+    if lam in (0, p - 1):
         raise ValueError(f"lambda={lam} is a singular member (0 or -1 mod p)")
-    x = np.arange(p, dtype=np.int64)
-    # (x-1)(x^2+lam) stays below 2p^2 < 2^63, so a single final reduction is
-    # enough; chi of the product is taken so that a vanishing factor correctly
-    # yields chi(0) = 0.
-    values = (x - 1) % p * (x * x % p + lam % p) % p
-    return -int(ctx.chi_table[values].sum())
+    chi = ctx.chi_table
+    half = (p - 1) // 2
+    square = np.arange(1, half + 1, dtype=np.int64)  # x
+    square *= square
+    square += lam
+    square -= square // p * p  # as in _mulmod
+    pair = chi[:half].astype(np.int16)  # chi(x - 1)
+    pair += chi[half : p - 1][::-1]  # chi(-x - 1) = chi(p - 1 - x)
+    pair *= chi[square]
+    return -(int(chi[p - 1]) * int(chi[lam]) + int(pair.sum(dtype=np.int64)))
 
 
 # Every correlation value is an integer; a float result further than this
@@ -176,41 +187,81 @@ def build_trace_table(ctx: FieldContext) -> TraceTable:
     correlation of w with chi. It is computed as a linear correlation against
     chi doubled, zero-padded to a smooth length >= 2p so that no index wraps.
 
-    The traces are int32. Raises ArithmeticError when the float result
-    strays RESIDUAL_LIMIT or more from the nearest integer, or when a trace
-    breaks the Hasse bound; both are checked on the floats, before the cast
-    to int32 could wrap a bad value.
+    The traces are in the dtype of ``narrow_width``. Raises ArithmeticError
+    when the float result strays RESIDUAL_LIMIT or more from the nearest
+    integer, or when a trace breaks the Hasse bound; both are checked on the
+    floats, before the cast could wrap a bad value.
     """
     p = ctx.p
     chi = ctx.chi_table.astype(np.float64)
+    # each array is dropped after its last use: the build peaks at about 48
+    # bytes per p (tracemalloc), not the 80 of all of them alive to the end
     x = np.arange(p, dtype=np.int64)
     w = np.bincount(x * x % p, weights=chi[(x - 1) % p], minlength=p)
+    del x
     n = _fft_length(2 * p)
     spectrum = rfft(np.concatenate((chi, chi)), n)
+    del chi
     w_spectrum = rfft(w, n)
+    del w
     np.conjugate(w_spectrum, out=w_spectrum)
     spectrum *= w_spectrum
     del w_spectrum
     corr = irfft(spectrum, n)[1 : p - 1]  # lambda = 1..p-2
+    del spectrum
     rounded = np.rint(corr)
-    residual = float(np.abs(corr - rounded).max())
+    corr -= rounded
+    residual = float(np.abs(corr, out=corr).max())
+    del corr
     if not residual < RESIDUAL_LIMIT:
         raise ArithmeticError(
             f"FFT rounding residual {residual:.3g} >= {RESIDUAL_LIMIT} at p={p}"
         )
     check_hasse(p, rounded)
-    traces = rounded.astype(np.int32)
+    traces = rounded.astype(np.int16 if narrow_width(p) else np.int32)
     np.negative(traces, out=traces)
     signs = ctx.chi_table[2:p][::-1].copy()  # signs[i] = chi(p - (i+1))
     return TraceTable(p, traces, signs)
 
 
-# Entries per block of TraceTable.multiplicities and powers per block of
-# a_value_cells: the scratch memory of each is O(_BLOCK), on top of its result.
+# Entries per block of TraceTable.multiplicities, lambda_cells and
+# place_by_mu: the scratch memory of each is O(_BLOCK), on top of its result.
 _BLOCK = 1 << 15
-# The largest cell a_value_cells keeps in uint16; its sentinel 2^16 - 1 lies
-# above it. Cells reach 2 isqrt(4p) + 1, which passes this once 4p >= 32767^2.
+# The largest cell kept in uint16; its sentinel 2^16 - 1 lies above it.
 _UINT16_TOP = (1 << 16) - 2
+
+
+def narrow_width(p: int) -> bool:
+    """Whether the traces at p are int16 and their TraceSummary cells uint16,
+    rather than both int32: while the largest cell, 2 isqrt(4p) + 1, is at
+    most _UINT16_TOP. That is isqrt(4p) <= 32766, so every trace fits int16
+    too; it fails once 4p >= 32767^2 (p about 2.7e8)."""
+    return 2 * math.isqrt(4 * p) + 1 <= _UINT16_TOP
+
+
+def _cell_dtype(p: int) -> type:
+    return np.uint16 if narrow_width(p) else np.int32
+
+
+def _cells(table: TraceTable, start: int, out: np.ndarray) -> np.ndarray:
+    """``out`` filled with the TraceSummary cell 2|a_lambda| + (phi(-lambda) < 0)
+    of the table's entries start to start + len(out) - 1, and returned: the
+    one place a cell is made from a trace."""
+    stop = start + len(out)
+    # exact, whatever the two dtypes: the table keeps the Hasse bound
+    np.abs(table.traces[start:stop], out=out, casting="unsafe")
+    out *= 2
+    out += table.signs[start:stop] < 0
+    return out
+
+
+def lambda_cells(table: TraceTable) -> np.ndarray:
+    """The TraceSummary cell of each lambda = 1..p-2, in lambda order, made
+    _BLOCK entries at a time: uint16 under ``narrow_width``, else int32."""
+    cells = np.empty(len(table), dtype=_cell_dtype(table.p))
+    for i in range(0, len(table), _BLOCK):
+        _cells(table, i, cells[i : i + _BLOCK])
+    return cells
 
 
 def _mulmod(a: np.ndarray, b, p: int) -> np.ndarray:
@@ -218,7 +269,9 @@ def _mulmod(a: np.ndarray, b, p: int) -> np.ndarray:
     as a - (a // p) p: numpy divides by one scalar with a precomputed
     reciprocal, which makes this about twice as fast as its ``%``."""
     product = a * b
-    product -= product // p * p
+    quotient = product // p
+    quotient *= p
+    product -= quotient
     return product
 
 
@@ -235,22 +288,22 @@ def _power_blocks(g: int, p: int) -> Iterator[np.ndarray]:
         yield block[1:] if k0 == 0 else block
 
 
-def a_value_cells(table: TraceTable) -> np.ndarray:
-    """The TraceSummary cell 2|a_lambda| + (phi(-lambda) < 0) of
-    lambda = -(mu+1)^(-1), for mu = 1..p-2 in mu order: ``a_value_cells(table)[i]``
-    belongs to mu = i+1. An A-value depends on its trace only through this
-    cell; ``cell_numerators`` maps it to p A.
+def place_by_mu(p: int, cells: np.ndarray) -> np.ndarray:
+    """The per-lambda ``cells`` of ``lambda_cells`` placed in mu order:
+    entry i is the cell of lambda = -(mu+1)^(-1), for mu = i+1 = 1..p-2, in
+    the dtype of ``cells``. An A-value depends on its trace only through
+    this cell; ``cell_numerators`` maps it to p A. ValueError unless
+    ``cells`` has p - 2 entries. Needs p^2 < 2^63.
 
     With g the least primitive root, x = mu + 1 = g^k has inverse g^(-k).
     One pass over two streams of blocks gives them: the powers of g, and the
     powers of g^(-1), each a base table of _BLOCK powers times g^k0 (or
     g^(-k0)) per block, so no p-length power or inverse table is made. Each
-    block's traces and signs are gathered at lambda - 1 = p - 1 - x^(-1) and
-    its cells written to entry x of an array over x = 0..p-1, uint16 while
-    every cell is at most _UINT16_TOP, else int32, and filled with the
-    type's largest value as a sentinel first. The result is that array from
-    x = 2 on, a view: 2 bytes per p, and no other p-length array.
-    Needs p^2 < 2^63.
+    block's cells are gathered at lambda - 1 = p - 1 - x^(-1) and written to
+    entry x of an array over x = 0..p-1, filled with the type's largest
+    value as a sentinel first, which no cell reaches. The result is that
+    array from x = 2 on, a view: the size of ``cells``, and no other
+    p-length array.
 
     Every check runs before the result is returned, in this order; each
     raises ArithmeticError. The p - 2 powers make p - 2 writes, so a
@@ -258,34 +311,37 @@ def a_value_cells(table: TraceTable) -> np.ndarray:
     least such x is named. Then x * x^(-1) = 1 (mod p) is checked in every
     block, across the two streams, and the first failure is named.
     """
-    p = table.p
+    if cells.shape != (p - 2,):
+        raise ValueError(f"placing cells at p={p} needs {p - 2} of them")
     g = field.primitive_root(p)
-    dtype = np.uint16 if 2 * math.isqrt(4 * p) + 1 <= _UINT16_TOP else np.int32
-    sentinel = np.iinfo(dtype).max
-    cells = np.full(p, sentinel, dtype=dtype)
+    sentinel = np.iinfo(cells.dtype).max
+    placed = np.full(p, sentinel, dtype=cells.dtype)
     unpaired = None  # the first x whose two streams disagree, with its inverse
     for x, inv in zip(_power_blocks(g, p), _power_blocks(pow(g, -1, p), p)):
         if unpaired is None:
             bad = np.flatnonzero(_mulmod(x, inv, p) != 1)
             if bad.size:
                 unpaired = int(x[bad[0]]), int(inv[bad[0]])
-        # lambda - 1, past the table only where x = 1 or the streams disagree:
+        # lambda - 1, past the cells only where x = 1 or the streams disagree:
         # clipped, since x = 1 writes outside the result and the rest raise below
         index = np.subtract(p - 1, inv, out=inv)
-        cell = table.traces.take(index, mode="clip").astype(np.int32, copy=False)
-        np.abs(cell, out=cell)  # exact: the table keeps the Hasse bound
-        cell *= 2
-        cell += table.signs.take(index, mode="clip") < 0
-        cells[x] = cell.astype(dtype, copy=False)  # cast first: a faster scatter
-    if cells[2:].max() == sentinel:  # no p-byte mask unless some x was missed
-        least = 2 + int(np.argmax(cells[2:] == sentinel))
+        placed[x] = cells.take(index, mode="clip")
+    if placed[2:].max() == sentinel:  # no p-byte mask unless some x was missed
+        least = 2 + int(np.argmax(placed[2:] == sentinel))
         raise ArithmeticError(
             f"modular inverse check failed at p={p}: x={least} is no power of g={g}"
         )
     if unpaired is not None:
         raise ArithmeticError("modular inverse check failed at p={}: x={}, inverse {}"
                               .format(p, *unpaired))
-    return cells[2:]
+    return placed[2:]
+
+
+def a_value_cells(table: TraceTable) -> np.ndarray:
+    """The TraceSummary cell of lambda = -(mu+1)^(-1), for mu = 1..p-2 in mu
+    order: ``a_value_cells(table)[i]`` belongs to mu = i+1. The cells of
+    ``lambda_cells``, placed by ``place_by_mu``."""
+    return place_by_mu(table.p, lambda_cells(table))
 
 
 def cell_numerators(p: int) -> np.ndarray:

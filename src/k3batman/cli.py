@@ -14,21 +14,32 @@ from pathlib import Path
 import numpy as np
 
 from . import brackets, cache, hurwitz, measures, selberg, stats, svg
-from .clausen import TraceTable, a_value_cells, build_trace_table, cell_numerators, moment
+from .clausen import (
+    TraceTable,
+    build_trace_table,
+    cell_numerators,
+    lambda_cells,
+    moment,
+    place_by_mu,
+)
 from .field import make_context, require_inverse_range, require_prime
 
 _REPORT_HEADER = "lo,hi,empirical,target,gap,bound,pass"
 
 
-# Peak bytes per p of make_context plus build_trace_table (88.4 measured at
-# p = 10000019), for refusing a p the machine cannot hold before allocating.
+# Peak bytes per p of make_context plus build_trace_table (81.4 measured at
+# p = 10000019 above the imports, ru_maxrss; 88.4 when the build kept every
+# array to its end), for refusing a p the machine cannot hold before
+# allocating.
 _TRACE_BYTES_PER_P = 90
-# Peak bytes per p of avalues beyond the trace table it reads, for the same
+# Peak bytes of avalues beyond the trace table it reads, for the same
 # refusal on a cache hit (ru_maxrss from the guard on, fresh process, three
-# runs: 4.99-5.06 for CSV and 7.52 for JSON at p = 1000003, 2.31-2.32 for
-# either at 10000019; the 2-byte cells, plus block scratch of fixed size
-# while they are placed and while the text is written).
-_AVALUE_BYTES_PER_P = 8
+# runs): per p, the 2-byte cells by lambda made beside the table, the peak
+# from p = 10^7 on (2.03 per p at 10000019, CSV or JSON); and on top one
+# block of text on its way out, the peak at p = 1000003, where the whole
+# rise is charged for it (3.11-3.12 MB for CSV, 9.81-9.89 MB for JSON).
+_AVALUE_BYTES_PER_P = 2
+_TABLE_BLOCK_BYTES = 10 << 20
 # Peak bytes of hist above the imports, for refusing a --bins before binning:
 # per bin, the temporaries of histogram_counts (53 measured from 2 * 10^6 to
 # 4 * 10^6 bins at p = 101), and on top one block of bars on its way out, as
@@ -38,12 +49,11 @@ _AVALUE_BYTES_PER_P = 8
 _SVG_BYTES_PER_BIN = 60
 _BAR_BLOCK_BYTES = 24 << 20
 # Peak bytes per --grid interval of verify distribution above the imports,
-# less 1.4 MB fixed (852-866 measured at p = 5, uniform --grid 32500-150000,
-# 752-765 with a --seed; 771 at uniform --grid 100000 once its intervals
-# share their ends), and with a --out one block of report rows on top (21
-# MB for JSON, 11 for CSV: 65000 rows at --grid 32500), for refusing a
-# --grid up front.
-_GRID_BYTES_PER_INTERVAL = 900
+# less 1.4 MB fixed (785-798 measured at p = 5, uniform --grid
+# 32500-150000, 801-810 with a --seed), and with a --out one block of
+# report rows on top (21 MB for JSON, 11 for CSV: 65000 rows at --grid
+# 32500), for refusing a --grid up front.
+_GRID_BYTES_PER_INTERVAL = 850
 _REPORT_BLOCK_BYTES = 22 << 20
 # Peak bytes per isqrt(p) of identity_table and the bracket identities beyond
 # the interpreter (2490, 2390 and 2340 measured at p = 10000019, 100000007 and
@@ -268,9 +278,11 @@ def cmd_avalues(args) -> int:
     require_inverse_range(p)
     table = _get_trace_table(p, args.cache_dir)
     # a cache hit skips the guard of _get_trace_table, but not this one
-    _require_memory(f"p={p}", _AVALUE_BYTES_PER_P * p, "place the A-values")
-    cells = a_value_cells(table)
-    del table  # only the 2-byte cells stay alive while the text is written
+    need = _AVALUE_BYTES_PER_P * p + _TABLE_BLOCK_BYTES
+    _require_memory(f"p={p}", need, "place the A-values")
+    cells = lambda_cells(table)
+    del table  # placed without the table alive: 2 + 2 bytes per p, not 3 + 2 + 2
+    cells = place_by_mu(p, cells)  # only the placed 2-byte cells stay alive
     numerators = cell_numerators(p)
     _emit_numbered_table(args.out, args.format, "mu,num,den", len(cells),
                          [numerators, np.full_like(numerators, p)],

@@ -56,6 +56,18 @@ def test_trace_matches_point_enumeration():
             assert clausen_trace(ctx, lam) == p + 1 - curve_point_count(p, lam)
 
 
+@pytest.mark.parametrize("p", [101, 103])  # 1 and 3 (mod 4): chi(-1) = +1 and -1
+def test_trace_of_an_unreduced_lambda(p):
+    """lambda + p and lambda - p name the same curve as lambda."""
+    ctx = make_context(p)
+    for lam in range(1, p - 1):
+        expected = p + 1 - curve_point_count(p, lam)
+        assert [clausen_trace(ctx, lam + k * p) for k in (1, -1, -3)] == [expected] * 3, lam
+    for singular in (p, -1, -p - 1, 2 * p):
+        with pytest.raises(ValueError, match="singular"):
+            clausen_trace(ctx, singular)
+
+
 def test_table_p5(table5):
     assert list(entries(table5)) == [(1, -2, 1), (2, 0, -1), (3, 2, -1)]
 
@@ -146,12 +158,15 @@ def test_a_value_range():
 # two whole blocks, and the first leaves out k = 0.
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 1009, 25013, 65537, 196613, 200003])
 def test_a_numerators_match_pow_inverses(p):
-    """The cells and their numerators, against inverses by pow."""
+    """The cells by lambda, then the cells and their numerators by mu, against
+    inverses by pow."""
     table = build_trace_table(make_context(p))
     cells = clausen.a_value_cells(table)
     num = clausen.a_numerators(table)
     assert cells.dtype == np.uint16 and num.dtype == np.int32
     traces, signs = table.traces.tolist(), table.signs.tolist()
+    by_lambda = [2 * abs(a) + (sign < 0) for a, sign in zip(traces, signs)]
+    assert clausen.lambda_cells(table).tolist() == by_lambda
     expected_cells, expected = [], []
     for mu in range(1, p - 1):
         lam = p - pow(mu + 1, -1, p)
@@ -163,19 +178,31 @@ def test_a_numerators_match_pow_inverses(p):
 
 
 def test_a_value_cells_hold_two_bytes_per_p(monkeypatch):
-    """Beyond the table they read, the cells hold 2 bytes per p and block
-    scratch: no p-length mask, power or inverse table."""
+    """Beyond the per-lambda cells they read, the placed cells hold 2 bytes
+    per p and block scratch: no p-length mask, power or inverse table. The
+    per-lambda cells, beyond the table, are 2 bytes per p and nothing more."""
     monkeypatch.setattr(clausen, "_BLOCK", 1 << 10)
     p = 100003
     table = build_trace_table(make_context(p))
     tracemalloc.start()
     try:
-        clausen.a_value_cells(table)
-        peak = tracemalloc.get_traced_memory()[1]
+        cells = clausen.lambda_cells(table)
+        made = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        clausen.place_by_mu(p, cells)
+        peak = tracemalloc.get_traced_memory()[1] - 2 * (p - 2)  # less the cells read
     finally:
         tracemalloc.stop()
+    assert cells.dtype == np.uint16
+    assert made < 2 * p + 8 * clausen._BLOCK
     # one more byte per p, such as a reached-x mask, is past this bound
     assert peak < 2 * p + 96 * clausen._BLOCK
+
+
+def test_place_by_mu_refuses_cells_of_another_length():
+    cells = clausen.lambda_cells(build_trace_table(make_context(101)))
+    with pytest.raises(ValueError, match="at p=101 needs 99 of them"):
+        clausen.place_by_mu(101, cells[1:])
 
 
 def test_a_value_cells_name_a_missed_x_for_a_non_generator(monkeypatch):
@@ -208,22 +235,29 @@ def test_a_numerators_refuse_a_trace_beyond_hasse():
 # the int32 extremes square past int32 and, for the least, np.abs wraps
 @pytest.mark.parametrize("value", [-(1 << 31), (1 << 31) - 1])
 def test_a_numerators_refuse_an_int32_extreme_trace(value):
-    _assert_a_numerators_refuse_trace(value)
+    _assert_a_numerators_refuse_trace(value, np.int32)
 
 
-def _assert_a_numerators_refuse_trace(value):
+# the same in the narrow width: 2|a| of either passes uint16
+@pytest.mark.parametrize("value", [-(1 << 15), (1 << 15) - 1])
+def test_a_numerators_refuse_an_int16_extreme_trace(value):
+    _assert_a_numerators_refuse_trace(value, np.int16)
+
+
+def _assert_a_numerators_refuse_trace(value, dtype=np.int16):
     """No table can hold the trace, so a_numerators never reads one."""
     table = build_trace_table(make_context(101))
-    traces = table.traces.copy()
+    traces = table.traces.astype(dtype)
     traces[17] = value
     with pytest.raises(ArithmeticError, match=r"Hasse bound violated at p=101"):
         clausen.a_numerators(clausen.TraceTable(101, traces, table.signs))
 
 
-@pytest.mark.parametrize("value", [22, -(1 << 31), (1 << 31) - 1])
+@pytest.mark.parametrize("value", [22, -(1 << 31), (1 << 31) - 1, -(1 << 15), (1 << 15) - 1])
 def test_multiplicities_refuse_an_int32_trace_beyond_hasse(value):
+    """In the narrowest of int16 and int32 that holds the value."""
     table = build_trace_table(make_context(101))
-    traces = table.traces.copy()
+    traces = table.traces.astype(np.int16 if -(1 << 15) <= value < 1 << 15 else np.int32)
     traces[17] = value
     message = rf"Hasse bound violated at p=101: \|a\| = {abs(value)} > 20"
     with pytest.raises(ArithmeticError, match=message):
@@ -258,10 +292,50 @@ def test_trace_table_makes_its_arrays_read_only_in_place():
 
 
 @pytest.mark.parametrize("p", [5, 101, 25013])
-def test_trace_table_is_int32(p):
+def test_trace_table_is_int16(p):
+    table = build_trace_table(make_context(p))
+    assert table.traces.dtype == np.int16
+    assert not table.traces.flags.writeable
+
+
+@pytest.mark.parametrize("p", [5, 101, 25013])
+def test_trace_table_is_int32(monkeypatch, p):
+    """Past the narrow width, here lowered below every cell at p, the traces
+    are int32 and the cells int32, with the same values."""
+    narrow = build_trace_table(make_context(p))
+    monkeypatch.setattr(clausen, "_UINT16_TOP", 2 * math.isqrt(4 * p))
+    assert not clausen.narrow_width(p)
     table = build_trace_table(make_context(p))
     assert table.traces.dtype == np.int32
     assert not table.traces.flags.writeable
+    assert np.array_equal(table.traces, narrow.traces)
+    cells = clausen.lambda_cells(table)
+    assert cells.dtype == np.int32
+    assert np.array_equal(cells, clausen.lambda_cells(narrow))
+    assert table.multiplicities == narrow.multiplicities
+
+
+def test_narrow_width_ends_where_a_cell_passes_uint16():
+    """int16 traces and uint16 cells up to isqrt(4p) = 32766, the last p
+    whose largest cell 2 isqrt(4p) + 1 is at most 2^16 - 2."""
+    last = (32767**2 - 1) // 4  # 4p < 32767^2
+    assert math.isqrt(4 * last) == 32766 and math.isqrt(4 * (last + 1)) == 32767
+    assert clausen.narrow_width(last) and not clausen.narrow_width(last + 1)
+    assert last < 1 << 28
+
+
+def test_trace_build_drops_each_array_after_its_last_use():
+    """Python's allocations in the build peak at about 48 bytes per p; with
+    every array kept to the end of the build they reached 80."""
+    p = 100003
+    ctx = make_context(p)
+    tracemalloc.start()
+    try:
+        build_trace_table(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 56 * p
 
 
 def test_trace_build_checks_hasse_before_the_int32_cast(monkeypatch):

@@ -455,7 +455,7 @@ def test_cache_version_error(tmp_path):
     path = tmp_path / "t.bin"
     cache.save_trace_table(path, table)
     raw = bytearray(path.read_bytes())
-    raw[7] = ord("0")  # BATMANv4 -> BATMANv0
+    raw[7] = ord("0")  # BATMANv5 -> BATMANv0
     path.write_bytes(bytes(raw))
     with pytest.raises(cache.CacheFormatError, match="version"):
         cache.load_trace_table(path)
@@ -532,9 +532,15 @@ def test_cache_checksum_error(tmp_path):
 
 
 def _pack_trace_file(path, p, traces, signs):
-    """Write a CRC-valid format-v4 trace cache file, packed here apart from the
-    cache module: header, int32 traces, signs, then the CRC32."""
-    body = (struct.pack("<8sBQ", b"BATMANv4", 1, p) + np.asarray(traces, "<i4").tobytes()
+    """Write a CRC-valid format-v5 trace cache file, packed here apart from the
+    cache module: header, traces (int16 under the narrow width at p, else
+    int32), signs, then the CRC32. A trace the width cannot hold fails here,
+    not wrapped into the file."""
+    from k3batman import clausen
+
+    packed = np.asarray(traces).astype("<i2" if clausen.narrow_width(p) else "<i4")
+    assert np.array_equal(packed, traces), "a trace does not fit the file's width"
+    body = (struct.pack("<8sBQ", b"BATMANv5", 1, p) + packed.tobytes()
             + np.asarray(signs, "i1").tobytes())
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
@@ -552,7 +558,7 @@ def _count_summary(p, traces, signs):
 def _cache_with_trace(tmp_path, p, index, value):
     """A CRC-valid cache directory whose table has one trace replaced."""
     table = build_trace_table(make_context(p))
-    traces = table.traces.copy()
+    traces = table.traces.astype(np.int64)
     traces[index] = value
     cache_dir = tmp_path / "cache"
     cache_dir.mkdir()
@@ -565,10 +571,10 @@ def test_trace_cache_keeps_signs_and_summary(tmp_path, p):
     table = build_trace_table(make_context(p))
     path = tmp_path / "t.bin"
     cache.save_trace_table(path, table)
-    assert path.stat().st_size == 17 + 5 * (p - 2) + 4
+    assert path.stat().st_size == 17 + 3 * (p - 2) + 4
     loaded = cache.load_trace_table(path)
     assert loaded.p == p
-    assert loaded.traces.dtype == np.int32
+    assert loaded.traces.dtype == np.int16
     assert np.array_equal(loaded.traces, table.traces)
     assert np.array_equal(loaded.signs, table.signs)
     assert loaded.multiplicities == table.multiplicities
@@ -625,13 +631,13 @@ def _assert_save_refuses_trace(tmp_path, value):
 @pytest.mark.parametrize("p", [5, 101, 25013])
 def test_trace_cache_narrows_int64_traces(tmp_path, p):
     """An int64 table, as the benchmark's FFT generator makes, is saved as
-    int32 traces and loads with equal values and summary."""
+    int16 traces and loads with equal values and summary."""
     table = build_trace_table(make_context(p))
     wide = TraceTable(p, table.traces.astype(np.int64), table.signs)
     path = tmp_path / "t.bin"
     cache.save_trace_table(path, wide)
     loaded = cache.load_trace_table(path)
-    assert loaded.traces.dtype == np.int32
+    assert loaded.traces.dtype == np.int16
     assert np.array_equal(loaded.traces, wide.traces)
     assert loaded.multiplicities == wide.multiplicities
     cache.save_trace_table(tmp_path / "narrow.bin", table)
@@ -763,11 +769,23 @@ def test_cached_trace_beyond_hasse_is_internal_error(tmp_path, capsys, argv):
     _assert_cached_trace_is_internal_error(tmp_path, capsys, argv, 22)  # 2 sqrt(101) < 21
 
 
-# The least and largest int32: no check may take np.abs of an int32, which
-# wraps at the least value, or square one in int32.
+# The least and largest int32, in a file of int32 traces (the narrow width
+# lowered below p = 101): no check may take np.abs of an int32, which wraps
+# at the least value, or square one in int32.
 @pytest.mark.parametrize("value", [-(1 << 31), (1 << 31) - 1], ids=["int32-min", "int32-max"])
 @_TRACE_COMMANDS
-def test_cached_int32_extreme_trace_is_internal_error(tmp_path, capsys, argv, value):
+def test_cached_int32_extreme_trace_is_internal_error(tmp_path, monkeypatch, capsys, argv, value):
+    from k3batman import clausen
+
+    monkeypatch.setattr(clausen, "_UINT16_TOP", 2 * math.isqrt(4 * 101))
+    _assert_cached_trace_is_internal_error(tmp_path, capsys, argv, value)
+
+
+# The same in the int16 file every p up to about 2.7e8 gets: 2|a| of either
+# passes uint16, and np.abs of the least wraps.
+@pytest.mark.parametrize("value", [-(1 << 15), (1 << 15) - 1], ids=["int16-min", "int16-max"])
+@_TRACE_COMMANDS
+def test_cached_int16_extreme_trace_is_internal_error(tmp_path, capsys, argv, value):
     _assert_cached_trace_is_internal_error(tmp_path, capsys, argv, value)
 
 
@@ -836,10 +854,38 @@ def test_avalues_tracemalloc_peak_from_a_warm_cache(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 5 bytes per p hold the loaded table and 2 the cells: 9.2 in all; with
-    # int32 numerators and a reached-x mask it was 14.5, with int64 traces and
-    # power table 23.9, with an inverse table 57.5
-    assert peak <= 11 * p
+    # 3 bytes per p hold the loaded table and 2 its cells, then 2 the cells
+    # and 2 their placement, and block scratch: 5.8 in all; with int32
+    # traces, and the placement gathering them, it was 9.2; with int32
+    # numerators and a reached-x mask 14.5, with int64 traces and power table
+    # 23.9, with an inverse table 57.5
+    assert peak <= 7 * p
+
+
+@pytest.mark.parametrize("command", ["traces", "avalues"])
+def test_int32_width_writes_the_same_bytes(tmp_path, monkeypatch, command):
+    """The narrow width lowered below p: int32 traces in memory and in the
+    cache file, 5 bytes a trace, and the same text as int16, on the run that
+    writes the cache and on the run that reads it."""
+    from k3batman import clausen
+
+    p = 1009
+    texts = {}
+    for width, top in (("int16", clausen._UINT16_TOP), ("int32", 2 * math.isqrt(4 * p))):
+        monkeypatch.setattr(clausen, "_UINT16_TOP", top)
+        cache_dir = tmp_path / width
+        for run, fmt in itertools.product(("build", "read"), ("csv", "json")):
+            out = tmp_path / f"{width}-{run}.{fmt}"
+            argv = [command, "--p", str(p), "--format", fmt, "--out", str(out),
+                    "--cache-dir", str(cache_dir)]
+            assert dispatch(argv) == 0
+            texts[width, run, fmt] = out.read_bytes()
+        size = (cache_dir / f"trace_p{p}.bin").stat().st_size
+        assert size == 17 + (3 if width == "int16" else 5) * (p - 2) + 4
+        assert cache.load_trace_table(cache_dir / f"trace_p{p}.bin").traces.dtype == width
+    assert len(set(texts.values())) == 2  # one text per format
+    for key, text in texts.items():
+        assert text == texts["int16", "build", key[2]], key
 
 
 def test_avalues_int32_cells_write_the_same_bytes(tmp_path, monkeypatch, capsys):
@@ -1187,17 +1233,22 @@ def _hurwitz_kind(raw):
 
 def _older_format(version, raw, dtype, *parts):
     """A CRC-valid file of an older format version at p = 101: its header,
-    the traces read from the v4 file ``raw`` as ``dtype``, then ``parts``."""
-    traces = np.frombuffer(raw, "<i4", count=99, offset=17)  # p = 101: 99 traces
+    the traces read from the v5 file ``raw`` as ``dtype``, then ``parts``."""
+    traces = np.frombuffer(raw, "<i2", count=99, offset=17)  # p = 101: 99 traces
     body = version + raw[8:17] + traces.astype(dtype).tobytes() + b"".join(parts)
     return body + struct.pack("<I", zlib.crc32(body))
 
 
+def _signs(raw):
+    """The signs of the v5 file ``raw`` at p = 101."""
+    return np.frombuffer(raw, "i1", count=99, offset=17 + 2 * 99)
+
+
 def _signs_and_summary(raw):
-    """What formats v2 and v3 stored after the traces: the signs of the v4
+    """What formats v2 and v3 stored after the traces: the signs of the v5
     file ``raw`` at p = 101, then the summary counts as <i8."""
-    traces = np.frombuffer(raw, "<i4", count=99, offset=17)
-    signs = np.frombuffer(raw, "i1", count=99, offset=17 + 4 * 99)
+    traces = np.frombuffer(raw, "<i2", count=99, offset=17)
+    signs = _signs(raw)
     return signs.tobytes() + _count_summary(101, traces, signs).astype("<i8").tobytes()
 
 
@@ -1216,10 +1267,15 @@ def _v3_format(raw):
     return _older_format(b"BATMANv3", raw, "<i4", _signs_and_summary(raw))
 
 
+def _v4_format(raw):
+    """The file as format v4 wrote it: int32 traces at every p, then the signs."""
+    return _older_format(b"BATMANv4", raw, "<i4", _signs(raw).tobytes())
+
+
 @pytest.mark.parametrize("corrupt",
                          [_truncate, _flip_payload_byte, _hurwitz_kind, _v1_format, _v2_format,
-                          _v3_format],
-                         ids=["truncated", "checksum", "kind", "v1", "v2", "v3"])
+                          _v3_format, _v4_format],
+                         ids=["truncated", "checksum", "kind", "v1", "v2", "v3", "v4"])
 def test_unreadable_cache_is_rebuilt(tmp_path, capsys, corrupt):
     """An unreadable cache file is a miss: same stdout and exit code as a run
     with no cache, one warning line, and a good file saved over the bad one."""
@@ -1235,10 +1291,26 @@ def test_unreadable_cache_is_rebuilt(tmp_path, capsys, corrupt):
     assert captured.out == expected
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("warning: ")
-    if corrupt in (_v1_format, _v2_format, _v3_format):
+    if corrupt in (_v1_format, _v2_format, _v3_format, _v4_format):
         assert "unsupported cache version" in lines[0]
     assert path.read_bytes() == good  # rewritten in the current format
     assert sorted(f.name for f in tmp_path.iterdir()) == [path.name]
+
+
+def test_v4_format_helper_has_the_v4_layout(tmp_path):
+    """The v4 case above is a whole v4 file: int32 traces, the signs, and a
+    CRC over them, 5 bytes a trace where v5 has 3 at this p."""
+    p = 101
+    path = tmp_path / "t.bin"
+    table = build_trace_table(make_context(p))
+    cache.save_trace_table(path, table)
+    old = _v4_format(path.read_bytes())
+    assert len(old) == 17 + 5 * (p - 2) + 4 and len(path.read_bytes()) == 17 + 3 * (p - 2) + 4
+    assert old[:8] == b"BATMANv4" and old[8:17] == path.read_bytes()[8:17]
+    assert struct.unpack("<I", old[-4:])[0] == zlib.crc32(old[:-4])
+    assert np.array_equal(np.frombuffer(old, "<i4", count=p - 2, offset=17), table.traces)
+    assert np.array_equal(np.frombuffer(old, "i1", count=p - 2, offset=17 + 4 * (p - 2)),
+                          table.signs)
 
 
 def test_v2_format_helper_has_the_v2_layout(tmp_path):
@@ -1265,7 +1337,9 @@ def test_v3_format_helper_has_the_v3_layout(tmp_path):
     rows = math.isqrt(4 * p) + 1
     assert len(old) == 17 + 5 * (p - 2) + 16 * rows + 4
     assert struct.unpack("<I", old[-4:])[0] == zlib.crc32(old[:-4])
-    assert old[17 : 17 + 5 * (p - 2)] == path.read_bytes()[17:-4]
+    traces = np.frombuffer(old, "<i4", count=p - 2, offset=17)
+    assert np.array_equal(traces, table.traces)
+    assert old[17 + 4 * (p - 2) : 17 + 5 * (p - 2)] == path.read_bytes()[17 + 2 * (p - 2) : -4]
     counts = np.frombuffer(old, "<i8", count=2 * rows, offset=17 + 5 * (p - 2))
     assert np.array_equal(counts.reshape(rows, 2), table.multiplicities.counts)
 
@@ -1306,7 +1380,7 @@ def test_memory_guard_refuses_avalues_before_its_inverses(monkeypatch, capsys):
         raise AssertionError("allocated past the memory guard")
 
     monkeypatch.setattr(cli, "_available_memory", lambda: 1 << 20)
-    monkeypatch.setattr(cli, "a_value_cells", never)
+    monkeypatch.setattr(cli, "lambda_cells", never)
     monkeypatch.setattr(cli, "make_context", never)
     assert dispatch(["avalues", "--p", "1000003"]) == 2
     captured = capsys.readouterr()
@@ -1324,14 +1398,15 @@ def test_memory_guard_refuses_avalues_on_a_cache_hit(tmp_path, monkeypatch, caps
     p = 1009
     cache.save_trace_table(tmp_path / f"trace_p{p}.bin", build_trace_table(make_context(p)))
     monkeypatch.setattr(cli, "_available_memory", lambda: 1 << 10)
-    monkeypatch.setattr(cli, "a_value_cells", never)
+    monkeypatch.setattr(cli, "lambda_cells", never)
     monkeypatch.setattr(cli, "build_trace_table", never)  # the table is read from the cache
     assert dispatch(["avalues", "--p", str(p), "--cache-dir", str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    # below 1 MB an amount is given in bytes, not as 0 MB
-    need = cli._AVALUE_BYTES_PER_P * p
-    assert captured.err == (f"error: p={p} needs about {need} bytes to place the A-values, "
+    # 2 bytes per p and one block of text; below 1 MB an amount is given in
+    # bytes, not as 0 MB
+    assert cli._AVALUE_BYTES_PER_P * p + cli._TABLE_BLOCK_BYTES == 2018 + (10 << 20)
+    assert captured.err == (f"error: p={p} needs about 10 MB to place the A-values, "
                             "but only 1024 bytes is available\n")
 
 
@@ -1372,11 +1447,11 @@ def test_memory_guard_refuses_distribution_grid_before_building(monkeypatch, cap
     assert dispatch(["verify", "distribution", "--p", "101", "--grid", "1000000"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: grid=1000000 needs about 858 MB to build the report, "
+    assert captured.err == ("error: grid=1000000 needs about 810 MB to build the report, "
                             "but only 100 MB is available\n")
     monkeypatch.undo()
     monkeypatch.setattr(cli, "_available_memory", lambda: 100 << 20)
-    assert dispatch(["verify", "distribution", "--p", "101", "--grid", "40"]) == 0  # 36 KB fits
+    assert dispatch(["verify", "distribution", "--p", "101", "--grid", "40"]) == 0  # 34 KB fits
     assert capsys.readouterr().out.startswith("clausen_N: 40 rows")
 
 
@@ -1392,7 +1467,7 @@ def test_memory_guard_charges_a_report_block_for_distribution_out(tmp_path, monk
 
     argv = ["verify", "distribution", "--p", "101", "--grid", "40"]
     monkeypatch.setattr(cli, "_available_memory", lambda: 1 << 20)
-    assert dispatch(argv) == 0  # 36 KB fits
+    assert dispatch(argv) == 0  # 34 KB fits
     capsys.readouterr()
     monkeypatch.setattr(cli, "_grids_for", never)
     monkeypatch.setattr(cli, "build_trace_table", never)

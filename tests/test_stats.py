@@ -46,6 +46,7 @@ def test_interval_count_validation(summary5):
 
 def test_empirical_a_count_examples(summary5):
     assert empirical_A_count(summary5, -3, 3) == 3
+    assert type(empirical_A_count(summary5, -3, 3)) is int  # a Python int, not a numpy one
     assert empirical_A_count(summary5, 0, 1) == 2
     assert empirical_A_count(summary5, Fraction(1, 2), 1) == 1
     with pytest.raises(ValueError):
@@ -134,6 +135,41 @@ def test_discrepancy_report_row_shapes(summary5):
     assert all(row.target == 0.0 for row in report.rows)
     with pytest.raises(ValueError):
         discrepancy_report(summary5, uniform_grid(0, 1, 4), "unknown")
+
+
+@pytest.mark.parametrize("which", ["clausen_N", "clausen_Hpm", "clausen_M", "batman"])
+def test_discrepancy_report_counts_every_window_in_one_below_call(summaries200, monkeypatch,
+                                                                   which):
+    """The rows' counts against interval_counts and empirical_A_count per
+    interval, on random rational grids given as a generator, with one
+    ``below`` call per report."""
+    rng = random.Random(which)
+    span = 3 if which == "batman" else 1
+    lo_end = -span if which == "batman" else 0
+    for p in (5, 101, 199):
+        summary = summaries200[p]
+        grid = []
+        for _ in range(30):
+            a, b = sorted(Fraction(rng.randint(lo_end * 64, span * 64), 64) for _ in range(2))
+            if a < b:
+                grid.append((a, b))
+        if which == "batman":
+            expected = [empirical_A_count(summary, lo, hi) for lo, hi in grid]
+        else:
+            counts = [interval_counts(summary, lo, hi) for lo, hi in grid]
+            expected = {
+                "clausen_N": [c.n_total for c in counts],
+                "clausen_M": [c.m_signed for c in counts],
+                "clausen_Hpm": [n for c in counts for n in (c.h_plus, c.h_minus)],
+            }[which]
+        below, calls = type(summary).below, []
+        monkeypatch.setattr(type(summary), "below",
+                            lambda self, square: calls.append(1) or below(self, square))
+        report = discrepancy_report(summary, (interval for interval in grid), which)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert [row.empirical * p for row in report.rows] == expected, p
+        assert discrepancy_report(summary, [], which).rows == []
 
 
 def test_batman_bound_constant_selection(summary5):
