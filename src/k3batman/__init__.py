@@ -10,8 +10,6 @@ from .brackets import (
 from .clausen import (
     TraceSummary,
     TraceTable,
-    a_numerators,
-    a_value_cells,
     build_trace_table,
     chebyshev_sum,
     clausen_trace,
@@ -50,8 +48,6 @@ __all__ = [
     "TraceSummary",
     "TraceTable",
     "TrigPolynomial",
-    "a_numerators",
-    "a_value_cells",
     "bracket_coeff",
     "build_hurwitz_table",
     "build_trace_table",

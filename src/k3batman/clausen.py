@@ -337,13 +337,6 @@ def place_by_mu(p: int, cells: np.ndarray) -> np.ndarray:
     return placed[2:]
 
 
-def a_value_cells(table: TraceTable) -> np.ndarray:
-    """The TraceSummary cell of lambda = -(mu+1)^(-1), for mu = 1..p-2 in mu
-    order: ``a_value_cells(table)[i]`` belongs to mu = i+1. The cells of
-    ``lambda_cells``, placed by ``place_by_mu``."""
-    return place_by_mu(table.p, lambda_cells(table))
-
-
 def cell_numerators(p: int) -> np.ndarray:
     """p A for each TraceSummary cell: s^2 - p at cell 2s (phi(-lambda) = +1)
     and p - s^2 at cell 2s + 1, for 0 <= s <= isqrt(4p). int32 when
@@ -351,13 +344,6 @@ def cell_numerators(p: int) -> np.ndarray:
     s = np.arange(math.isqrt(4 * p) + 1, dtype=np.int64)
     plus = s * s - p
     return np.stack((plus, -plus), axis=1).ravel().astype(np.int32 if 3 * p < 1 << 31 else np.int64)
-
-
-def a_numerators(table: TraceTable) -> np.ndarray:
-    """p A_mu(p) = phi(-lambda) (a_lambda^2 - p) for mu = 1..p-2, in mu order,
-    with lambda = -(mu+1)^(-1): ``a_numerators(table)[i]`` belongs to mu = i+1.
-    The numerators of ``a_value_cells``, in the dtype of ``cell_numerators``."""
-    return cell_numerators(table.p)[a_value_cells(table)]
 
 
 def moment(summary: TraceSummary, n: int, twisted: bool = False) -> int:

@@ -98,6 +98,7 @@ def _require_memory(what: str, need: int, purpose: str) -> None:
 
 
 def _get_trace_table(p: int, cache_dir: str | None) -> TraceTable:
+    require_prime(p)  # before a cache names a table at p, or the memory guard reads its size
     path = Path(cache_dir) / f"trace_p{p}.bin" if cache_dir else None
     if path is not None and path.exists():
         try:  # a table that breaks its invariants raises ArithmeticError: no rebuild
@@ -142,14 +143,14 @@ def _write(out, byte_chunks) -> None:
 _BLOCK_ROWS = 65000
 
 
-def _emit_table(out, fmt, header: str, rows: int, render) -> None:
+def _emit_table(out, fmt, header: str, rows: int, renderer) -> None:
     """A table of ``rows`` rows in the CSV or JSON layout of ``header``: the
     bytes of a CSV of its cells, or, from one row up, of its row dicts dumped
-    as JSON with an indent of 2. ``render(start, stop, prefixes, tail)``
-    gives rows start to stop - 1, each as ``prefixes[0]``, its first cell,
-    ``prefixes[1]``, its second cell, and so on, and then ``tail``. A JSON
-    row opens with the ',' that follows the row before it, so the first
-    row's ',' is dropped."""
+    as JSON with an indent of 2. ``renderer(prefixes, tail)`` is called once
+    and returns ``render``; ``render(start, stop)`` gives rows start to
+    stop - 1, each as ``prefixes[0]``, its first cell, ``prefixes[1]``, its
+    second cell, and so on, and then ``tail``. A JSON row opens with the ','
+    that follows the row before it, so the first row's ',' is dropped."""
     if fmt == "json":
         first_key, *keys = header.split(",")
         prefixes = [f',\n  {{\n    "{first_key}": '] + [f',\n    "{key}": ' for key in keys]
@@ -157,58 +158,46 @@ def _emit_table(out, fmt, header: str, rows: int, render) -> None:
     else:
         prefixes = [""] + [","] * header.count(",")
         head, tail, end, skip = header + "\n", "\n", "", 0
+    render = renderer(prefixes, tail)
 
     def chunks():
         yield head.encode("ascii")
         for i in range(0, rows, _BLOCK_ROWS):
             # a view, not a copy, and no name keeps a block alive beside the next
             start = skip if i == 0 else 0
-            yield memoryview(render(i, min(i + _BLOCK_ROWS, rows), prefixes, tail))[start:]
+            yield memoryview(render(i, min(i + _BLOCK_ROWS, rows)))[start:]
         yield end.encode("ascii")
 
     _write(out, chunks())
 
 
 def _emit_numbered_table(out, fmt, header: str, rows: int, columns, index) -> None:
-    """A table of ``rows`` rows numbered from 1, in the layout of
-    _emit_table: row i shows i + 1, then entry ``index(start, stop)[i - start]``
-    of the integer ``columns``, for each block of rows start to stop - 1.
+    """A table of ``rows`` rows numbered from 1, written by _emit_table: row
+    i shows i + 1, then entry ``index(start, stop)[i - start]`` of the
+    integer ``columns``, for each block of rows start to stop - 1.
 
-    The text of each entry is made once: its cells with their literal text,
-    the row's tail, and the opening of the next row up to its number. So a
+    The text of each entry is made once: the row's opening, room for its
+    number, and its cells with their literal text and the row's tail. So a
     block is one gather of entry texts and the digits of its row numbers,
-    and no literal text is written per row. The last row opens no next
-    one: that opening is cut off."""
-    if fmt == "json":
-        first_key, *keys = header.split(",")
-        opening = f',\n  {{\n    "{first_key}": '  # a row's ',', then the next row up to its number
-        prefixes = [f',\n    "{key}": ' for key in keys]
-        head, tail, end = "[" + opening[1:], "\n  }", "\n]\n"
-    else:
-        opening, prefixes = "", [","] * header.count(",")
-        head, tail, end = header + "\n", "\n", ""
-    texts = _entry_texts(len(str(rows)), columns, prefixes, tail + opening)
+    and no literal text is written per row."""
 
-    def chunks():
-        yield head.encode("ascii")
-        for start in range(0, rows, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, rows)
-            # no name keeps a block alive beside the next
-            yield _numbered_block(start + 1, stop + 1, texts, index(start, stop),
-                                  len(opening) if stop == rows else 0)
-        yield end.encode("ascii")
+    def renderer(prefixes, tail):
+        texts = _entry_texts(len(str(rows)), columns, prefixes, tail)
+        # no name keeps a block's index alive beside the next
+        return lambda start, stop: _numbered_block(start + 1, stop + 1, texts,
+                                                   index(start, stop), len(prefixes[0]))
 
-    _write(out, chunks())
+    _emit_table(out, fmt, header, rows, renderer)
 
 
 def _entry_texts(lead: int, columns, prefixes, tail: str) -> np.ndarray:
-    """Row k holds ``lead`` NULs, room for a row number, then the ASCII of
-    ``prefixes[0]``, ``columns[0][k]``, ``prefixes[1]``, ``columns[1][k]``,
-    and so on, and ``tail``, in a uint8 matrix: each number in the width of
-    its column's longest, padded with NULs after it."""
+    """Row k holds the ASCII of ``prefixes[0]``, then ``lead`` NULs, room for
+    a row number, then ``prefixes[1]``, ``columns[0][k]``, ``prefixes[2]``,
+    ``columns[1][k]``, and so on, and ``tail``, in a uint8 matrix: each
+    number in the width of its column's longest, padded with NULs after it."""
     rows = len(columns[0])
-    parts = [np.zeros((rows, lead), dtype=np.uint8)]
-    for prefix, values in zip(prefixes, columns):
+    parts = [_literal(prefixes[0], rows), np.zeros((rows, lead), dtype=np.uint8)]
+    for prefix, values in zip(prefixes[1:], columns):
         # the widest text from Python ints: astype cuts a number wider than its dtype
         width = max(len(str(int(values.max()))), len(str(int(values.min()))))
         numbers = values.astype(f"S{width}").view(np.uint8).reshape(rows, width)
@@ -222,16 +211,16 @@ def _literal(text: str, rows: int) -> np.ndarray:
     return np.broadcast_to(np.frombuffer(text.encode("ascii"), np.uint8), (rows, len(text)))
 
 
-def _numbered_block(first: int, stop: int, texts: np.ndarray, index, cut: int = 0) -> bytearray:
-    """The text of rows numbered ``first`` to ``stop - 1``, row i as its
-    number's digits and then ``texts[index[i]]``, less its last ``cut`` bytes.
+def _numbered_block(first: int, stop: int, texts: np.ndarray, index, slot: int) -> bytearray:
+    """The text of rows numbered ``first`` to ``stop - 1``, row i as
+    ``texts[index[i]]`` with its number's digits from column ``slot`` on.
 
     One gather puts the texts in a row-major matrix, and each number's
-    digits overwrite the first of the NULs that lead its text. They are
-    worked out per run of numbers of one length (runs split at powers of
-    ten), in uint32 below 2^32, else uint64. The matrix read row by row
-    without its NULs is the text: the text is printable ASCII, so it holds
-    no NUL of its own."""
+    digits overwrite the first of the NULs at ``slot``. They are worked out
+    per run of numbers of one length (runs split at powers of ten), in
+    uint32 below 2^32, else uint64. The matrix read row by row without its
+    NULs is the text: the text is printable ASCII, so it holds no NUL of
+    its own."""
     padded = bytearray(len(index) * texts.shape[1])
     block = np.frombuffer(padded, dtype=np.uint8).reshape(len(index), texts.shape[1])
     # clip, not raise, gathers straight into the block: every index is a
@@ -241,7 +230,7 @@ def _numbered_block(first: int, stop: int, texts: np.ndarray, index, cut: int = 
     while number < stop:
         digits = len(str(number))
         run_stop = min(stop, 10**digits)
-        run = block[number - first : run_stop - first]
+        run = block[number - first : run_stop - first, slot : slot + digits]
         rest = np.arange(number, run_stop, dtype=np.uint32 if run_stop <= 1 << 32 else np.uint64)
         for cell in range(digits - 1, -1, -1):
             higher = rest // 10
@@ -250,9 +239,7 @@ def _numbered_block(first: int, stop: int, texts: np.ndarray, index, cut: int = 
             run[:, cell] = rest
             rest = higher
         number = run_stop
-    text = padded.translate(None, b"\0")
-    del text[len(text) - cut :]
-    return text
+    return padded.translate(None, b"\0")
 
 
 def cmd_traces(args) -> int:
@@ -419,15 +406,18 @@ def emit_report(out, fmt, report: stats.DiscrepancyReport) -> None:
     """One discrepancy report in the fixed row schema ``_REPORT_HEADER``: the
     six numbers as the repr of their floats, and pass as true or false."""
 
-    def render(start, stop, prefixes, tail):
-        text = bytearray()  # grown in place: no list of row strings beside it
-        for r in report.rows[start:stop]:
-            values = (r.lo, r.hi, r.empirical, r.target, r.gap, r.bound)
-            cells = [repr(float(v)) for v in values] + ["true" if r.passed else "false"]
-            text += ("".join(map(str.__add__, prefixes, cells)) + tail).encode("ascii")
-        return text
+    def renderer(prefixes, tail):
+        def render(start, stop):
+            text = bytearray()  # grown in place: no list of row strings beside it
+            for r in report.rows[start:stop]:
+                values = (r.lo, r.hi, r.empirical, r.target, r.gap, r.bound)
+                cells = [repr(float(v)) for v in values] + ["true" if r.passed else "false"]
+                text += ("".join(map(str.__add__, prefixes, cells)) + tail).encode("ascii")
+            return text
 
-    _emit_table(out, fmt, _REPORT_HEADER, len(report.rows), render)
+        return render
+
+    _emit_table(out, fmt, _REPORT_HEADER, len(report.rows), renderer)
 
 
 def cmd_audit_constants(args) -> int:

@@ -161,8 +161,8 @@ def test_a_numerators_match_pow_inverses(p):
     """The cells by lambda, then the cells and their numerators by mu, against
     inverses by pow."""
     table = build_trace_table(make_context(p))
-    cells = clausen.a_value_cells(table)
-    num = clausen.a_numerators(table)
+    cells = clausen.place_by_mu(p, clausen.lambda_cells(table))
+    num = clausen.cell_numerators(p)[cells]
     assert cells.dtype == np.uint16 and num.dtype == np.int32
     traces, signs = table.traces.tolist(), table.signs.tolist()
     by_lambda = [2 * abs(a) + (sign < 0) for a, sign in zip(traces, signs)]
@@ -214,7 +214,7 @@ def test_a_value_cells_name_a_missed_x_for_a_non_generator(monkeypatch):
     table = build_trace_table(make_context(101))
     monkeypatch.setattr(field, "primitive_root", lambda p: 10)
     with pytest.raises(ArithmeticError, match="at p=101: x=2 is no power of g=10$"):
-        clausen.a_value_cells(table)
+        clausen.place_by_mu(101, clausen.lambda_cells(table))
 
 
 def test_cell_numerators_keep_the_dtype_rule():
@@ -226,31 +226,6 @@ def test_cell_numerators_keep_the_dtype_rule():
         assert len(num) == 2 * s + 2
         assert num[:4].tolist() == [-p, p, 1 - p, p - 1]
         assert num[-2:].tolist() == [s * s - p, p - s * s]
-
-
-def test_a_numerators_refuse_a_trace_beyond_hasse():
-    _assert_a_numerators_refuse_trace(22)  # 2 sqrt(101) < 21, so |22^2 - 101| > 3 * 101
-
-
-# the int32 extremes square past int32 and, for the least, np.abs wraps
-@pytest.mark.parametrize("value", [-(1 << 31), (1 << 31) - 1])
-def test_a_numerators_refuse_an_int32_extreme_trace(value):
-    _assert_a_numerators_refuse_trace(value, np.int32)
-
-
-# the same in the narrow width: 2|a| of either passes uint16
-@pytest.mark.parametrize("value", [-(1 << 15), (1 << 15) - 1])
-def test_a_numerators_refuse_an_int16_extreme_trace(value):
-    _assert_a_numerators_refuse_trace(value, np.int16)
-
-
-def _assert_a_numerators_refuse_trace(value, dtype=np.int16):
-    """No table can hold the trace, so a_numerators never reads one."""
-    table = build_trace_table(make_context(101))
-    traces = table.traces.astype(dtype)
-    traces[17] = value
-    with pytest.raises(ArithmeticError, match=r"Hasse bound violated at p=101"):
-        clausen.a_numerators(clausen.TraceTable(101, traces, table.signs))
 
 
 @pytest.mark.parametrize("value", [22, -(1 << 31), (1 << 31) - 1, -(1 << 15), (1 << 15) - 1])

@@ -789,6 +789,21 @@ def test_cached_int16_extreme_trace_is_internal_error(tmp_path, capsys, argv, va
     _assert_cached_trace_is_internal_error(tmp_path, capsys, argv, value)
 
 
+@_TRACE_COMMANDS
+def test_composite_p_is_refused_before_its_cache_and_memory_guard(tmp_path, capsys, argv):
+    """A well-formed table saved at p = 9 is never read, and 10^12 is named
+    composite, not sized by the memory guard as a table to build."""
+    signs = np.array([1, 1, 1, -1, -1, -1, -1], dtype=np.int8)
+    cache.save_trace_table(tmp_path / "trace_p9.bin", TraceTable(9, np.zeros(7, np.int16), signs))
+    for p in (9, 10**12):
+        assert dispatch(argv + ["--p", str(p), "--cache-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: p={p} is composite ")
+
+
 def _assert_cached_trace_is_internal_error(tmp_path, capsys, argv, value):
     cache_dir = _cache_with_trace(tmp_path, 101, 17, value)
     assert dispatch(argv + ["--p", "101", "--cache-dir", cache_dir]) == 3
@@ -901,7 +916,7 @@ def test_avalues_int32_cells_write_the_same_bytes(tmp_path, monkeypatch, capsys)
             out = tmp_path / f"a{top}.{fmt}"
             assert dispatch(["avalues", "--p", str(p), "--format", fmt, "--out", str(out)]) == 0
             texts[top, fmt] = out.read_bytes()
-    assert clausen.a_value_cells(build_trace_table(make_context(p))).dtype == np.int32
+    assert clausen.lambda_cells(build_trace_table(make_context(p))).dtype == np.int32
     for fmt in ("csv", "json"):
         assert texts[clausen._UINT16_TOP, fmt] == texts[2 * math.isqrt(4 * p), fmt]
 
@@ -1057,12 +1072,13 @@ def test_int_table_json_matches_emit_rows(tmp_path, capsys, rows, to_file, const
 
 def _block_text(first, columns, prefixes, tail) -> str:
     """_numbered_block of one row per entry of ``columns``, numbered from
-    ``first``, as text."""
+    ``first``, as text: each row opens with its number, and ``prefixes``
+    are the literal texts after it."""
     from k3batman import cli
 
     rows = len(columns[0])
-    texts = cli._entry_texts(len(str(first + rows - 1)), columns, prefixes, tail)
-    return cli._numbered_block(first, first + rows, texts, np.arange(rows)).decode()
+    texts = cli._entry_texts(len(str(first + rows - 1)), columns, ["", *prefixes], tail)
+    return cli._numbered_block(first, first + rows, texts, np.arange(rows), 0).decode()
 
 
 @pytest.mark.parametrize("top", [1, 999_999_999, 10**9, (1 << 32) - 1, 1 << 32, 1 << 62])
@@ -1146,7 +1162,7 @@ def test_avalues_cell_at_the_largest_index(monkeypatch, capsys, fmt):
     from k3batman import cli, clausen
 
     table = _hasse_edge_table()
-    assert clausen.a_value_cells(table).max() == 2 * math.isqrt(4 * 7) + 1
+    assert clausen.lambda_cells(table).max() == 2 * math.isqrt(4 * 7) + 1
     monkeypatch.setattr(cli, "_get_trace_table", lambda p, cache_dir: table)
     assert dispatch(["avalues", "--p", "7", "--format", fmt]) == 0
     rows = []
