@@ -1,5 +1,14 @@
 """Exact Frobenius-trace statistics for a K3 family via Clausen elliptic curves."""
 
+import os
+
+# k3batman makes no BLAS call, but numpy's OpenBLAS starts a pool of worker
+# threads at import, and each spins about 2^28 cycles before it sleeps: some
+# 0.07 s of CPU per thread in every process. 4 (2^4 cycles) is the least
+# OpenBLAS accepts. A value already set wins, and once numpy is loaded the
+# pool has read the variable, so this changes nothing there.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 from .brackets import (
     bracket_coeff,
     chebyshev_coeffs,

@@ -76,11 +76,12 @@ _EXPAND_STEP = 1 << 16
 _DERIVE_STEP = 1 << 12
 
 
-def _stratum_weights(residue: np.ndarray, m: int) -> np.ndarray:
+def _stratum_weights(residue: np.ndarray, count: np.ndarray) -> np.ndarray:
     """What the strata with c > a add at each D mod m = 4a, given
-    ``residue`` = -b^2 mod m for b = 0..a: 24 per b with -b^2 = D (mod m),
-    for the pair +-b, less 12 at b = 0 and b = a, which have no pair."""
-    weight = 24 * np.bincount(residue, minlength=m)
+    ``residue`` = -b^2 mod m for b = 0..a and ``count``, its histogram of
+    length m: 24 per b with -b^2 = D (mod m), for the pair +-b, less 12 at
+    b = 0 and b = a, which have no pair."""
+    weight = 24 * count
     weight[residue[0]] -= 12
     weight[residue[-1]] -= 12
     return weight
@@ -171,7 +172,8 @@ def build_hurwitz_table(d_max: int) -> HurwitzTable:
         start = 6 * (d0 // 16)
         if start >= size:
             continue
-        by_residue = _stratum_weights(-square[: a + 1] % m, m)
+        residue = -square[: a + 1] % m
+        by_residue = _stratum_weights(residue, np.bincount(residue, minlength=m))
         pattern = by_residue[(d0 + 16 * np.arange(a)[:, None] + _COUNTED) % m].ravel()
         pattern = np.tile(pattern.astype(twelve.dtype), -(-min(_MIN_ROW, size - start) // len(pattern)))
         rows = (size - start) // len(pattern)
@@ -221,8 +223,7 @@ def _count_reduced_forms(d: np.ndarray) -> np.ndarray:
     n = len(d)
     twelve = np.zeros(n, dtype=np.int64)
     a_top = math.isqrt(int(d[-1]) // 3)
-    b = np.arange(a_top + 1, dtype=np.int64)
-    neg_sq = -b * b
+    neg_sq = -np.arange(a_top + 1, dtype=np.int64) ** 2
     for a0 in range(1, a_top + 1, _A_BLOCK):
         a = np.arange(a0, min(a0 + _A_BLOCK, a_top + 1), dtype=np.int64)
         first = np.searchsorted(d, 3 * a * a)  # window 3a^2 <= D <= 4a^2 ...
@@ -241,12 +242,19 @@ def _count_reduced_forms(d: np.ndarray) -> np.ndarray:
         for ai, lo, hi, tail, base in zip(
             a.tolist(), (stop - size).tolist(), stop.tolist(), bulk.tolist(), key_base.tolist()
         ):
-            res = neg_sq[: ai + 1] % (4 * ai)  # -b^2 mod 4a for b = 0..a
+            m = 4 * ai
+            res = neg_sq[: ai + 1] % m  # -b^2 mod 4a for b = 0..a
+            count = np.bincount(res, minlength=m)  # shared by the bulk and the window
             if tail < n:  # c > a for every b
-                twelve[tail:] += _stratum_weights(res, 4 * ai)[d[tail:] % (4 * ai)]
+                twelve[tail:] += _stratum_weights(res, count)[d[tail:] % m]
             if lo < hi:
-                group_size[lo:hi] = np.bincount(res, minlength=4 * ai)[residue[lo:hi]]
-                keys.append(np.sort(res * (ai + 1) + b[: ai + 1]) + base)
+                asked = residue[lo:hi]
+                group_size[lo:hi] = count[asked]
+                # keys of the b whose residue some window pair asks for, alone
+                wanted = np.zeros(m, dtype=bool)
+                wanted[asked] = True
+                chosen = np.flatnonzero(wanted[res])
+                keys.append(np.sort(res[chosen] * (ai + 1) + chosen) + base)
         # Only window pairs with some b of the right residue have forms.
         hit = group_size > 0
         if not hit.any():
@@ -278,9 +286,11 @@ def twelve_h_at(discriminants) -> np.ndarray:
     - bulk, D > 4a^2: every such b has c > a, so the count is one lookup
       D mod 4a in the histogram of -b^2 mod 4a, weighted 24 for the pair +-b
       with 0 < b < a and 12 for b = 0 and b = a;
-    - window, 3a^2 <= D <= 4a^2: c > a needs b^2 > 4a^2 - D. The b are
-      sorted by the key residue*(a+1) + b, and two binary searches count the
-      ones of D's residue at or below t = isqrt(4a^2 - D). When 4a^2 - D = t^2
+    - window, 3a^2 <= D <= 4a^2: c > a needs b^2 > 4a^2 - D. The b of a
+      residue some window D asks for are sorted by the key residue*(a+1) + b,
+      and two binary searches count the ones of D's residue at or below
+      t = isqrt(4a^2 - D); one histogram of -b^2 mod 4a per a serves both
+      the bulk and the window's group sizes. When 4a^2 - D = t^2
       the form (a, t, a) adds 4, 6 or 12 as in the dense sweep.
 
     The cost is O(sqrt(max D) * len(D)) with no table of size max D.

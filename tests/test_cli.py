@@ -27,7 +27,7 @@ from k3batman import (
 )
 from k3batman import cache
 from k3batman.cli import _BLOCK_ROWS, dispatch
-from util import a_value, dense_identity_table, entries
+from util import a_value, child_env, dense_identity_table, entries
 
 P5_TRACES_CSV = "lambda,a,phi\n1,-2,1\n2,0,-1\n3,2,-1\n"
 P5_AVALUES_CSV = "mu,num,den\n1,5,5\n2,1,5\n3,-1,5\n"
@@ -1525,7 +1525,9 @@ _NO_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /d
     (["traces", "--p", "101", "--cache-dir", "{tmp}/file"], "File exists"),
     pytest.param(["hist", "--p", "101", "--bins", "5", "--out", "/dev/full"],
                  "No space left on device", marks=_NO_DEV_FULL),
-], ids=["missing-dir", "out-is-dir", "cache-dir-is-file", "device-full"])
+    # no summary line is printed before the first report is written
+    (["verify", "distribution", "--p", "101", "--out", "{tmp}/missing/r"], "No such file or directory"),
+], ids=["missing-dir", "out-is-dir", "cache-dir-is-file", "device-full", "report-missing-dir"])
 def test_failed_write_is_exit_2_with_one_line(tmp_path, capsys, argv, reason):
     """Exit 1 means a verification failed; a write that fails is exit 2."""
     (tmp_path / "file").write_text("")
@@ -1554,7 +1556,7 @@ def test_cache_dir_that_is_a_file_fails_before_the_build(tmp_path, capsys, monke
 @pytest.mark.parametrize("argv, error", [
     (["traces", "--p", "5"], "error: [Errno 32] Broken pipe\n"),  # all of it buffered
     (["traces", "--p", "10007"], "error: [Errno 32] Broken pipe\n"),  # more than a buffer
-    # a line is left buffered for the reader when the --out write fails
+    # the --out write fails too, before any line is printed
     (["verify", "distribution", "--p", "101", "--out", "{tmp}/missing/r"],
      "error: [Errno 2] No such file or directory"),
 ], ids=["small", "large", "other-error"])
@@ -1578,11 +1580,7 @@ def test_reader_gone_is_exit_2_with_one_line(tmp_path, argv, error):
 def _subprocess_env() -> dict:
     """The environment of a child Python that imports this k3batman, with
     stdout to a pipe block-buffered, as by default."""
-    import k3batman
-
-    env = dict(os.environ)
-    src = str(Path(k3batman.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = child_env()
     env.pop("PYTHONUNBUFFERED", None)
     return env
 

@@ -223,6 +223,17 @@ def test_sparse_kernel_matches_dense_table():
     assert np.array_equal(twelve_h_at(np.arange(20001)), dense.twelve_h)
 
 
+def test_sparse_kernel_matches_dense_table_at_window_edges():
+    # D = 3a^2 and 4a^2 bound the window of a, and 4a^2 - 1 is its last D
+    # before it; alone, a D asks for the keys of few residues of each a
+    a = np.arange(1, 201)
+    d = np.stack((3 * a * a, 4 * a * a - 1, 4 * a * a), axis=1)
+    dense = build_hurwitz_table(int(d.max())).twelve_h
+    assert np.array_equal(twelve_h_at(d.ravel()), dense[d.ravel()])
+    for edges in d:
+        assert np.array_equal(twelve_h_at(edges), dense[edges]), edges.tolist()
+
+
 def test_sparse_kernel_any_order_and_repeats(hurwitz_4000):
     d = np.array([3999, 0, 7, 3999, 4000, 1, 2, 3, 2700, 7])
     assert twelve_h_at(d).tolist() == hurwitz_4000.twelve_h[d].tolist()

@@ -1,25 +1,21 @@
 """Smoke runs of the scripts under scripts/, each in a fresh interpreter."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import k3batman
 from k3batman import cli
 from k3batman.stats import STATISTICS
+from util import child_env
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def _run(script: str, *args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    src = str(Path(k3batman.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, str(SCRIPTS / script), *args],
-                          capture_output=True, text=True, env=env, timeout=300)
+                          capture_output=True, text=True, env=child_env(), timeout=300)
 
 
 def test_run_example_prime(tmp_path):

@@ -5,15 +5,27 @@ enumeration, Euler's criterion, divisor sums) so the library is always
 checked against a second route.
 """
 
+import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, isqrt
+from pathlib import Path
 
 import numpy as np
 
+import k3batman
 from k3batman import ClassNumbersAlong, FieldContext, chebyshev_coeffs, clausen_trace, two_squares
 from k3batman.field import powers, primitive_root, require_inverse_range
+
+
+def child_env() -> dict:
+    """The environment of a child Python that imports this k3batman: this
+    process's, with the package's source first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(k3batman.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def primes_up_to(n: int) -> list[int]:
