@@ -2,7 +2,8 @@
 
 import os
 
-# k3batman makes no BLAS call, but numpy's OpenBLAS starts a pool of worker
+# No k3batman command makes a BLAS call (selberg.eval_trig's matrix product
+# serves library callers only), but numpy's OpenBLAS starts a pool of worker
 # threads at import, and each spins about 2^28 cycles before it sleeps: some
 # 0.07 s of CPU per thread in every process. 4 (2^4 cycles) is the least
 # OpenBLAS accepts. A value already set wins, and once numpy is loaded the

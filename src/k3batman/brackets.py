@@ -21,18 +21,16 @@ if TYPE_CHECKING:  # hurwitz imports clausen, which imports this module
 
 @lru_cache(maxsize=None)
 def chebyshev_coeffs(m: int) -> tuple[int, ...]:
-    """Integer coefficients of U_m, ascending powers, via the recurrence
-    U_m = 2x U_{m-1} - U_{m-2}."""
+    """Integer coefficients of U_m, ascending powers, from the closed form:
+    x^(m-2k) has (-1)^k C(m-k, k) 2^(m-2k), the term for k - 1 times a
+    ratio whose integer division is exact."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    if m == 0:
-        return (1,)
-    if m == 1:
-        return (0, 2)
-    prev2, prev1 = chebyshev_coeffs(m - 2), chebyshev_coeffs(m - 1)
-    out = [0] + [2 * c for c in prev1]
-    for i, c in enumerate(prev2):
-        out[i] -= c
+    out = [0] * (m + 1)
+    out[m] = c = 2**m
+    for k in range(1, m // 2 + 1):
+        c = -c * (m - 2 * k + 2) * (m - 2 * k + 1) // (4 * k * (m - k + 1))
+        out[m - 2 * k] = c
     return tuple(out)
 
 

@@ -119,6 +119,13 @@ def _get_trace_table(p: int, cache_dir: str | None) -> TraceTable:
     return table
 
 
+def _exact(value: int | Fraction) -> str:
+    """``str(value)`` of an int or a Fraction at any length: str() of an int
+    past 4300 digits raises, the conversion through Decimal does not."""
+    text = str(Decimal(value.numerator))
+    return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
+
+
 def _write(out, byte_chunks) -> None:
     """Write the chunks to the file ``out``, or to stdout when it is None:
     as bytes to its binary buffer, after the text printed before them, or
@@ -301,7 +308,8 @@ def cmd_verify_moments(args) -> int:
             good = rhs == lhs
             ok &= good
             kind = "twisted" if twisted else "untwisted"
-            lines.append(f"  n={n} {kind}: {lhs} = {rhs} {'ok' if good else 'MISMATCH'}")
+            lines.append(f"  n={n} {kind}: {_exact(lhs)} = {_exact(rhs)} "
+                         f"{'ok' if good else 'MISMATCH'}")
     lines.append("all identities hold" if ok else "IDENTITY FAILURE")
     print("\n".join(lines))
     return 0 if ok else 1
@@ -336,14 +344,15 @@ def cmd_verify_brackets(args) -> int:
     ok = good = a1 == 0 and b1 == 0
     # every line is computed before any is printed, so a run stopped by an
     # internal check leaves nothing on stdout
-    lines = [f"m=1 vanishing at p={p}: a_1({p})={a1}, b_1({4 * p})={b1} "
+    lines = [f"m=1 vanishing at p={p}: a_1({p})={_exact(a1)}, b_1({4 * p})={_exact(b1)} "
              f"{'ok' if good else 'FAIL'}"]
     for m, (a, b) in coeffs.items():
         sides = [(brackets.class_sum(m, along), brackets.coeff_side(m, along, coeff))
                  for along, coeff in zip(alongs, (a, b))]
         good = all(lhs == rhs for lhs, rhs in sides)
         ok &= good
-        text = ", ".join(f"{name}-side {lhs} = {rhs}" for name, (lhs, rhs) in zip("ab", sides))
+        text = ", ".join(f"{name}-side {_exact(lhs)} = {_exact(rhs)}"
+                         for name, (lhs, rhs) in zip("ab", sides))
         lines.append(f"  coefficient identity m={m}: {text} {'ok' if good else 'FAIL'}")
         audit = brackets.deligne_audit(m, p, a, b)
         ok &= audit.passed

@@ -1,5 +1,7 @@
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -9,9 +11,11 @@ from k3batman import (
     ClassNumbersAlong,
     bracket_coeff,
     build_hurwitz_table,
+    build_trace_table,
     chebyshev_coeffs,
     deligne_audit,
     identity_table,
+    make_context,
     mertens_coeff,
     pihol_coeff,
 )
@@ -19,6 +23,8 @@ from k3batman.brackets import class_sum, coeff_side
 from util import (
     chebyshev_closed,
     chebyshev_eval,
+    chebyshev_sum_by_loop,
+    child_env,
     class_numbers_along,
     dense_identity_table,
     even_chebyshev,
@@ -39,6 +45,33 @@ def test_chebyshev_coeff_structure():
         coeffs = chebyshev_coeffs(m)
         assert coeffs[m] == 2**m
         assert all(coeffs[l] == 0 for l in range(m) if (m - l) % 2)
+
+
+def test_chebyshev_recurrence_holds():
+    # U_m = 2x U_{m-1} - U_{m-2}: the library builds each U_m on its own
+    for m in range(2, 401):
+        expected = [0, *(2 * c for c in chebyshev_coeffs(m - 1))]
+        for i, c in enumerate(chebyshev_coeffs(m - 2)):
+            expected[i] -= c
+        assert chebyshev_coeffs(m) == tuple(expected), m
+
+
+# Run cold, with no lower order cached; hex has no digit limit
+_COLD_HIGH_ORDERS = """
+from k3batman import build_trace_table, chebyshev_coeffs, chebyshev_sum, make_context
+print(len(chebyshev_coeffs(3000)))
+value = chebyshev_sum(build_trace_table(make_context(101)).multiplicities, 1200)
+print(f"{value.numerator:x} {value.denominator:x}")
+"""
+
+
+def test_high_orders_in_a_fresh_interpreter():
+    result = subprocess.run([sys.executable, "-c", _COLD_HIGH_ORDERS], capture_output=True,
+                            text=True, env=child_env(), timeout=60)
+    assert result.returncode == 0, result.stderr[-2000:]
+    length, num, den = result.stdout.split()
+    expected = chebyshev_sum_by_loop(build_trace_table(make_context(101)).multiplicities, 1200)
+    assert (int(length), Fraction(int(num, 16), int(den, 16))) == (3001, expected)
 
 
 def test_closed_form_examples():

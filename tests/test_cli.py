@@ -69,6 +69,40 @@ def test_verify_moments_exit_code_and_report(capsys):
     assert "32 = 32" in output
 
 
+@contextlib.contextmanager
+def _no_digit_limit():
+    """str() of ints of any length, as before Python's 4300-digit limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_verify_moments_prints_values_past_the_digit_limit(capsys):
+    assert dispatch(["verify", "moments", "--p", "101", "--nmax", "2000"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    summary = build_trace_table(make_context(101)).multiplicities
+    with _no_digit_limit():
+        values = {(n, kind): str(moment(summary, n, twisted)) for n in range(1, 2001)
+                  for kind, twisted in (("untwisted", False), ("twisted", True))}
+    assert max(map(len, values.values())) > 4300
+    assert lines == ["moment identities at p=101, n <= 2000",
+                     *(f"  n={n} {kind}: {v} = {v} ok" for (n, kind), v in values.items()),
+                     "all identities hold"]
+
+
+def test_exact_values_print_at_any_length():
+    from k3batman.cli import _exact
+
+    big = 7**6000  # 5071 digits
+    values = [0, -3, big, -big, Fraction(big), Fraction(-big, 3), Fraction(5, big)]
+    with _no_digit_limit():
+        expected = [str(v) for v in values]
+    assert [_exact(v) for v in values] == expected
+
+
 def test_verify_moments_failure_exit(monkeypatch, capsys):
     from k3batman import cli
 
