@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, isqrt
 from operator import mul
 from typing import TYPE_CHECKING
@@ -19,7 +18,6 @@ if TYPE_CHECKING:  # hurwitz imports clausen, which imports this module
     from .hurwitz import ClassNumbersAlong
 
 
-@lru_cache(maxsize=None)
 def chebyshev_coeffs(m: int) -> tuple[int, ...]:
     """Integer coefficients of U_m, ascending powers, from the closed form:
     x^(m-2k) has (-1)^k C(m-k, k) 2^(m-2k), the term for k - 1 times a
@@ -48,13 +46,15 @@ def bracket_coeff(m: int, along: ClassNumbersAlong) -> Fraction:
 
 
 def _chebyshev_combination(m: int, t: int, n: int, sums: list[int]) -> int:
-    """sum_l U_{2m}[2l] n^(m-l) t^l sums[l].
+    """sum_l U_{2m}[2l] n^(m-l) t^l sums[l], by Horner's rule in n.
 
     With sums[l] = sum_k w_k k^(2l) this is sum_k w_k n^m U_{2m}(k sqrt(t / n)),
     an integer: the k are summed once, in ``sums``, for every m.
     """
-    coeffs = chebyshev_coeffs(2 * m)
-    return sum(coeffs[2 * l] * n ** (m - l) * t**l * sums[l] for l in range(m + 1))
+    total = 0
+    for l, c in enumerate(chebyshev_coeffs(2 * m)[::2]):
+        total = total * n + c * t**l * sums[l]
+    return total
 
 
 class PowerSums:

@@ -56,12 +56,24 @@ def test_chebyshev_recurrence_holds():
         assert chebyshev_coeffs(m) == tuple(expected), m
 
 
-# Run cold, with no lower order cached; hex has no digit limit
+# A fresh interpreter: the high orders must work with no earlier call, and the
+# traced bytes are this script's alone; hex has no digit limit. Once the
+# summary's power sums reach l = 300, the orders up to 2 * 300 should leave
+# nothing behind between calls.
 _COLD_HIGH_ORDERS = """
+import gc, tracemalloc
 from k3batman import build_trace_table, chebyshev_coeffs, chebyshev_sum, make_context
 print(len(chebyshev_coeffs(3000)))
-value = chebyshev_sum(build_trace_table(make_context(101)).multiplicities, 1200)
+summary = build_trace_table(make_context(101)).multiplicities
+value = chebyshev_sum(summary, 1200)
 print(f"{value.numerator:x} {value.denominator:x}")
+summary.power_sums(300, twisted=True)
+tracemalloc.start()
+for m in range(301):
+    for twisted in (False, True):
+        chebyshev_sum(summary, m, twisted)
+gc.collect()
+print(tracemalloc.get_traced_memory()[0])
 """
 
 
@@ -69,9 +81,11 @@ def test_high_orders_in_a_fresh_interpreter():
     result = subprocess.run([sys.executable, "-c", _COLD_HIGH_ORDERS], capture_output=True,
                             text=True, env=child_env(), timeout=60)
     assert result.returncode == 0, result.stderr[-2000:]
-    length, num, den = result.stdout.split()
+    length, num, den, retained = result.stdout.split()
     expected = chebyshev_sum_by_loop(build_trace_table(make_context(101)).multiplicities, 1200)
     assert (int(length), Fraction(int(num, 16), int(den, 16))) == (3001, expected)
+    # far below the 4.4 MB that keeping U_0, U_2, ..., U_600 would take
+    assert int(retained) < 1_000_000
 
 
 def test_closed_form_examples():
