@@ -2,8 +2,7 @@
 
 import os
 
-# No k3batman command makes a BLAS call (selberg.eval_trig's matrix product
-# serves library callers only), but numpy's OpenBLAS starts a pool of worker
+# k3batman makes no BLAS call, but numpy's OpenBLAS starts a pool of worker
 # threads at import, and each spins about 2^28 cycles before it sleeps: some
 # 0.07 s of CPU per thread in every process. 4 (2^4 cycles) is the least
 # OpenBLAS accepts. A value already set wins, and once numpy is loaded the
@@ -35,7 +34,7 @@ from .hurwitz import (
     twelve_h_at,
 )
 from .measures import EarParameters, density_f, ear_parameters, mu_bat, mu_st, optimal_delta
-from .selberg import TrigPolynomial, eval_trig, proof_bound_audit, selberg_pair
+from .selberg import proof_bound_audit
 from .stats import (
     DiscrepancyReport,
     IntervalCounts,
@@ -57,7 +56,6 @@ __all__ = [
     "IntervalCounts",
     "TraceSummary",
     "TraceTable",
-    "TrigPolynomial",
     "bracket_coeff",
     "build_hurwitz_table",
     "build_trace_table",
@@ -69,7 +67,6 @@ __all__ = [
     "discrepancy_report",
     "ear_parameters",
     "empirical_A_count",
-    "eval_trig",
     "identity_table",
     "interval_counts",
     "interval_counts_squared",
@@ -83,7 +80,6 @@ __all__ = [
     "optimal_delta",
     "pihol_coeff",
     "proof_bound_audit",
-    "selberg_pair",
     "twelve_h_at",
     "two_squares",
     "uniform_grid",

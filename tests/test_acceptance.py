@@ -19,14 +19,12 @@ from k3batman import (
     discrepancy_report,
     ear_parameters,
     empirical_A_count,
-    eval_trig,
     interval_counts_squared,
     moment,
     mu_bat,
     multiplicity_rhs,
     optimal_delta,
     pihol_coeff,
-    selberg_pair,
     uniform_grid,
 )
 from k3batman.brackets import class_sum, coeff_side
@@ -203,38 +201,6 @@ def test_criterion_09_constant_audit():
         _report("criterion 09 constant audit", False, f"p=5 ratio {ratio:.6f}")
     _report("criterion 09 constant audit", True,
             f"{primes.size} primes <= 1e6; near-equality ratio at p=5: {ratio:.6f}")
-
-
-def test_criterion_10_selberg_properties():
-    rng = random.Random(10_101)
-    grid = np.linspace(0.0, 1.0, 10_001)
-    done = 0
-    while done < 20:
-        a, b = sorted(rng.uniform(0.0, 1.0) for _ in range(2))
-        if b - a < 0.01 or b - a > 0.95:
-            continue
-        M = rng.randint(1, 40)
-        plus, minus = selberg_pair(a, b, M)
-        chi = ((grid >= a) & (grid <= b)).astype(float)
-        sp, sm = eval_trig(plus, grid), eval_trig(minus, grid)
-        near_edge = (np.abs(grid - a) < 1e-4) | (np.abs(grid - b) < 1e-4)
-        tol = np.where(near_edge, 1e-9, 1e-12)
-        if not (np.all(chi - sp <= tol) and np.all(sm - chi <= tol)):
-            _report("criterion 10 selberg properties", False,
-                    f"majorization broken for [{a:.4f}, {b:.4f}], M={M}")
-        if abs(plus.coeff(0).real - (b - a) - 1.0 / (M + 1)) > 1e-14:
-            _report("criterion 10 selberg properties", False, "zeroth coefficient")
-        for m in range(1, M + 1):
-            ea = np.exp(-2j * np.pi * m * a)
-            eb = np.exp(-2j * np.pi * m * b)
-            target = (ea - eb) / (2j * np.pi * m)
-            for poly in (plus, minus):
-                if abs(poly.coeff(m) - target) > 1.0 / (M + 1) + 1e-12:
-                    _report("criterion 10 selberg properties", False,
-                            f"coefficient proximity at m={m}")
-        done += 1
-    _report("criterion 10 selberg properties", True,
-            "majorization, zeroth coefficient, proximity on 20 random pairs")
 
 
 def test_criterion_11_ears():

@@ -154,7 +154,7 @@ def test_audit_constants_stopped_midway_prints_nothing(monkeypatch, capsys, erro
 
     def failing_audit(p, twisted):
         if twisted:
-            raise error("eval_trig failed on the twisted chain")
+            raise error("no value for the twisted chain")
         return audit(p, twisted)
 
     monkeypatch.setattr(selberg, "proof_bound_audit", failing_audit)
@@ -203,6 +203,16 @@ def test_audit_constants_at_large_p(p, capsys):
     lines = captured.out.splitlines()
     assert len(lines) == 3 and all(line.endswith(" pass") for line in lines)
     assert captured.err == ""
+
+
+def test_audit_constants_where_the_batman_bound_starts(capsys):
+    # 150933691 is the first prime past 110.84^4, where 110.84 p^(-1/4) < 1
+    assert dispatch(["audit-constants", "--p", "150933691"]) == 0
+    assert capsys.readouterr().out == (
+        "untwisted chain at p=150933691: 19163636.8756 <= 36112966.4311 pass\n"
+        "twisted chain at p=150933691: 26025028.2205 <= 39340256.4176 pass\n"
+        "simplified untwisted chain: 19973814.7836 <= 36112966.4311 (ratio 0.553093) pass\n"
+    )
 
 
 def test_ears_output(capsys):

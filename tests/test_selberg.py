@@ -1,90 +1,8 @@
-import cmath
-import math
-import random
-
-import numpy as np
 import pytest
 
-from k3batman import eval_trig, proof_bound_audit, selberg_pair
-from k3batman.selberg import (
-    TrigPolynomial,
-    floor_fourth_root,
-    simplified_chain,
-    simplified_chain_bound,
-)
+from k3batman import proof_bound_audit
+from k3batman.selberg import floor_fourth_root, simplified_chain, simplified_chain_bound
 from util import primes_up_to
-
-
-def _indicator_hat(m: int, a: float, b: float) -> complex:
-    # integral over [a, b] of e(-m x)
-    ea = cmath.exp(-2j * math.pi * m * a)
-    eb = cmath.exp(-2j * math.pi * m * b)
-    return (ea - eb) / (2j * math.pi * m)
-
-
-def test_zeroth_coefficient_identity():
-    plus, minus = selberg_pair(0.2, 0.5, 10)
-    assert plus.coeff(0) == pytest.approx(0.3 + 1.0 / 11.0, abs=1e-15)
-    assert minus.coeff(0) == pytest.approx(0.3 - 1.0 / 11.0, abs=1e-15)
-
-
-def test_interior_point_sandwich():
-    plus, minus = selberg_pair(0.2, 0.5, 10)
-    assert eval_trig(plus, 0.35) >= 1.0
-    assert eval_trig(minus, 0.35) <= 1.0
-
-
-def test_degenerate_interval_rejected():
-    with pytest.raises(ValueError):
-        selberg_pair(0.5, 0.5, 10)
-    with pytest.raises(ValueError):
-        selberg_pair(0.2, 0.5, 0)
-
-
-def test_eval_trig_basics():
-    zero = TrigPolynomial(1, np.zeros(3, dtype=complex))
-    assert eval_trig(zero, 0.37) == 0.0
-    const = TrigPolynomial(1, np.array([0, 2.5, 0], dtype=complex))
-    assert eval_trig(const, 0.9) == pytest.approx(2.5)
-    cosine = TrigPolynomial(1, np.array([0.5, 0, 0.5], dtype=complex))
-    assert eval_trig(cosine, 0.0) == pytest.approx(1.0)
-    assert eval_trig(cosine, 0.25) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_eval_trig_rejects_asymmetric_coeffs():
-    bad = TrigPolynomial(1, np.array([0.3j, 0.0, 0.1], dtype=complex))
-    with pytest.raises(ArithmeticError):
-        eval_trig(bad, 0.1)
-
-
-def test_property_suite_random_intervals():
-    rng = random.Random(2024)
-    grid = np.linspace(0.0, 1.0, 10_001)
-    done = 0
-    while done < 20:
-        a, b = sorted(rng.uniform(0.0, 1.0) for _ in range(2))
-        if b - a < 0.01 or b - a > 0.95:
-            continue
-        M = rng.randint(1, 40)
-        plus, minus = selberg_pair(a, b, M)
-        chi = ((grid >= a) & (grid <= b)).astype(float)
-        sp = eval_trig(plus, grid)
-        sm = eval_trig(minus, grid)
-        near_edge = (np.abs(grid - a) < 1e-4) | (np.abs(grid - b) < 1e-4)
-        tol = np.where(near_edge, 1e-9, 1e-12)
-        assert np.all(chi - sp <= tol)
-        assert np.all(sm - chi <= tol)
-        # zeroth coefficient and integral sandwich
-        assert plus.coeff(0).real == pytest.approx(b - a + 1.0 / (M + 1), abs=1e-14)
-        assert minus.coeff(0).real == pytest.approx(b - a - 1.0 / (M + 1), abs=1e-14)
-        assert minus.coeff(0).real <= b - a <= plus.coeff(0).real
-        # coefficient proximity to the indicator transform
-        for m in range(1, M + 1):
-            target = _indicator_hat(m, a, b)
-            for poly in (plus, minus):
-                assert abs(poly.coeff(m) - target) <= 1.0 / (M + 1) + 1e-12
-                assert abs(poly.coeff(-m) - target.conjugate()) <= 1.0 / (M + 1) + 1e-12
-        done += 1
 
 
 def test_floor_fourth_root():
@@ -115,6 +33,19 @@ def test_proof_bound_audit_prime_sample():
     for p in [p for p in primes_up_to(2000) if p >= 5]:
         assert proof_bound_audit(p).passed
         assert proof_bound_audit(p, twisted=True).passed
+
+
+def test_proof_bound_audit_at_both_ends_of_each_degree():
+    # At fixed M, lhs / p^(3/4) is about 4x/(M+1) + (32/3) M/x untwisted
+    # (16 M/x twisted), x = p^(1/4) in [M, M+1): largest at p = M^4, where
+    # it tends to 4 + 32/3 (4 + 16), and least at p = (M+1)^4 - 1.
+    for M in range(1, 300):
+        for p in (max(M**4, 5), (M + 1) ** 4 - 1):
+            assert floor_fourth_root(p) == M
+            for twisted, limit in ((False, 4 + 32 / 3), (True, 20.0)):
+                audit = proof_bound_audit(p, twisted)
+                assert audit.passed, (p, twisted)
+                assert audit.lhs / p**0.75 < limit, (p, twisted)
 
 
 def test_simplified_chain_tight_at_smallest_prime():

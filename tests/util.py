@@ -312,9 +312,10 @@ def even_chebyshev(m: int, x: int, n: int) -> int:
     y^2 = x/n: the Chebyshev value with its denominator n^m cleared.
     """
     coeffs = chebyshev_coeffs(2 * m)
-    total = 0
+    total, power = 0, 1  # power = n^(m - l)
     for l in range(m, -1, -1):  # Horner in x
-        total = total * x + coeffs[2 * l] * n ** (m - l)
+        total = total * x + coeffs[2 * l] * power
+        power *= n
     return total
 
 
