@@ -196,11 +196,17 @@ def test_criterion_09_constant_audit():
     if bad.size:
         _report("criterion 09 constant audit", False,
                 f"simplified chain fails first at p={int(primes[bad[0]])}")
-    ratio = simplified_chain(5) / simplified_chain_bound(5)
-    if not 0.99 <= ratio <= 1.0:
-        _report("criterion 09 constant audit", False, f"p=5 ratio {ratio:.6f}")
+    ratio = lhs / rhs
+    # each term of simplified_chain(p) / p^(3/4) decreases for p > e^(4/3): p = 5 is the worst prime
+    rises = np.flatnonzero(np.diff(ratio) >= 0)
+    if rises.size:
+        _report("criterion 09 constant audit", False,
+                f"ratio does not fall at p={int(primes[rises[0] + 1])}")
+    if not 0.99 <= ratio[0] <= 1.0:
+        _report("criterion 09 constant audit", False, f"p=5 ratio {ratio[0]:.6f}")
     _report("criterion 09 constant audit", True,
-            f"{primes.size} primes <= 1e6; near-equality ratio at p=5: {ratio:.6f}")
+            f"{primes.size} primes <= 1e6; ratio falls from {ratio[0]:.6f} at p=5 "
+            f"to {ratio[-1]:.5f} at p={int(primes[-1])}")
 
 
 def test_criterion_11_ears():

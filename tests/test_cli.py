@@ -27,7 +27,7 @@ from k3batman import (
 )
 from k3batman import cache
 from k3batman.cli import _BLOCK_ROWS, dispatch
-from util import a_value, child_env, dense_identity_table, entries
+from util import a_value, child_env, dense_identity_table, entries, k3_double_sum, primes_up_to
 
 P5_TRACES_CSV = "lambda,a,phi\n1,-2,1\n2,0,-1\n3,2,-1\n"
 P5_AVALUES_CSV = "mu,num,den\n1,5,5\n2,1,5\n3,-1,5\n"
@@ -1003,6 +1003,20 @@ def test_avalues_rows_match_a_value(tmp_path, p):
     assert json.loads(json_out.read_text()) == [
         {"mu": mu, "num": num, "den": den} for mu, num, den in rows
     ]
+
+
+# Every mu at the primes below 100, among them the p = 3 (mod 4) where alone
+# phi(-lambda) differs from phi(lambda); 8 seeded mu at 1009, p^2 work each.
+@pytest.mark.parametrize("p", [*(p for p in primes_up_to(99) if p >= 5), 1009])
+def test_avalues_are_the_k3_surface_double_sums(capsys, p):
+    assert dispatch(["avalues", "--p", str(p)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "mu,num,den"
+    numerators = {int(mu): int(num) for mu, num, _ in (line.split(",") for line in lines[1:])}
+    mus = range(1, p - 1)
+    if p > 100:
+        mus = np.random.default_rng(p).choice(mus, 8, replace=False).tolist()
+    assert {mu: numerators[mu] for mu in mus} == {mu: k3_double_sum(p, mu) for mu in mus}
 
 
 _EDGE_VALUES = [0, 1, -1, 9, -9, 10, -10, 99, -99, 100, -100, 123456789, -1000003]

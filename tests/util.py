@@ -263,6 +263,23 @@ def a_value_by_loop(table) -> list[Fraction]:
     return [Fraction(sign * (a * a - table.p), table.p) for _, a, sign in entries(table)]
 
 
+def k3_double_sum(p: int, mu: int) -> int:
+    """p A_mu(p) from the K3 surface s^2 = x y (x+1) (y+1) (x + mu y) itself:
+    the literal sum over x, y in F_p of phi(x y (x+1) (y+1) (x + mu y)), with
+    phi read off the squares. One p x p int64 array, reduced mod p after each
+    product; needs p^2 < 2^63."""
+    x = np.arange(p, dtype=np.int64)
+    phi = np.full(p, -1, dtype=np.int64)
+    phi[x * x % p] = 1
+    phi[0] = 0
+    y = x[:, None]
+    f = x * y % p
+    f = f * (x + 1) % p
+    f = f * (y + 1) % p
+    f = f * ((x + mu * y) % p) % p
+    return int(phi[f].sum())
+
+
 def a_count_by_loop(table, lo, hi) -> int:
     return sum(1 for value in a_value_by_loop(table) if lo <= value <= hi)
 
